@@ -132,9 +132,9 @@ impl Diplomat {
                     ok: result.is_ok(),
                 },
             );
-            k.trace.observe(
-                &format!("diplomat/{}", self.foreign_symbol),
-                end_ns - ctx.ts_ns,
+            k.trace.metric(
+                format_args!("diplomat/{}", self.foreign_symbol),
+                |m, n| m.observe(n, end_ns - ctx.ts_ns),
             );
             k.trace.incr("diplomat/calls");
         }

@@ -14,7 +14,11 @@
 //! agree on it bit for bit, whichever host thread ran them. Healing
 //! state (outcome, recovery ledger) folds into the fingerprint only
 //! when present, so plain fault-free runs keep their historical
-//! fingerprints.
+//! fingerprints. Records hash as their `Debug` text, streamed into the
+//! hash as it is formatted: one pass over the live trace ring, with no
+//! copy of the ring and no string per event.
+
+use std::fmt;
 
 use cider_abi::ids::{Pid, Tid};
 use cider_bench::apps;
@@ -123,14 +127,28 @@ impl Fnv1a {
     pub(crate) fn write_u64(&mut self, v: u64) {
         self.write(&v.to_le_bytes());
     }
+
+    /// Hashes the bytes of `format!("{v:?}")`, streamed as `Debug`
+    /// formats them instead of collected into a string first.
+    pub(crate) fn write_debug(&mut self, v: &dyn fmt::Debug) {
+        fmt::Write::write_fmt(self, format_args!("{v:?}"))
+            .expect("hashing cannot fail");
+    }
 }
 
-fn fingerprint_metrics(h: &mut Fnv1a, snap: &MetricsSnapshot) {
-    for (name, v) in &snap.counters {
-        h.write_str(name);
-        h.write_u64(*v);
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
     }
-    for (name, hist) in &snap.histograms {
+}
+
+fn fingerprint_metrics(h: &mut Fnv1a, metrics: &Metrics) {
+    for (name, v) in metrics.counters() {
+        h.write_str(name);
+        h.write_u64(v);
+    }
+    for (name, hist) in metrics.histograms() {
         h.write_str(name);
         h.write_u64(hist.count());
         h.write_u64(hist.sum());
@@ -379,6 +397,22 @@ impl DeviceSim {
         ]
     }
 
+    /// Folds the launch-storm aggregates into the workload metrics and
+    /// returns the storm's launches per virtual second (`None` for
+    /// other workloads).
+    fn close_workload(&mut self) -> Option<f64> {
+        if !matches!(
+            self.spec.workload,
+            Workload::LaunchStorm { .. } | Workload::LaunchStormWarm { .. }
+        ) {
+            return None;
+        }
+        let span = self.now_ns() - self.storm_start;
+        self.workload.add("launch/completed", self.units);
+        self.workload.observe("launch/storm_span", span);
+        (span > 0).then(|| self.units as f64 * 1e9 / span as f64)
+    }
+
     /// Finishes the run: finalises workload aggregates, fingerprints
     /// everything observable, and detaches a [`DeviceResult`].
     pub fn finish(
@@ -386,45 +420,39 @@ impl DeviceSim {
         outcome: DeviceOutcome,
         heal: Option<HealStats>,
     ) -> DeviceResult {
-        let mut launches_per_vsec = None;
-        if matches!(
-            self.spec.workload,
-            Workload::LaunchStorm { .. } | Workload::LaunchStormWarm { .. }
-        ) {
-            let span = self.now_ns() - self.storm_start;
-            self.workload.add("launch/completed", self.units);
-            self.workload.observe("launch/storm_span", span);
-            if span > 0 {
-                launches_per_vsec =
-                    Some(self.units as f64 * 1e9 / span as f64);
-            }
-        }
-
-        let snap = self.bed.trace_snapshot().expect("bed was built traced");
+        let launches_per_vsec = self.close_workload();
         let faults = &self.bed.sys.kernel.faults;
 
         let mut h = Fnv1a::new();
         h.write_u64(u64::from(self.spec.device_id));
         h.write_u64(self.spec.seed);
         h.write_str(self.spec.config.slug());
-        h.write_u64(self.bed.sys.kernel.clock.now_ns());
-        fingerprint_metrics(&mut h, &snap.metrics);
-        fingerprint_metrics(&mut h, &self.workload.snapshot());
-        h.write_u64(snap.dropped);
-        for ev in &snap.events {
-            h.write_str(&format!("{ev:?}"));
-        }
+        h.write_u64(self.now_ns());
+        let (kernel_metrics, events_retained) = self
+            .bed
+            .sys
+            .kernel
+            .trace
+            .read(|ring, metrics| {
+                fingerprint_metrics(&mut h, metrics);
+                fingerprint_metrics(&mut h, &self.workload);
+                h.write_u64(ring.dropped());
+                ring.write_debug(&mut h).expect("hashing cannot fail");
+                (metrics.snapshot(), ring.len() as u64)
+            })
+            .expect("bed was built traced");
         for rec in faults.ledger() {
-            h.write_str(&format!("{rec:?}"));
+            h.write_debug(rec);
         }
         for rec in faults.recoveries() {
-            h.write_str(&format!("{rec:?}"));
+            h.write_debug(rec);
         }
         h.write_u64(self.extra.0);
         // Healing and wedge state fold in only when present, so plain
         // completed runs keep their historical fingerprints.
         if outcome != DeviceOutcome::Completed {
-            h.write_str(&format!("outcome={outcome:?}"));
+            h.write_str("outcome=");
+            h.write_debug(&outcome);
         }
         if let Some(stats) = &heal {
             stats.fold_into(&mut h);
@@ -436,14 +464,14 @@ impl DeviceSim {
             device_id: self.spec.device_id,
             seed: self.spec.seed,
             config: self.spec.config,
-            virtual_ns: self.bed.sys.kernel.clock.now_ns(),
+            virtual_ns: self.now_ns(),
             units_completed: self.units,
             launches_per_vsec,
-            kernel_metrics: snap.metrics,
+            kernel_metrics,
             workload_metrics: self.workload.snapshot(),
             faults_injected: faults.injected_total(),
             recoveries: faults.recoveries().len() as u64 + harness_recoveries,
-            events_retained: snap.events.len() as u64,
+            events_retained,
             outcome,
             heal,
             trace_fingerprint: h.0,
@@ -539,7 +567,10 @@ pub fn run_device_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cider_fault::FaultPlan;
+    use crate::heal::{heal_device, HealConfig};
+    use cider_fault::{FaultPlan, FaultSite, SiteConfig};
+    use cider_trace::sink::DEFAULT_CAPACITY;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn spec(seed: u64) -> DeviceSpec {
         DeviceSpec {
@@ -682,6 +713,149 @@ mod tests {
         let guarded = run_device_with(&s, Some(u64::MAX / 2));
         assert_eq!(plain.trace_fingerprint, guarded.trace_fingerprint);
         assert_eq!(guarded.outcome, DeviceOutcome::Completed);
+    }
+
+    /// The fingerprint as first written: copy the ring out of the sink,
+    /// render every record into its own `String`, hash the strings.
+    /// `finish` must hash exactly these bytes in one streaming pass.
+    fn reference_fingerprint(
+        mut sim: DeviceSim,
+        outcome: DeviceOutcome,
+        heal: Option<&HealStats>,
+    ) -> (u64, cider_trace::TraceSnapshot) {
+        fn metrics(h: &mut Fnv1a, snap: &MetricsSnapshot) {
+            for (name, v) in &snap.counters {
+                h.write_str(name);
+                h.write_u64(*v);
+            }
+            for (name, hist) in &snap.histograms {
+                h.write_str(name);
+                h.write_u64(hist.count());
+                h.write_u64(hist.sum());
+                h.write_u64(hist.min().unwrap_or(0));
+                h.write_u64(hist.max().unwrap_or(0));
+                for &b in hist.buckets() {
+                    h.write_u64(b);
+                }
+            }
+        }
+        sim.close_workload();
+        let snap = sim.bed.trace_snapshot().expect("bed was built traced");
+        let faults = &sim.bed.sys.kernel.faults;
+        let mut h = Fnv1a::new();
+        h.write_u64(u64::from(sim.spec.device_id));
+        h.write_u64(sim.spec.seed);
+        h.write_str(sim.spec.config.slug());
+        h.write_u64(sim.bed.sys.kernel.clock.now_ns());
+        metrics(&mut h, &snap.metrics);
+        metrics(&mut h, &sim.workload.snapshot());
+        h.write_u64(snap.dropped);
+        for ev in &snap.events {
+            h.write_str(&format!("{ev:?}"));
+        }
+        for rec in faults.ledger() {
+            h.write_str(&format!("{rec:?}"));
+        }
+        for rec in faults.recoveries() {
+            h.write_str(&format!("{rec:?}"));
+        }
+        h.write_u64(sim.extra.0);
+        if outcome != DeviceOutcome::Completed {
+            h.write_str(&format!("outcome={outcome:?}"));
+        }
+        if let Some(stats) = heal {
+            stats.fold_into(&mut h);
+        }
+        (h.0, snap)
+    }
+
+    type Ended = (DeviceSim, DeviceOutcome, Option<HealStats>);
+
+    /// Ends the same device twice, finishes one through `finish` and
+    /// the other through the reference, and checks they agree. Returns
+    /// the result and the events the ring dropped.
+    fn streamed_matches_reference(
+        end: impl Fn() -> Ended,
+    ) -> (DeviceResult, u64) {
+        let (sim, outcome, heal) = end();
+        let (want, snap) = reference_fingerprint(sim, outcome, heal.as_ref());
+        let (sim, outcome, heal) = end();
+        let got = sim.finish(outcome, heal);
+        assert_eq!(got.trace_fingerprint, want);
+        assert_eq!(got.kernel_metrics, snap.metrics);
+        assert_eq!(got.events_retained, snap.events.len() as u64);
+        (got, snap.dropped)
+    }
+
+    fn completed(s: DeviceSpec) -> impl Fn() -> Ended {
+        move || {
+            let mut sim = DeviceSim::boot(&s);
+            while !sim.done() {
+                sim.step();
+            }
+            (sim, DeviceOutcome::Completed, None)
+        }
+    }
+
+    #[test]
+    fn streamed_fingerprint_matches_reference_across_the_ring_wrap() {
+        let s = DeviceSpec {
+            workload: Workload::LmbenchMix { ops: 800 },
+            ..spec(17)
+        };
+        let (r, dropped) = streamed_matches_reference(completed(s));
+        assert_eq!(r.events_retained, DEFAULT_CAPACITY as u64);
+        assert!(dropped > 0);
+        // The oldest retained event sits mid-ring, not at slot 0.
+        assert_ne!(dropped % DEFAULT_CAPACITY as u64, 0);
+    }
+
+    #[test]
+    fn streamed_fingerprint_matches_reference_under_the_fault_matrix() {
+        // App cycles on Android hit supervised recoveries as well as
+        // injected faults, so both halves of the ledger are non-empty.
+        let s = DeviceSpec {
+            config: SystemConfig::CiderAndroid,
+            workload: Workload::AppLifecycle { cycles: 2 },
+            fault_plan: Some(FaultPlan::matrix(11)),
+            ..spec(11)
+        };
+        let (r, _) = streamed_matches_reference(completed(s));
+        assert!(r.faults_injected > 0);
+        assert!(r.recoveries > 0);
+    }
+
+    #[test]
+    fn streamed_fingerprint_matches_reference_when_wedged() {
+        let (r, _) = streamed_matches_reference(|| {
+            crate::heal::silence_expected_unwinds();
+            let mut sim = DeviceSim::boot(&spec(5));
+            sim.step();
+            let at_unit = sim.cursor();
+            sim.arm_watchdog(1);
+            let step = catch_unwind(AssertUnwindSafe(|| sim.step()));
+            assert!(step.unwrap_err().is::<WatchdogExpired>());
+            (sim, DeviceOutcome::Wedged { at_unit }, None)
+        });
+        assert_eq!(r.outcome, DeviceOutcome::Wedged { at_unit: 1 });
+    }
+
+    #[test]
+    fn streamed_fingerprint_matches_reference_when_healed() {
+        let s = DeviceSpec {
+            workload: Workload::LmbenchMix { ops: 24 },
+            fault_plan: Some(FaultPlan::new(3).site(
+                FaultSite::DeviceCrash,
+                SiteConfig::with_probability(1000).budget(1),
+            )),
+            ..spec(11)
+        };
+        let (r, _) = streamed_matches_reference(|| {
+            let (sim, outcome, stats) =
+                heal_device(&s, &HealConfig::default());
+            (sim, outcome, Some(stats))
+        });
+        assert_eq!(r.heal.unwrap().restores, 1);
     }
 
     #[test]

@@ -138,6 +138,17 @@ pub fn run_device_healed(
     spec: &DeviceSpec,
     heal: &HealConfig,
 ) -> DeviceResult {
+    let (sim, outcome, stats) = heal_device(spec, heal);
+    sim.finish(outcome, Some(stats))
+}
+
+/// The healing loop of [`run_device_healed`], stopping short of
+/// [`DeviceSim::finish`]: the sim as it ended, its outcome, and the
+/// healing statistics that fold into its fingerprint.
+pub(crate) fn heal_device(
+    spec: &DeviceSpec,
+    heal: &HealConfig,
+) -> (DeviceSim, DeviceOutcome, HealStats) {
     silence_expected_unwinds();
     // Lifecycle faults are drawn out here, in the harness; the kernel
     // gets everything else. Splitting by site keeps each partition's
@@ -237,7 +248,7 @@ pub fn run_device_healed(
             }
         }
     }
-    sim.finish(outcome, Some(stats))
+    (sim, outcome, stats)
 }
 
 /// Captures and stores one checkpoint frame, consulting the

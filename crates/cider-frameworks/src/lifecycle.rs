@@ -104,7 +104,10 @@ impl AppLifecycle {
         }
         if k.trace.is_enabled() {
             k.trace.incr("app/lifecycle_transition");
-            k.trace.incr(&format!("app/lifecycle/{}", event.name()));
+            k.trace.metric(
+                format_args!("app/lifecycle/{}", event.name()),
+                |m, n| m.incr(n),
+            );
         }
         Ok(next)
     }

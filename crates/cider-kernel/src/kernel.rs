@@ -16,7 +16,6 @@
 //! `cider_enabled`, which adds the per-trap persona check the paper
 //! measured at 8.5 % of a null syscall.
 
-use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -29,7 +28,7 @@ use cider_abi::signal::Signal;
 use cider_abi::types::{OpenFlags, Stat};
 use cider_fault::{FaultLayer, FaultSite};
 use cider_sched::Scheduler;
-use cider_trace::{EventKind, TraceContext, TraceSink};
+use cider_trace::{EventKind, Metrics, TraceContext, TraceSink};
 
 use crate::binfmt::{BinaryLoaderRef, ExecImage};
 use crate::clock::VirtualClock;
@@ -389,8 +388,11 @@ impl Kernel {
         if self.trace.is_enabled() {
             self.trace
                 .record(self.trace_ctx(tid), EventKind::VfsOp { op, bytes });
-            self.trace.add(&format!("vfs/{op}/bytes"), bytes);
-            self.trace.incr(&format!("vfs/{op}/ops"));
+            self.trace.metric(format_args!("vfs/{op}/bytes"), |m, n| {
+                m.add(n, bytes)
+            });
+            self.trace
+                .metric(format_args!("vfs/{op}/ops"), |m, n| m.incr(n));
         }
     }
 
@@ -418,7 +420,10 @@ impl Kernel {
                         },
                     );
                     self.trace.incr("fault/injected");
-                    self.trace.incr(&format!("fault/{}", site.name()));
+                    self.trace.metric(
+                        format_args!("fault/{}", site.name()),
+                        |m, n| m.incr(n),
+                    );
                 }
                 true
             }
@@ -755,14 +760,18 @@ impl Kernel {
             );
             // Per-persona, per-syscall virtual latency of the whole trap
             // (persona check included — that's what user space sees).
-            let name = p
-                .syscall_name(number)
-                .map(|n| Cow::Borrowed(n.as_str()))
-                .unwrap_or_else(|| Cow::Owned(format!("nr{number}")));
-            self.trace.observe(
-                &format!("syscall/{}/{name}", ctx.persona_label()),
-                exit_ctx.ts_ns - ctx.ts_ns,
-            );
+            let persona = ctx.persona_label();
+            let latency = exit_ctx.ts_ns - ctx.ts_ns;
+            let observe = |m: &mut Metrics, n: &str| m.observe(n, latency);
+            match p.syscall_name(number) {
+                Some(name) => self
+                    .trace
+                    .metric(format_args!("syscall/{persona}/{name}"), observe),
+                None => self.trace.metric(
+                    format_args!("syscall/{persona}/nr{number}"),
+                    observe,
+                ),
+            }
             self.trace.incr("kernel/traps");
             if self.cider_enabled {
                 self.trace.incr("kernel/persona_checks");
@@ -1747,7 +1756,10 @@ impl Kernel {
         }
         if self.trace.is_enabled() {
             self.trace.incr("app/jetsam_kill");
-            self.trace.incr(&format!("app/jetsam_kill/{why}"));
+            self.trace
+                .metric(format_args!("app/jetsam_kill/{why}"), |m, n| {
+                    m.incr(n)
+                });
         }
         Ok(())
     }
@@ -1913,16 +1925,14 @@ impl Kernel {
                                 frame_bytes: frame as u64,
                             },
                         );
-                        self.trace.incr(&format!(
-                            "signal/{}/delivered",
-                            ctx.persona_label()
-                        ));
-                        self.trace.observe(
-                            &format!(
-                                "signal/{}/frame_bytes",
-                                ctx.persona_label()
-                            ),
-                            frame as u64,
+                        let persona = ctx.persona_label();
+                        self.trace.metric(
+                            format_args!("signal/{persona}/delivered"),
+                            |m, n| m.incr(n),
+                        );
+                        self.trace.metric(
+                            format_args!("signal/{persona}/frame_bytes"),
+                            |m, n| m.observe(n, frame as u64),
                         );
                     }
                     self.thread_mut(tid)?.delivered.push(DeliveredSignal {

@@ -266,12 +266,20 @@ impl Metrics {
         self.histograms.get(name)
     }
 
+    /// Every counter, in name order.
+    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
+        self.index.iter().map(|(k, &i)| (k.as_str(), self.slots[i]))
+    }
+
+    /// Every histogram, in name order.
+    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
+        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
+    }
+
     /// All counters whose name starts with `prefix`, in name order.
     pub fn counters_with_prefix(&self, prefix: &str) -> Vec<(&str, u64)> {
-        self.index
-            .iter()
+        self.counters()
             .filter(|(k, _)| k.starts_with(prefix))
-            .map(|(k, &i)| (k.as_str(), self.slots[i]))
             .collect()
     }
 
@@ -280,10 +288,8 @@ impl Metrics {
         &self,
         prefix: &str,
     ) -> Vec<(&str, &Histogram)> {
-        self.histograms
-            .iter()
+        self.histograms()
             .filter(|(k, _)| k.starts_with(prefix))
-            .map(|(k, v)| (k.as_str(), v))
             .collect()
     }
 
@@ -291,9 +297,8 @@ impl Metrics {
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             counters: self
-                .index
-                .iter()
-                .map(|(k, &i)| (k.clone(), self.slots[i]))
+                .counters()
+                .map(|(k, v)| (k.to_string(), v))
                 .collect(),
             histograms: self.histograms.clone(),
         }

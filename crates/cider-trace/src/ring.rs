@@ -1,5 +1,7 @@
 //! Fixed-capacity ring buffer of trace events.
 
+use std::fmt;
+
 use crate::event::TraceEvent;
 
 /// A bounded event trace. When full, the oldest events are overwritten
@@ -79,6 +81,13 @@ impl TraceBuffer {
         self.iter().cloned().collect()
     }
 
+    /// Streams each retained event's `Debug` text into `out`,
+    /// oldest-first and unseparated: the bytes of
+    /// `format!("{ev:?}")` per event, without building any string.
+    pub fn write_debug(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        self.iter().try_for_each(|ev| write!(out, "{ev:?}"))
+    }
+
     /// Clears all retained events and counters.
     pub fn clear(&mut self) {
         self.slots.clear();
@@ -155,6 +164,110 @@ mod tests {
         assert_eq!(b.dropped(), 0);
         b.push(mark(9));
         assert_eq!(timestamps(&b), vec![9]);
+    }
+
+    /// Every event kind, with labels that `Debug` must escape.
+    fn every_kind() -> Vec<EventKind> {
+        const TRICKY: &str = "q\"b\\s\nn\u{e9}\u{1F600}\u{200B}\t\u{7f}";
+        vec![
+            EventKind::SyscallEnter {
+                nr: -4,
+                translated: Some(1),
+            },
+            EventKind::SyscallEnter {
+                nr: 20,
+                translated: None,
+            },
+            EventKind::SyscallExit { nr: 4, ret: -9 },
+            EventKind::SignalDeliver {
+                signal: 30,
+                frame_bytes: 736,
+            },
+            EventKind::SignalTranslate { from: 10, to: 30 },
+            EventKind::PersonaSwitch { to_foreign: true },
+            EventKind::MachMsgSend {
+                msg_id: 0x600,
+                bytes: 8192,
+            },
+            EventKind::MachMsgReceive {
+                msg_id: -1,
+                bytes: 0,
+            },
+            EventKind::DiplomatEnter {
+                symbol: TRICKY.into(),
+            },
+            EventKind::DiplomatExit {
+                symbol: TRICKY.to_string().into(),
+                ok: false,
+            },
+            EventKind::VfsOp {
+                op: TRICKY,
+                bytes: u64::MAX,
+            },
+            EventKind::PageTableCopy { ptes: 9 },
+            EventKind::DyldMap { libraries: 115 },
+            EventKind::DyldHandlers { handlers: 230 },
+            EventKind::ContextSwitch { from: 0, to: 101 },
+            EventKind::GpuFenceWait {
+                fence: 3,
+                buggy: true,
+            },
+            EventKind::SpanBegin {
+                label: TRICKY.into(),
+            },
+            EventKind::SpanEnd {
+                label: TRICKY.to_string().into(),
+            },
+            EventKind::Mark {
+                label: "\u{0}\r\'".into(),
+            },
+            EventKind::FaultInjected {
+                site: TRICKY,
+                seq: 1,
+            },
+            EventKind::Recovery {
+                action: TRICKY.to_string().into(),
+            },
+        ]
+    }
+
+    /// A writer that keeps each chunk apart, so the test sees the
+    /// stream as the writer receives it.
+    #[derive(Default)]
+    struct Chunks(Vec<String>);
+
+    impl fmt::Write for Chunks {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0.push(s.to_string());
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn streamed_debug_text_matches_format_for_every_kind() {
+        let kinds = every_kind();
+        // Capacity below the event count, so the stream crosses the
+        // wrap point and must still come out oldest-first.
+        let mut b = TraceBuffer::new(kinds.len() - 3);
+        for (i, kind) in kinds.into_iter().enumerate() {
+            b.push(TraceEvent {
+                ctx: TraceContext {
+                    ts_ns: i as u64,
+                    pid: 7,
+                    tid: 8,
+                    foreign: i % 2 == 0,
+                },
+                kind,
+            });
+        }
+        let want: String = b.iter().map(|ev| format!("{ev:?}")).collect();
+        let mut got = Chunks::default();
+        b.write_debug(&mut got).unwrap();
+        assert!(got.0.len() > b.len(), "Debug streams in pieces");
+        assert_eq!(got.0.concat(), want);
+        assert!(want.contains("\\\"b\\\\s\\n"), "{want}");
+        let oldest = "TraceEvent { ctx: TraceContext { ts_ns: 3,";
+        assert!(want.starts_with(oldest), "{want}");
     }
 
     #[test]

@@ -13,8 +13,15 @@
 //!
 //! Nothing in this module touches the virtual clock: recording cannot
 //! perturb a measurement, which is the subsystem's core invariant.
+//!
+//! Hot paths stay allocation-free with tracing on. Names that vary per
+//! call (`"syscall/{persona}/{call}"`) go through [`TraceSink::metric`],
+//! which formats them into a buffer the sink keeps; readers that only
+//! digest what was collected borrow it through [`TraceSink::read`]
+//! instead of copying it out with [`TraceSink::snapshot`].
 
 use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 use std::sync::{Arc, Mutex};
 
 use crate::event::{EventKind, TraceContext, TraceEvent};
@@ -29,6 +36,9 @@ pub const DEFAULT_CAPACITY: usize = 64 * 1024;
 struct TraceState {
     buffer: TraceBuffer,
     metrics: Metrics,
+    /// Scratch for names built by [`TraceSink::metric`]: cleared and
+    /// refilled on every call, so it allocates only while it grows.
+    name: String,
 }
 
 /// A cheap, cloneable tracing handle; inert when disabled.
@@ -60,6 +70,7 @@ impl TraceSink {
             state: Some(Arc::new(Mutex::new(TraceState {
                 buffer: TraceBuffer::new(capacity),
                 metrics: Metrics::new(),
+                name: String::new(),
             }))),
         }
     }
@@ -109,28 +120,52 @@ impl TraceSink {
         }
     }
 
-    /// Reads a counter (0 when disabled or absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        match &self.state {
-            Some(state) => state.lock().unwrap().metrics.counter(name),
-            None => 0,
+    /// Updates the metric `name` formats to: `f` gets the live registry
+    /// and the formatted name, as in
+    /// `sink.metric(format_args!("vfs/{op}/ops"), |m, n| m.incr(n))`.
+    /// The name is written into a buffer the sink reuses, so a per-call
+    /// name costs no allocation once the metric exists.
+    pub fn metric(
+        &self,
+        name: fmt::Arguments<'_>,
+        f: impl FnOnce(&mut Metrics, &str),
+    ) {
+        if let Some(state) = &self.state {
+            let state = &mut *state.lock().unwrap();
+            state.name.clear();
+            state
+                .name
+                .write_fmt(name)
+                .expect("formatting into a String cannot fail");
+            f(&mut state.metrics, &state.name);
         }
     }
 
-    /// Runs a closure against the live metrics registry, when enabled.
-    pub fn with_metrics<R>(&self, f: impl FnOnce(&Metrics) -> R) -> Option<R> {
-        self.state.as_ref().map(|s| f(&s.lock().unwrap().metrics))
+    /// Reads a counter (0 when disabled or absent).
+    pub fn counter(&self, name: &str) -> u64 {
+        self.read(|_, metrics| metrics.counter(name)).unwrap_or(0)
+    }
+
+    /// Runs a closure against the live ring and metrics registry under
+    /// the sink's lock, when enabled. Nothing is copied: this is the
+    /// read for digests over everything collected, where
+    /// [`TraceSink::snapshot`] would clone every retained event.
+    pub fn read<R>(
+        &self,
+        f: impl FnOnce(&TraceBuffer, &Metrics) -> R,
+    ) -> Option<R> {
+        self.state.as_ref().map(|state| {
+            let state = state.lock().unwrap();
+            f(&state.buffer, &state.metrics)
+        })
     }
 
     /// Snapshots everything collected so far (`None` when disabled).
     pub fn snapshot(&self) -> Option<TraceSnapshot> {
-        self.state.as_ref().map(|state| {
-            let state = state.lock().unwrap();
-            TraceSnapshot {
-                events: state.buffer.to_vec(),
-                dropped: state.buffer.dropped(),
-                metrics: state.metrics.snapshot(),
-            }
+        self.read(|buffer, metrics| TraceSnapshot {
+            events: buffer.to_vec(),
+            dropped: buffer.dropped(),
+            metrics: metrics.snapshot(),
         })
     }
 
@@ -159,8 +194,9 @@ mod tests {
         sink.incr("c");
         sink.observe("h", 5);
         assert_eq!(sink.counter("c"), 0);
+        sink.metric(format_args!("c/{}", 1), |m, n| m.incr(n));
         assert!(sink.snapshot().is_none());
-        assert!(sink.with_metrics(|_| ()).is_none());
+        assert!(sink.read(|_, _| ()).is_none());
     }
 
     #[test]
@@ -178,6 +214,46 @@ mod tests {
         assert_eq!(snap.events.len(), 1);
         assert_eq!(snap.metrics.counters["clock/charges"], 5);
         assert_eq!(snap.metrics.histograms["lat"].count(), 1);
+    }
+
+    #[test]
+    fn formatted_updates_match_named_ones() {
+        let sink = TraceSink::enabled(8);
+        for op in ["read", "write", "read"] {
+            sink.metric(format_args!("vfs/{op}/ops"), |m, n| m.incr(n));
+            sink.metric(format_args!("vfs/{op}/bytes"), |m, n| {
+                m.observe(n, 64);
+            });
+        }
+        let named = TraceSink::enabled(8);
+        for op in ["read", "write", "read"] {
+            named.incr(&format!("vfs/{op}/ops"));
+            named.observe(&format!("vfs/{op}/bytes"), 64);
+        }
+        let (a, b) = (sink.snapshot().unwrap(), named.snapshot().unwrap());
+        assert_eq!(a.metrics, b.metrics);
+        assert_eq!(sink.counter("vfs/read/ops"), 2);
+    }
+
+    #[test]
+    fn read_borrows_the_live_ring_and_metrics() {
+        let sink = TraceSink::enabled(2);
+        for ts in 0..3 {
+            sink.record(
+                TraceContext::kernel(ts),
+                EventKind::Mark { label: "m".into() },
+            );
+        }
+        sink.incr("c");
+        let (stamps, dropped, c) = sink
+            .read(|ring, metrics| {
+                let stamps: Vec<u64> =
+                    ring.iter().map(|e| e.ctx.ts_ns).collect();
+                (stamps, ring.dropped(), metrics.counter("c"))
+            })
+            .unwrap();
+        assert_eq!(stamps, vec![1, 2]);
+        assert_eq!((dropped, c), (1, 1));
     }
 
     #[test]

@@ -1,8 +1,12 @@
 //! Prints the full evaluation: Figure 5, Figure 6, and the ablations.
 //!
 //! ```text
-//! cargo run --release --bin cider-report [-- --raw] [-- --trace] [-- --fleet]
+//! cargo run --release --bin cider-report -- \
+//!     [--raw] [--trace] [--conform] [--apps] [--fleet]
 //! ```
+//!
+//! An unknown flag prints the usage and exits non-zero before anything
+//! runs.
 //!
 //! With `--raw`, the tables additionally list the raw virtual-time
 //! values (ns for Figure 5 latencies, ops/s for Figure 6 throughput)
@@ -36,6 +40,7 @@
 
 use std::fs;
 use std::path::Path;
+use std::process::ExitCode;
 
 use cider_bench::config::SystemConfig;
 use cider_bench::report::Table;
@@ -191,12 +196,25 @@ fn print_fleet(dir: &Path) {
     }
 }
 
-fn main() {
-    let raw = std::env::args().any(|a| a == "--raw");
-    let trace = std::env::args().any(|a| a == "--trace");
-    let conform = std::env::args().any(|a| a == "--conform");
-    let fleet = std::env::args().any(|a| a == "--fleet");
-    let apps = std::env::args().any(|a| a == "--apps");
+fn main() -> ExitCode {
+    let [mut raw, mut trace, mut conform, mut fleet, mut apps] = [false; 5];
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
+            "--raw" => raw = true,
+            "--trace" => trace = true,
+            "--conform" => conform = true,
+            "--fleet" => fleet = true,
+            "--apps" => apps = true,
+            other => {
+                eprintln!(
+                    "cider-report: unknown flag {other:?}\nusage: \
+                     cider-report [--raw] [--trace] [--conform] [--apps] \
+                     [--fleet]"
+                );
+                return ExitCode::FAILURE;
+            }
+        }
+    }
     println!("Cider reproduction — full evaluation (virtual time)\n");
     let fig5 = if trace {
         let (fig5, snapshots) = cider_bench::fig5::run_traced();
@@ -259,4 +277,5 @@ fn main() {
         }
         print_fleet(&dir);
     }
+    ExitCode::SUCCESS
 }
