@@ -53,24 +53,6 @@ pub use store::{CheckpointStore, SpacingPolicy};
 
 /// FNV-1a over a byte slice: the checksum and digest primitive of the
 /// checkpoint format. Baked into on-disk bytes, so it is part of this
-/// crate's stable surface.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fnv_matches_reference_vector() {
-        // FNV-1a("a") from the published reference tables.
-        assert_eq!(fnv1a(b"a"), 0xAF63_DC4C_8601_EC8C);
-        assert_eq!(fnv1a(b""), 0xCBF2_9CE4_8422_2325);
-    }
-}
+/// crate's stable surface; the one implementation lives in
+/// `cider-fault`, reached through the kernel.
+pub use cider_kernel::fnv1a;

@@ -22,7 +22,7 @@ use cider_abi::{Persona, Signal, SyscallOutcome};
 use cider_core::kqueue::{EvAction, EvFilter, KQueue, Kevent};
 use cider_core::{attach_persona_ext, wire, with_state, CiderState, RingOp};
 use cider_core::{XnuNativePersonality, XnuPersonality};
-use cider_fault::{FaultLayer, FaultPlan};
+use cider_fault::{fnv1a, FaultLayer, FaultPlan};
 use cider_kernel::dispatch::{SyscallArgs, SyscallData, UserTrapResult};
 use cider_kernel::fdtable::FileObject;
 use cider_kernel::profile::DeviceProfile;
@@ -37,7 +37,6 @@ use cider_abi::memorystatus::{AppState, LifecycleEvent};
 use cider_frameworks::bundle::Bundle;
 use cider_frameworks::lifecycle::AppLifecycle;
 
-use crate::fnv1a;
 use crate::grammar::{
     Op, Program, BUNDLE_POOL, FLAG_COMBOS, PATH_POOL, SIGNAL_POOL,
 };

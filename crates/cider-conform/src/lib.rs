@@ -42,16 +42,3 @@ pub use exec::{
 };
 pub use grammar::{generate, Coverage, Op, Program};
 pub use shrink::shrink;
-
-/// FNV-1a over a byte slice. The fault layer keeps its own copy private;
-/// conformance hashing must not depend on another crate's internals
-/// anyway — corpus files bake these hashes in, so the function is part
-/// of this crate's stable format.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}

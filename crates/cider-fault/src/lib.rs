@@ -31,4 +31,4 @@ mod rng;
 
 pub use layer::{FaultLayer, FaultRecord, RecoveryRecord};
 pub use plan::{FaultPlan, FaultSite, SiteConfig};
-pub use rng::{splitmix64, SplitMix64};
+pub use rng::{fnv1a, splitmix64, Fnv1a, SplitMix64};

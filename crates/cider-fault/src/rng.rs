@@ -1,9 +1,18 @@
-//! The deterministic PRNG behind every fault draw.
+//! The deterministic PRNG behind every fault draw, and the one FNV-1a
+//! hash behind every checksum and fingerprint in the stack.
 //!
 //! splitmix64 (Steele/Lea/Flood) is the usual seeding primitive for
 //! simulation testing: tiny, full-period over 2^64, and stateless apart
 //! from one counter word — which makes fault streams trivially
 //! reproducible and independent per site.
+//!
+//! FNV-1a (64-bit) derives per-site seeds here, and is baked into the
+//! bytes of the conformance corpus, checkpoint frames, and fleet
+//! fingerprints elsewhere: unlike `DefaultHasher` it is stable across
+//! platforms and rust versions, so its byte format is pinned by the
+//! published reference vectors in this module's tests.
+
+use std::fmt;
 
 /// Advances `state` by the splitmix64 increment and returns the next
 /// output word.
@@ -51,15 +60,69 @@ impl SplitMix64 {
     }
 }
 
-/// FNV-1a over a byte string; used to derive per-site seeds from the
-/// plan seed so each site gets an independent stream.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+/// FNV-1a over a byte string.
+#[inline]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write(bytes);
+    h.0
+}
+
+/// Streaming FNV-1a: writing chunks one after another hashes exactly
+/// like [`fnv1a`] over their concatenation, so ring buffers and
+/// `Debug` output hash in place, without a copy. The field is the
+/// running digest.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(pub u64);
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a::new()
     }
-    h
+}
+
+impl Fnv1a {
+    /// The offset basis: the digest of no bytes.
+    #[inline]
+    pub fn new() -> Fnv1a {
+        Fnv1a(0xCBF2_9CE4_8422_2325)
+    }
+
+    /// Folds `bytes` into the digest.
+    #[inline]
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    /// Folds the UTF-8 bytes of `s`.
+    #[inline]
+    pub fn write_str(&mut self, s: &str) {
+        self.write(s.as_bytes());
+    }
+
+    /// Folds the little-endian bytes of `v`.
+    #[inline]
+    pub fn write_u64(&mut self, v: u64) {
+        self.write(&v.to_le_bytes());
+    }
+
+    /// Folds the bytes of `format!("{v:?}")`, streamed as `Debug`
+    /// formats them instead of collected into a string first.
+    pub fn write_debug(&mut self, v: &dyn fmt::Debug) {
+        fmt::Write::write_fmt(self, format_args!("{v:?}"))
+            .expect("hashing cannot fail");
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    #[inline]
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -91,7 +154,21 @@ mod tests {
     }
 
     #[test]
-    fn fnv_distinguishes_site_names() {
+    fn fnv1a_byte_format_is_pinned() {
+        // The published reference vectors.
+        assert_eq!(fnv1a(b""), 0xCBF2_9CE4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xAF63_DC4C_8601_EC8C);
+        // Site names seed independent fault streams.
         assert_ne!(fnv1a(b"vfs_read"), fnv1a(b"vfs_write"));
+        // Split chunks hash as their concatenation: the ring-buffer
+        // digests and the streamed fleet fingerprint rely on it.
+        let whole = b"ring buffers wrap";
+        for cut in 0..=whole.len() {
+            let (a, b) = whole.split_at(cut);
+            let mut h = Fnv1a::new();
+            h.write(a);
+            h.write(b);
+            assert_eq!(h.0, fnv1a(whole));
+        }
     }
 }

@@ -13,7 +13,9 @@
 //! Without `--bench`, runs one fleet and prints (or writes, with
 //! `--json`) its percentile report. With `--bench`, runs the canonical
 //! benchmark matrix — lmbench mix and launch storm, each across the
-//! three persona mixes — and writes the combined `BENCH_fleet.json`.
+//! three persona mixes — and writes the combined `BENCH_fleet.json`
+//! (or PATH; an argument starting with `--` is the next flag, never
+//! the path).
 //!
 //! The report JSON never contains host wall-clock or thread counts:
 //! two runs of the same spec are byte-identical whatever `--threads`
@@ -42,7 +44,9 @@ struct Options {
     bench: Option<String>,
 }
 
-fn parse_args() -> Result<Options, String> {
+fn parse_args(
+    args: impl IntoIterator<Item = String>,
+) -> Result<Options, String> {
     let mut opts = Options {
         devices: 64,
         seed: 42,
@@ -57,7 +61,7 @@ fn parse_args() -> Result<Options, String> {
         json: None,
         bench: None,
     };
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter().peekable();
     while let Some(arg) = args.next() {
         let mut value =
             |name: &str| args.next().ok_or(format!("{name} needs a value"));
@@ -115,9 +119,9 @@ fn parse_args() -> Result<Options, String> {
             }
             "--json" => opts.json = Some(value("--json")?),
             "--bench" => {
-                opts.bench = Some(
-                    args.next().unwrap_or_else(|| "BENCH_fleet.json".into()),
-                );
+                let path = args.next_if(|a| !a.starts_with("--"));
+                opts.bench =
+                    Some(path.unwrap_or_else(|| "BENCH_fleet.json".into()));
             }
             other => return Err(format!("unknown flag {other:?}")),
         }
@@ -221,7 +225,7 @@ fn bench_matrix(threads: usize) -> String {
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
+    let opts = match parse_args(std::env::args().skip(1)) {
         Ok(opts) => opts,
         Err(e) => {
             eprintln!("cider-fleet: {e}");
@@ -256,5 +260,24 @@ fn main() -> ExitCode {
             print!("{json}");
             ExitCode::SUCCESS
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Options {
+        parse_args(args.iter().map(|a| a.to_string())).unwrap()
+    }
+
+    #[test]
+    fn bench_takes_a_path_but_never_a_flag() {
+        let bench = |args: &[&str]| parse(args).bench;
+        assert_eq!(bench(&["--bench"]).unwrap(), "BENCH_fleet.json");
+        assert_eq!(bench(&["--bench", "out.json"]).unwrap(), "out.json");
+        let opts = parse(&["--bench", "--threads", "8"]);
+        assert_eq!(opts.bench.unwrap(), "BENCH_fleet.json");
+        assert_eq!(opts.threads, 8);
     }
 }

@@ -18,7 +18,8 @@
 //! hash as it is formatted: one pass over the live trace ring, with no
 //! copy of the ring and no string per event.
 
-use std::fmt;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::Once;
 
 use cider_abi::ids::{Pid, Tid};
 use cider_bench::apps;
@@ -29,7 +30,7 @@ use cider_bench::SystemConfig;
 use cider_ckpt::StateImage;
 use cider_conform::{execute, generate, Coverage};
 use cider_core::RingOp;
-use cider_fault::{FaultLayer, SplitMix64};
+use cider_fault::{FaultLayer, Fnv1a, SplitMix64};
 use cider_frameworks::scenarios;
 use cider_kernel::clock::WatchdogExpired;
 use cider_trace::{Metrics, MetricsSnapshot};
@@ -101,46 +102,6 @@ pub struct DeviceResult {
     pub heal: Option<HealStats>,
     /// FNV-1a digest of the full observable trace.
     pub trace_fingerprint: u64,
-}
-
-/// FNV-1a, 64-bit: stable across platforms and rust versions, unlike
-/// `DefaultHasher`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Fnv1a(pub u64);
-
-impl Fnv1a {
-    pub(crate) fn new() -> Fnv1a {
-        Fnv1a(0xCBF2_9CE4_8422_2325)
-    }
-
-    pub(crate) fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    pub(crate) fn write_str(&mut self, s: &str) {
-        self.write(s.as_bytes());
-    }
-
-    pub(crate) fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// Hashes the bytes of `format!("{v:?}")`, streamed as `Debug`
-    /// formats them instead of collected into a string first.
-    pub(crate) fn write_debug(&mut self, v: &dyn fmt::Debug) {
-        fmt::Write::write_fmt(self, format_args!("{v:?}"))
-            .expect("hashing cannot fail");
-    }
-}
-
-impl fmt::Write for Fnv1a {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.write(s.as_bytes());
-        Ok(())
-    }
 }
 
 fn fingerprint_metrics(h: &mut Fnv1a, metrics: &Metrics) {
@@ -226,8 +187,8 @@ impl DeviceSim {
 
     /// Arms the kernel clock's watchdog at `now + budget_ns`: if the
     /// next step burns more virtual time than the budget, the clock
-    /// panics with [`WatchdogExpired`] (catch it with a crash
-    /// boundary).
+    /// panics with [`WatchdogExpired`] ([`DeviceSim::step_within`] is
+    /// the crash boundary that catches it).
     pub fn arm_watchdog(&mut self, budget_ns: u64) {
         let limit = self.now_ns().saturating_add(budget_ns);
         self.bed.sys.kernel.clock.arm_watchdog(limit);
@@ -237,6 +198,30 @@ impl DeviceSim {
     /// the disarmed value).
     pub fn disarm_watchdog(&mut self) {
         self.bed.sys.kernel.clock.disarm_watchdog();
+    }
+
+    /// The crash boundary: runs one unit under a watchdog of
+    /// `budget_ns` virtual nanoseconds (`u64::MAX` arms nothing). A
+    /// unit that overruns unwinds out of the clock and comes back as
+    /// the expiry, leaving the sim mid-unit with the watchdog still
+    /// armed; any other panic is a bug and keeps unwinding. Call only
+    /// when `!self.done()`.
+    pub fn step_within(
+        &mut self,
+        budget_ns: u64,
+    ) -> Result<(), WatchdogExpired> {
+        silence_watchdog_unwinds();
+        self.arm_watchdog(budget_ns);
+        match catch_unwind(AssertUnwindSafe(|| self.step())) {
+            Ok(()) => {
+                self.disarm_watchdog();
+                Ok(())
+            }
+            Err(payload) => match payload.downcast::<WatchdogExpired>() {
+                Ok(expired) => Err(*expired),
+                Err(payload) => resume_unwind(payload),
+            },
+        }
     }
 
     /// Runs one workload unit and advances the cursor. Call only when
@@ -525,43 +510,42 @@ pub fn run_device(spec: &DeviceSpec) -> DeviceResult {
 
 /// Runs one device, optionally arming a per-unit virtual-time watchdog
 /// budget. A unit that burns more than `watchdog_budget_ns` of virtual
-/// time trips the clock's watchdog; the crash boundary here catches it
-/// and reports [`DeviceOutcome::Wedged`] with partial results instead
-/// of hanging the host-thread pool.
+/// time trips the clock's watchdog; [`DeviceSim::step_within`] catches
+/// it and the device reports [`DeviceOutcome::Wedged`] with partial
+/// results instead of hanging the host-thread pool.
 pub fn run_device_with(
     spec: &DeviceSpec,
     watchdog_budget_ns: Option<u64>,
 ) -> DeviceResult {
+    let budget = watchdog_budget_ns.unwrap_or(u64::MAX);
     let mut sim = DeviceSim::boot(spec);
     let mut outcome = DeviceOutcome::Completed;
-    match watchdog_budget_ns {
-        None => {
-            while !sim.done() {
-                sim.step();
-            }
-        }
-        Some(budget) => {
-            crate::heal::silence_expected_unwinds();
-            while !sim.done() {
-                let at_unit = sim.cursor();
-                sim.arm_watchdog(budget);
-                let step = std::panic::catch_unwind(
-                    std::panic::AssertUnwindSafe(|| sim.step()),
-                );
-                match step {
-                    Ok(()) => sim.disarm_watchdog(),
-                    Err(payload) => {
-                        if payload.is::<WatchdogExpired>() {
-                            outcome = DeviceOutcome::Wedged { at_unit };
-                            break;
-                        }
-                        std::panic::resume_unwind(payload);
-                    }
-                }
-            }
+    while !sim.done() {
+        let at_unit = sim.cursor();
+        if sim.step_within(budget).is_err() {
+            outcome = DeviceOutcome::Wedged { at_unit };
+            break;
         }
     }
     sim.finish(outcome, None)
+}
+
+/// Watchdog expiries are *expected* unwinds, always caught by
+/// [`DeviceSim::step_within`] a few frames up, but the default panic
+/// hook would still print a backtrace for each one, spamming stderr on
+/// every wedge. Installed once per process, this hook swallows exactly
+/// that typed payload and delegates every other panic to the previous
+/// hook untouched.
+fn silence_watchdog_unwinds() {
+    static INSTALL: Once = Once::new();
+    INSTALL.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !info.payload().is::<WatchdogExpired>() {
+                previous(info);
+            }
+        }));
+    });
 }
 
 #[cfg(test)]
@@ -570,7 +554,6 @@ mod tests {
     use crate::heal::{heal_device, HealConfig};
     use cider_fault::{FaultPlan, FaultSite, SiteConfig};
     use cider_trace::sink::DEFAULT_CAPACITY;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn spec(seed: u64) -> DeviceSpec {
         DeviceSpec {
@@ -828,13 +811,10 @@ mod tests {
     #[test]
     fn streamed_fingerprint_matches_reference_when_wedged() {
         let (r, _) = streamed_matches_reference(|| {
-            crate::heal::silence_expected_unwinds();
             let mut sim = DeviceSim::boot(&spec(5));
             sim.step();
             let at_unit = sim.cursor();
-            sim.arm_watchdog(1);
-            let step = catch_unwind(AssertUnwindSafe(|| sim.step()));
-            assert!(step.unwrap_err().is::<WatchdogExpired>());
+            assert!(sim.step_within(1).is_err());
             (sim, DeviceOutcome::Wedged { at_unit }, None)
         });
         assert_eq!(r.outcome, DeviceOutcome::Wedged { at_unit: 1 });

@@ -7,10 +7,12 @@
 //! * a **baseline checkpoint** at unit 0, then periodic checkpoints on
 //!   an exponential schedule ([`SpacingPolicy`]) retained in a bounded
 //!   [`CheckpointStore`];
-//! * a **crash boundary** (`catch_unwind`) around every unit that
-//!   catches injected device crashes, injected wedges, and genuine
-//!   virtual-time watchdog expiries ([`WatchdogExpired`]);
-//! * on any catch, a **restore**: walk the stored frames newest-first,
+//! * **fault classification** per unit: an injected wedge hangs the
+//!   unit before it runs, an injected crash kills the device after the
+//!   unit ran, and a genuine virtual-time watchdog expiry, the only
+//!   fault that unwinds, is caught by [`DeviceSim::step_within`] and
+//!   counts as a wedge;
+//! * on any fault, a **restore**: walk the stored frames newest-first,
 //!   reject corrupt frames by checksum ([`Checkpoint::from_bytes`]),
 //!   re-boot and replay the survivor to its cursor, and verify the
 //!   replayed state byte-for-byte against the checkpointed image
@@ -28,42 +30,13 @@
 //! ledger, like the fingerprint, is byte-identical across host-thread
 //! counts.
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Once;
-
 use cider_ckpt::{
     Checkpoint, CheckpointStore, CkptError, CkptHeader, SpacingPolicy,
 };
-use cider_fault::{FaultLayer, FaultPlan, FaultSite};
-use cider_kernel::clock::WatchdogExpired;
+use cider_fault::{FaultLayer, FaultPlan, FaultSite, Fnv1a};
 
-use crate::device::{DeviceOutcome, DeviceResult, DeviceSim, Fnv1a};
+use crate::device::{DeviceOutcome, DeviceResult, DeviceSim};
 use crate::spec::DeviceSpec;
-
-/// Panic payload of an injected [`FaultSite::DeviceCrash`].
-#[derive(Debug, Clone, Copy)]
-struct InjectedCrash;
-
-/// Injected crashes and watchdog expiries are *expected* unwinds —
-/// always caught at a crash boundary a few frames up — but the default
-/// panic hook would still print a backtrace for each one, spamming
-/// stderr on every healed fault. Installed once per process, this hook
-/// swallows exactly those two typed payloads and delegates every other
-/// panic to the previous hook untouched.
-pub(crate) fn silence_expected_unwinds() {
-    static INSTALL: Once = Once::new();
-    INSTALL.call_once(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let payload = info.payload();
-            if payload.is::<InjectedCrash>() || payload.is::<WatchdogExpired>()
-            {
-                return;
-            }
-            previous(info);
-        }));
-    });
-}
 
 /// Tunables of the self-healing loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,7 +73,7 @@ impl Default for HealConfig {
 /// break.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HealStats {
-    /// Injected crashes caught at the crash boundary.
+    /// Injected crashes.
     pub crashes: u64,
     /// Wedges caught (injected or genuine watchdog expiries).
     pub wedges: u64,
@@ -149,7 +122,6 @@ pub(crate) fn heal_device(
     spec: &DeviceSpec,
     heal: &HealConfig,
 ) -> (DeviceSim, DeviceOutcome, HealStats) {
-    silence_expected_unwinds();
     // Lifecycle faults are drawn out here, in the harness; the kernel
     // gets everything else. Splitting by site keeps each partition's
     // per-site RNG streams identical to an unsplit plan's.
@@ -196,57 +168,39 @@ pub(crate) fn heal_device(
             lifecycle.try_inject(FaultSite::DeviceCrash, now).is_some();
         let wedge =
             lifecycle.try_inject(FaultSite::DeviceWedge, now).is_some();
-        sim.arm_watchdog(heal.watchdog_budget_ns);
-        let step = catch_unwind(AssertUnwindSafe(|| {
-            if wedge {
-                // The unit "hangs": model the watchdog firing at the
-                // moment the budget would have run out.
-                std::panic::panic_any(WatchdogExpired {
-                    now_ns: now,
-                    limit_ns: now,
-                });
+        // An injected wedge hangs the unit before it runs, so it skips
+        // the step and outranks a crash; a genuine watchdog expiry is a
+        // wedge too. A crashed device dies after the unit mutated state
+        // but before its completion is ever checkpointed.
+        let wedged =
+            wedge || sim.step_within(heal.watchdog_budget_ns).is_err();
+        let kind = if wedged {
+            stats.wedges += 1;
+            "device_wedge"
+        } else if crash {
+            stats.crashes += 1;
+            "device_crash"
+        } else {
+            if policy.due(sim.cursor()) {
+                write_frame(
+                    &mut store,
+                    &mut lifecycle,
+                    &mut stats,
+                    &sim,
+                    &sim_spec,
+                );
+                policy.taken(sim.cursor());
             }
-            sim.step();
-            if crash {
-                // The device dies after mutating state but before the
-                // unit's completion is ever checkpointed.
-                std::panic::panic_any(InjectedCrash);
-            }
-        }));
-        match step {
-            Ok(()) => {
-                sim.disarm_watchdog();
-                if policy.due(sim.cursor()) {
-                    write_frame(
-                        &mut store,
-                        &mut lifecycle,
-                        &mut stats,
-                        &sim,
-                        &sim_spec,
-                    );
-                    policy.taken(sim.cursor());
-                }
-            }
-            Err(payload) => {
-                let kind = if payload.is::<InjectedCrash>() {
-                    stats.crashes += 1;
-                    "device_crash"
-                } else if payload.is::<WatchdogExpired>() {
-                    stats.wedges += 1;
-                    "device_wedge"
-                } else {
-                    resume_unwind(payload);
-                };
-                let (restored, from, replayed) =
-                    restore(&sim_spec, &store, &mut stats);
-                stats.restores += 1;
-                stats.ledger.push(format!(
-                    "unit={at_unit} fault={kind} \
-                     restored_from={from} replayed={replayed}"
-                ));
-                sim = restored;
-            }
-        }
+            continue;
+        };
+        let (restored, from, replayed) =
+            restore(&sim_spec, &store, &mut stats);
+        stats.restores += 1;
+        stats.ledger.push(format!(
+            "unit={at_unit} fault={kind} \
+             restored_from={from} replayed={replayed}"
+        ));
+        sim = restored;
     }
     (sim, outcome, stats)
 }
@@ -439,6 +393,27 @@ mod tests {
             .ledger
             .iter()
             .any(|l| l.contains("fault=device_wedge")));
+    }
+
+    #[test]
+    fn wedge_outranks_crash() {
+        let certain =
+            cider_fault::SiteConfig::with_probability(1000).budget(1);
+        let plan = FaultPlan::new(31)
+            .site(FaultSite::DeviceCrash, certain)
+            .site(FaultSite::DeviceWedge, certain);
+        let s = DeviceSpec {
+            workload: Workload::LmbenchMix { ops: 6 },
+            ..spec(31, Some(plan))
+        };
+        let r = run_device_healed(&s, &HealConfig::default());
+        assert_eq!(r.outcome, DeviceOutcome::Completed);
+        let stats = r.heal.unwrap();
+        assert_eq!((stats.wedges, stats.crashes, stats.restores), (1, 0, 1));
+        assert_eq!(
+            stats.ledger,
+            ["unit=0 fault=device_wedge restored_from=ckpt@0 replayed=0"]
+        );
     }
 
     #[test]

@@ -7,6 +7,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use cider_abi::errno::Errno;
+use cider_fault::Fnv1a;
 
 /// Identifier of a pipe object in the kernel table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -269,7 +270,6 @@ impl IpcObjects {
     pub fn ckpt_records(&self) -> Vec<(String, String)> {
         let mut out = vec![("next_id".to_string(), self.next_id.to_string())];
         for (id, p) in &self.pipes {
-            let (a, b) = p.buf.as_slices();
             out.push((
                 format!("pipe:{id:06}"),
                 format!(
@@ -277,26 +277,35 @@ impl IpcObjects {
                     p.writers > 0,
                     p.readers > 0,
                     p.buf.len(),
-                    crate::kernel::fnv1a_pair(a, b),
+                    digest(&p.buf),
                 ),
             ));
         }
         for (id, s) in &self.sockets {
             for side in 0..2 {
-                let (a, b) = s.buf[side].as_slices();
                 out.push((
                     format!("sock:{id:06}/{side}"),
                     format!(
                         "open={} len={} digest={:016x}",
                         s.refs[side] > 0,
                         s.buf[side].len(),
-                        crate::kernel::fnv1a_pair(a, b),
+                        digest(&s.buf[side]),
                     ),
                 ));
             }
         }
         out
     }
+}
+
+/// FNV-1a over a buffer's bytes, oldest first, streamed over both
+/// halves of the ring instead of copied out of it.
+fn digest(buf: &VecDeque<u8>) -> u64 {
+    let (a, b) = buf.as_slices();
+    let mut h = Fnv1a::new();
+    h.write(a);
+    h.write(b);
+    h.0
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@ use cider_abi::memorystatus::PressureLevel;
 use cider_abi::persona::Persona;
 use cider_abi::signal::Signal;
 use cider_abi::types::{OpenFlags, Stat};
-use cider_fault::{FaultLayer, FaultSite};
+use cider_fault::{fnv1a, FaultLayer, FaultSite};
 use cider_sched::Scheduler;
 use cider_trace::{EventKind, Metrics, TraceContext, TraceSink};
 
@@ -2153,7 +2153,7 @@ impl Kernel {
                     p.program.format,
                     p.program.dylib_count,
                     handlers.join(" "),
-                    fnv1a_pair(&p.console, &[]),
+                    fnv1a(&p.console),
                     p.console.len(),
                 ),
             ));
@@ -2210,11 +2210,8 @@ impl Kernel {
         use cider_abi::types::FileType;
         let detail = match st.file_type {
             FileType::Regular => {
-                let digest = self
-                    .vfs
-                    .read_file(path)
-                    .map(|d| fnv1a_pair(&d, &[]))
-                    .unwrap_or(0);
+                let digest =
+                    self.vfs.read_file(path).map(|d| fnv1a(&d)).unwrap_or(0);
                 format!(
                     "file mode={:o} size={} digest={digest:016x}",
                     st.mode, st.size
@@ -2239,18 +2236,6 @@ impl Kernel {
             }
         }
     }
-}
-
-/// FNV-1a over two byte slices (a `VecDeque`'s halves, or one slice and
-/// an empty tail). Kept here so every kernel-side exporter hashes
-/// content the same way.
-pub(crate) fn fnv1a_pair(a: &[u8], b: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &byte in a.iter().chain(b) {
-        h ^= byte as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 // ----------------------------------------------------------------------

@@ -24,6 +24,8 @@
 
 use std::fmt::Write as _;
 
+use cider_fault::fnv1a;
+
 /// One image of the baked closure, in bind order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BakedImage {
@@ -47,17 +49,6 @@ pub struct SharedCacheImage {
     pub total_bytes: u64,
     /// FNV-1a digest over roots and images; checked on every warm map.
     pub digest: u64,
-}
-
-/// FNV-1a over a byte string (the same hash family the kernel uses for
-/// console and trace fingerprints).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 impl SharedCacheImage {

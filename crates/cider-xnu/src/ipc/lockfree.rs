@@ -15,10 +15,12 @@
 //!    between producers that raced within the same virtual nanosecond.
 //!
 //! Because virtual time is monotone within a device, `(stamp, seq)` order
-//! degenerates to plain FIFO for a single producer, so the structure is a
-//! drop-in replacement for the mutex-guarded [`crate::queue::XnuQueue`] —
-//! minus the two `lck_mtx` duct-tape crossings per operation that the v1
-//! path charges to virtual time.
+//! degenerates to plain FIFO for a single producer. That makes this the
+//! one message queue of every port under both IPC policies: v1 and v2
+//! enqueue identically, stamped with `mach_absolute_time`, and differ
+//! only in what they charge — v1 pays the two `lck_mtx` duct-tape
+//! crossings per operation that this structure's ordering rule lets v2
+//! skip.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -63,13 +65,6 @@ impl<T> LockFreeQueue<T> {
         seq
     }
 
-    /// Enqueues behind everything already queued (classic FIFO append) —
-    /// the v1-compatible path.
-    pub fn enqueue_tail(&mut self, item: T) {
-        let stamp = self.entries.back().map(|e| e.stamp).unwrap_or(0);
-        self.enqueue(stamp, item);
-    }
-
     /// Pops the entry with the smallest `(stamp, seq)`.
     pub fn dequeue_head(&mut self) -> Option<T> {
         self.entries.pop_front().map(|e| e.item)
@@ -83,11 +78,6 @@ impl<T> LockFreeQueue<T> {
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Whether the queue is empty (XNU `queue_empty` spelling).
-    pub fn queue_empty(&self) -> bool {
-        self.is_empty()
     }
 
     /// Iterates entries in delivery order.
@@ -135,14 +125,5 @@ mod tests {
         q.enqueue(100, "late");
         q.enqueue(50, "early");
         assert_eq!(q.iter().copied().collect::<Vec<_>>(), ["early", "late"]);
-    }
-
-    #[test]
-    fn enqueue_tail_preserves_fifo() {
-        let mut q = LockFreeQueue::new();
-        q.enqueue_tail(1);
-        q.enqueue_tail(2);
-        q.enqueue(0, 3); // stamp 0 ties the tail stamps; seq breaks the tie
-        assert_eq!(q.drain().collect::<Vec<_>>(), [1, 2, 3]);
     }
 }

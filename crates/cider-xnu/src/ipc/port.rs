@@ -168,7 +168,7 @@ mod tests {
         assert!(!p.is_dead());
         assert_eq!(p.srights, 0);
         assert_eq!(p.qlimit, QLIMIT_DEFAULT);
-        assert!(p.msgs.queue_empty());
+        assert!(p.msgs.is_empty());
     }
 
     #[test]

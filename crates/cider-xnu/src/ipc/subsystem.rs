@@ -9,24 +9,26 @@
 //!
 //! # IPC v2
 //!
-//! The subsystem has two personalities selected by [`MachIpc::set_v2`]:
+//! Every port holds one message queue, the
+//! [`LockFreeQueue`](crate::ipc::lockfree::LockFreeQueue), and both
+//! personalities enqueue into it identically: stamped with
+//! `mach_absolute_time` and delivered in `(stamp, seq)` order, which is
+//! FIFO because virtual time never runs backwards. [`MachIpc::set_v2`]
+//! selects only a cost policy:
 //!
 //! * **v1** (default): every message operation takes the subsystem mutex
-//!   through the duct tape (two `lck_mtx` crossings per op) and copies
-//!   all payload inline. This is the original lock-coarse model and its
+//!   through the duct tape (two `lck_mtx` crossings per op) and charges
+//!   no copyin or remap. This is the original lock-coarse model and its
 //!   virtual-time charging is bit-for-bit unchanged.
 //! * **v2**: rights are atomic refcounts
-//!   ([`RightCount`](crate::ipc::port::RightCount)), message queues are
-//!   lock-free and delivered in `(stamp, seq)` order
-//!   ([`LockFreeQueue`](crate::ipc::lockfree::LockFreeQueue)), and
+//!   ([`RightCount`](crate::ipc::port::RightCount)) and the mutex is
+//!   skipped; inline payload is charged through `copyin`, and
 //!   out-of-line regions at or above [`OOL_INLINE_THRESHOLD`] move by
 //!   page-table remap (`vm_remap_pages`) instead of byte copy, falling
 //!   back to an inline copy when the host refuses the remap.
 //!
 //! The typed API ([`MachIpc::alloc_receive`], [`MachIpc::insert_send`],
-//! [`MachIpc::send`], [`MachIpc::receive`], ...) is the supported
-//! surface; the old name-based free functions remain as thin deprecated
-//! shims for out-of-tree callers.
+//! [`MachIpc::send`], [`MachIpc::receive`], ...) is the whole surface.
 
 use std::collections::BTreeMap;
 
@@ -105,9 +107,10 @@ impl MachIpc {
         api.kprintf("mach_ipc: bootstrap complete");
     }
 
-    /// Switches the message path between v1 (lock-coarse, copy-always)
-    /// and v2 (lock-free queues, OOL remap). Off by default; flipping it
-    /// mid-run only affects subsequent operations.
+    /// Switches the message path's cost policy between v1 (subsystem
+    /// mutex) and v2 (no mutex, copyin charges, OOL remap); both share
+    /// one queue. Off by default; flipping it mid-run only affects
+    /// subsequent operations.
     pub fn set_v2(&mut self, on: bool) {
         self.v2 = on;
     }
@@ -774,14 +777,11 @@ impl MachIpc {
         };
         self.stats.bytes_moved += queued.size() as u64;
         self.stats.msgs_sent += 1;
-        if v2 {
-            // Lock-free enqueue: the producer's claim is stamped with its
-            // virtual-time instant; delivery follows (stamp, seq) order.
-            let stamp = api.mach_absolute_time();
-            self.port_mut(dest_port)?.msgs.enqueue(stamp, queued);
-        } else {
-            self.port_mut(dest_port)?.msgs.enqueue_tail(queued);
-        }
+        // One enqueue for both policies: the producer's claim is stamped
+        // with its virtual-time instant and delivery follows (stamp, seq)
+        // order, which is FIFO because virtual time never runs backwards.
+        let stamp = api.mach_absolute_time();
+        self.port_mut(dest_port)?.msgs.enqueue(stamp, queued);
         api.thread_wakeup(Event(0x1000_0000 + dest_port.0));
         // A moved send right may have been the last one.
         if msg.remote_disposition == PortDisposition::MoveSend {
@@ -881,66 +881,6 @@ impl MachIpc {
             }
             TransitKind::Receive => unreachable!("handled above"),
         })
-    }
-
-    // ------------------------------------------------------------------
-    // Deprecated name-based shims (pre-v2 API).
-    // ------------------------------------------------------------------
-
-    /// Old name-based allocation.
-    #[deprecated(note = "use the typed `MachIpc::alloc_receive`")]
-    pub fn port_allocate(
-        &mut self,
-        api: &mut dyn ForeignKernelApi,
-        space: SpaceId,
-    ) -> KernResult<PortName> {
-        self.alloc_receive(api, space).map(|r| r.name())
-    }
-
-    /// Old name-based send-right minting.
-    #[deprecated(note = "use the typed `MachIpc::insert_send`")]
-    pub fn make_send(
-        &mut self,
-        space: SpaceId,
-        recv_name: PortName,
-    ) -> KernResult<PortName> {
-        let recv = self.receive_right(space, recv_name)?;
-        self.insert_send(space, recv).map(|s| s.name())
-    }
-
-    /// Old name-based cross-space copy.
-    #[deprecated(note = "use the typed `MachIpc::copy_send`")]
-    pub fn copy_send_to_space(
-        &mut self,
-        from: SpaceId,
-        name: PortName,
-        to: SpaceId,
-    ) -> KernResult<PortName> {
-        let send = self.send_right(from, name)?;
-        self.copy_send(from, send, to).map(|s| s.name())
-    }
-
-    /// Old spelling of [`MachIpc::send`].
-    #[deprecated(note = "use `MachIpc::send`")]
-    pub fn msg_send(
-        &mut self,
-        api: &mut dyn ForeignKernelApi,
-        space: SpaceId,
-        msg: UserMessage,
-    ) -> KernResult<()> {
-        self.send(api, space, msg)
-    }
-
-    /// Old name-based receive.
-    #[deprecated(note = "use the typed `MachIpc::receive`")]
-    pub fn msg_receive(
-        &mut self,
-        api: &mut dyn ForeignKernelApi,
-        space: SpaceId,
-        recv_name: PortName,
-    ) -> KernResult<ReceivedMessage> {
-        // The typed path re-validates, so errors keep the RCV convention.
-        self.receive(api, space, ReceiveRight::from_name(recv_name))
     }
 
     // ------------------------------------------------------------------
@@ -1353,20 +1293,5 @@ mod tests {
         assert_eq!(api.copied_bytes, 8192);
         let got = ipc.receive(&mut api, s, recv).unwrap();
         assert_eq!(got.ool[0].len(), 8192);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_work() {
-        let (mut ipc, mut api) = setup();
-        let s = ipc.create_space();
-        let recv = ipc.port_allocate(&mut api, s).unwrap();
-        let send = ipc.make_send(s, recv).unwrap();
-        ipc.msg_send(&mut api, s, UserMessage::simple(send, 3, &b"old"[..]))
-            .unwrap();
-        let got = ipc.msg_receive(&mut api, s, recv).unwrap();
-        assert_eq!(got.msg_id, 3);
-        assert_eq!(&got.body[..], b"old");
-        ipc.check_invariants();
     }
 }

@@ -210,14 +210,12 @@ proptest! {
 #[derive(Debug, Clone)]
 enum QueueOp {
     Enqueue { stamp: u64 },
-    EnqueueTail,
     Dequeue,
 }
 
 fn queue_op_strategy() -> impl Strategy<Value = QueueOp> {
     prop_oneof![
         (0u64..64).prop_map(|stamp| QueueOp::Enqueue { stamp }),
-        Just(QueueOp::EnqueueTail),
         Just(QueueOp::Dequeue),
     ]
 }
@@ -247,12 +245,6 @@ proptest! {
                         .map(|i| i + 1)
                         .unwrap_or(0);
                     model.insert(at, (stamp, next_item));
-                    next_item += 1;
-                }
-                QueueOp::EnqueueTail => {
-                    q.enqueue_tail(next_item);
-                    let stamp = model.back().map(|&(s, _)| s).unwrap_or(0);
-                    model.push_back((stamp, next_item));
                     next_item += 1;
                 }
                 QueueOp::Dequeue => {
