@@ -22,7 +22,7 @@ use cider_abi::{Persona, Signal, SyscallOutcome};
 use cider_core::kqueue::{EvAction, EvFilter, KQueue, Kevent};
 use cider_core::{attach_persona_ext, wire, with_state, CiderState, RingOp};
 use cider_core::{XnuNativePersonality, XnuPersonality};
-use cider_fault::{fnv1a, FaultLayer, FaultPlan};
+use cider_fault::{fnv1a, FaultLayer, FaultPlan, Fnv1a};
 use cider_kernel::dispatch::{SyscallArgs, SyscallData, UserTrapResult};
 use cider_kernel::fdtable::FileObject;
 use cider_kernel::profile::DeviceProfile;
@@ -1269,41 +1269,17 @@ impl DataMode {
 /// permission bits, size, and regular-file contents. Timestamps,
 /// inode numbers and block counts are excluded by design.
 fn vfs_fingerprint(k: &Kernel, roots: &[&str]) -> u64 {
-    fn walk(k: &Kernel, path: &str, acc: &mut Vec<u8>) {
-        let Ok(r) = k.vfs.resolve(path) else { return };
-        let st = k.vfs.stat(r.ino);
-        acc.extend(path.as_bytes());
-        acc.push(0);
-        acc.push(file_type_tag(st.file_type));
-        acc.extend(st.mode.to_le_bytes());
-        acc.extend(st.size.to_le_bytes());
-        match st.file_type {
-            cider_abi::types::FileType::Directory => {
-                let mut names = k.vfs.readdir(path).unwrap_or_default();
-                names.sort();
-                names.dedup();
-                for name in names {
-                    let child = if path == "/" {
-                        format!("/{name}")
-                    } else {
-                        format!("{path}/{name}")
-                    };
-                    walk(k, &child, acc);
-                }
-            }
-            cider_abi::types::FileType::Regular => {
-                if let Ok(data) = k.vfs.read_file(path) {
-                    acc.extend(data);
-                }
-            }
-            _ => {}
-        }
-    }
-    let mut acc = Vec::new();
+    let mut h = Fnv1a::new();
     for root in roots {
-        walk(k, root, &mut acc);
+        k.vfs.walk(root, |path, st, data| {
+            h.write_str(path);
+            h.write(&[0, file_type_tag(st.file_type)]);
+            h.write(&st.mode.to_le_bytes());
+            h.write_u64(st.size);
+            h.write(data);
+        });
     }
-    fnv1a(&acc)
+    h.0
 }
 
 fn file_type_tag(t: cider_abi::types::FileType) -> u8 {

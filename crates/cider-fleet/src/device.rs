@@ -33,6 +33,7 @@ use cider_core::RingOp;
 use cider_fault::{FaultLayer, Fnv1a, SplitMix64};
 use cider_frameworks::scenarios;
 use cider_kernel::clock::WatchdogExpired;
+use cider_kernel::Kernel;
 use cider_trace::{Metrics, MetricsSnapshot};
 use cider_xnu::ipc::UserMessage;
 use cider_xnu::KernReturn;
@@ -183,6 +184,11 @@ impl DeviceSim {
     /// The device kernel's virtual clock, ns since boot.
     pub fn now_ns(&self) -> u64 {
         self.bed.sys.kernel.clock.now_ns()
+    }
+
+    /// The device's kernel, for read-only inspection.
+    pub fn kernel(&self) -> &Kernel {
+        &self.bed.sys.kernel
     }
 
     /// Arms the kernel clock's watchdog at `now + budget_ns`: if the

@@ -2183,58 +2183,29 @@ impl Kernel {
     }
 
     fn ckpt_vfs(&self) -> Vec<(String, String)> {
+        use cider_abi::types::FileType;
         let mut out = vec![(
             "node_count".to_string(),
             self.vfs.node_count().to_string(),
         )];
-        self.ckpt_vfs_walk("/", 0, &mut out);
-        out
-    }
-
-    fn ckpt_vfs_walk(
-        &self,
-        path: &str,
-        depth: usize,
-        out: &mut Vec<(String, String)>,
-    ) {
-        // Symlinked directory cycles are impossible to build through
-        // the public VFS API today, but a depth cap keeps the walk
-        // total even if that ever changes.
-        if depth > 32 {
-            return;
-        }
-        let Ok(r) = self.vfs.resolve(path) else {
-            return;
-        };
-        let st = self.vfs.stat(r.ino);
-        use cider_abi::types::FileType;
-        let detail = match st.file_type {
-            FileType::Regular => {
-                let digest =
-                    self.vfs.read_file(path).map(|d| fnv1a(&d)).unwrap_or(0);
-                format!(
-                    "file mode={:o} size={} digest={digest:016x}",
-                    st.mode, st.size
-                )
-            }
-            FileType::Directory => {
-                format!("dir mode={:o} entries={}", st.mode, st.size)
-            }
-            other => format!("{other:?} mode={:o} size={}", st.mode, st.size),
-        };
-        out.push((path.to_string(), detail));
-        if st.file_type == FileType::Directory {
-            if let Ok(names) = self.vfs.readdir(path) {
-                for name in names {
-                    let child = if path == "/" {
-                        format!("/{name}")
-                    } else {
-                        format!("{path}/{name}")
-                    };
-                    self.ckpt_vfs_walk(&child, depth + 1, out);
+        self.vfs.walk("/", |path, st, data| {
+            let detail = match st.file_type {
+                FileType::Regular => format!(
+                    "file mode={:o} size={} digest={:016x}",
+                    st.mode,
+                    st.size,
+                    fnv1a(data)
+                ),
+                FileType::Directory => {
+                    format!("dir mode={:o} entries={}", st.mode, st.size)
                 }
-            }
-        }
+                other => {
+                    format!("{other:?} mode={:o} size={}", st.mode, st.size)
+                }
+            };
+            out.push((path.to_string(), detail));
+        });
+        out
     }
 }
 

@@ -12,6 +12,7 @@
 //! 115-library filesystem walk expensive in the paper's `fork+exec(ios)`
 //! measurement.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 use cider_abi::errno::Errno;
@@ -63,6 +64,84 @@ enum Tree {
 
 /// Maximum symlink expansions before `ELOOP`.
 const MAX_SYMLINK_DEPTH: usize = 8;
+
+/// Levels below its root past which [`Vfs::walk`] does not descend. A
+/// symlink may name one of its own ancestors, which makes the union
+/// tree infinite; the cap keeps every walk finite.
+pub const MAX_WALK_DEPTH: usize = 32;
+
+/// One tree's side of a [`Vfs::walk`]: the resolution stack of the
+/// path being visited, and whether that path resolves in this tree.
+struct Track {
+    root: Ino,
+    stack: Vec<Ino>,
+    live: bool,
+}
+
+/// What [`Track::enter`] changed, for [`Track::leave`] to undo.
+struct Mark {
+    len: usize,
+    live: bool,
+}
+
+impl Track {
+    /// The inode the visited path resolves to in this tree.
+    fn ino(&self) -> Option<Ino> {
+        self.live.then(|| Vfs::top(self.root, &self.stack))
+    }
+
+    /// The entries of the visited path if it is a directory here.
+    fn entries<'v>(&self, fs: &'v Vfs) -> Option<&'v BTreeMap<String, Ino>> {
+        match &fs.node(self.ino()?).kind {
+            NodeKind::Dir(entries) => Some(entries),
+            _ => None,
+        }
+    }
+
+    /// Steps from the visited path into its child `name`; a path that
+    /// fails to resolve leaves the track dead for its whole subtree.
+    fn enter(&mut self, fs: &Vfs, name: &str) -> Mark {
+        let mark = Mark {
+            len: self.stack.len(),
+            live: self.live,
+        };
+        if self.live {
+            self.live =
+                fs.step(self.root, &mut self.stack, name, &mut 0, 0).is_ok();
+        }
+        mark
+    }
+
+    /// Steps back out to the parent. No entry is named `..` (every
+    /// creating call rejects it), so stepping into a child can only
+    /// have pushed onto the stack.
+    fn leave(&mut self, mark: Mark) {
+        self.live = mark.live;
+        self.stack.truncate(mark.len);
+    }
+}
+
+/// Merges two sorted name streams into their sorted union in one pass.
+fn union<'a>(
+    a: impl Iterator<Item = &'a String>,
+    b: impl Iterator<Item = &'a String>,
+) -> impl Iterator<Item = &'a str> {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    std::iter::from_fn(move || {
+        let next = match (a.peek(), b.peek()) {
+            (Some(x), Some(y)) => match x.cmp(y) {
+                Ordering::Less => a.next(),
+                Ordering::Equal => {
+                    b.next();
+                    a.next()
+                }
+                Ordering::Greater => b.next(),
+            },
+            _ => a.next().or_else(|| b.next()),
+        };
+        next.map(String::as_str)
+    })
+}
 
 /// An in-memory filesystem with a domestic tree and an optional foreign
 /// overlay tree.
@@ -161,59 +240,71 @@ impl Vfs {
         self.nodes.get_mut(&ino.0).ok_or(Errno::EIO)
     }
 
-    fn split(path: &str) -> Result<Vec<&str>, Errno> {
+    /// The components of an absolute path, with empty and `.`
+    /// components dropped.
+    fn components(
+        path: &str,
+    ) -> Result<impl Iterator<Item = &str> + Clone, Errno> {
         if !path.starts_with('/') {
             return Err(Errno::EINVAL);
         }
-        Ok(path
-            .split('/')
-            .filter(|c| !c.is_empty() && *c != ".")
-            .collect())
+        Ok(path.split('/').filter(|c| !c.is_empty() && *c != "."))
     }
 
-    fn walk_tree(
+    /// The node a resolution stack stands on: its top, or the tree
+    /// root while the stack is empty.
+    fn top(root: Ino, stack: &[Ino]) -> Ino {
+        stack.last().copied().unwrap_or(root)
+    }
+
+    /// Advances a resolution stack in the tree rooted at `root` by one
+    /// path component. `..` pops (never above the root); a name
+    /// descends into the current directory, and a symlink found there
+    /// is replaced by its target, resolved from the same root with
+    /// `depth + 1` expansions. On error the stack is unchanged.
+    fn step(
         &self,
         root: Ino,
-        comps: &[&str],
+        stack: &mut Vec<Ino>,
+        comp: &str,
+        walked: &mut usize,
+        depth: usize,
+    ) -> Result<(), Errno> {
+        *walked += 1;
+        if comp == ".." {
+            stack.pop();
+            return Ok(());
+        }
+        let NodeKind::Dir(entries) = &self.node(Self::top(root, stack)).kind
+        else {
+            return Err(Errno::ENOTDIR);
+        };
+        let mut next = *entries.get(comp).ok_or(Errno::ENOENT)?;
+        if let NodeKind::Symlink(target) = &self.node(next).kind {
+            let target = Self::components(target)?;
+            next = self.walk_tree(root, target, walked, depth + 1)?;
+        }
+        stack.push(next);
+        Ok(())
+    }
+
+    /// Resolves `comps` in one tree: a fold of [`Vfs::step`] from the
+    /// root. `depth` counts the symlink expansions that led here.
+    fn walk_tree<'p>(
+        &self,
+        root: Ino,
+        comps: impl IntoIterator<Item = &'p str>,
         walked: &mut usize,
         depth: usize,
     ) -> Result<Ino, Errno> {
         if depth > MAX_SYMLINK_DEPTH {
             return Err(Errno::ELOOP);
         }
-        let mut cur = root;
-        let mut stack: Vec<Ino> = vec![root];
-        let mut i = 0;
-        while i < comps.len() {
-            let comp = comps[i];
-            *walked += 1;
-            if comp == ".." {
-                stack.pop();
-                cur = stack.last().copied().unwrap_or(root);
-                i += 1;
-                continue;
-            }
-            let next = match &self.node(cur).kind {
-                NodeKind::Dir(entries) => {
-                    *entries.get(comp).ok_or(Errno::ENOENT)?
-                }
-                _ => return Err(Errno::ENOTDIR),
-            };
-            if let NodeKind::Symlink(target) = &self.node(next).kind {
-                let target = target.clone();
-                let tcomps = Self::split(&target)?;
-                let resolved =
-                    self.walk_tree(root, &tcomps, walked, depth + 1)?;
-                cur = resolved;
-                stack.push(resolved);
-                i += 1;
-                continue;
-            }
-            cur = next;
-            stack.push(next);
-            i += 1;
+        let mut stack = Vec::new();
+        for comp in comps {
+            self.step(root, &mut stack, comp, walked, depth)?;
         }
-        Ok(cur)
+        Ok(Self::top(root, &stack))
     }
 
     /// Resolves an absolute path, preferring the overlay.
@@ -224,10 +315,12 @@ impl Vfs {
     /// non-directory appears mid-path, `ELOOP` on symlink cycles,
     /// `EINVAL` for relative paths.
     pub fn resolve(&self, path: &str) -> Result<Resolved, Errno> {
-        let comps = Self::split(path)?;
+        let comps = Self::components(path)?;
         let mut walked = 0;
         if let Some(upper) = self.root_upper {
-            if let Ok(ino) = self.walk_tree(upper, &comps, &mut walked, 0) {
+            if let Ok(ino) =
+                self.walk_tree(upper, comps.clone(), &mut walked, 0)
+            {
                 return Ok(Resolved {
                     ino,
                     components_walked: walked,
@@ -235,7 +328,7 @@ impl Vfs {
                 });
             }
         }
-        let ino = self.walk_tree(self.root_lower, &comps, &mut walked, 0)?;
+        let ino = self.walk_tree(self.root_lower, comps, &mut walked, 0)?;
         Ok(Resolved {
             ino,
             components_walked: walked,
@@ -246,9 +339,12 @@ impl Vfs {
     /// Picks the tree a new entry under `parent_comps` should go to:
     /// upper if the parent resolves there, else lower.
     fn tree_for_create(&self, comps: &[&str]) -> Result<(Ino, Tree), Errno> {
+        let comps = comps.iter().copied();
         let mut walked = 0;
         if let Some(upper) = self.root_upper {
-            if let Ok(parent) = self.walk_tree(upper, comps, &mut walked, 0) {
+            if let Ok(parent) =
+                self.walk_tree(upper, comps.clone(), &mut walked, 0)
+            {
                 return Ok((parent, Tree::Upper));
             }
         }
@@ -263,14 +359,14 @@ impl Vfs {
     ///
     /// `ENOTDIR` if a path component is a file.
     pub fn mkdir_p(&mut self, path: &str) -> Result<Ino, Errno> {
-        let comps = Self::split(path)?;
+        let comps = Self::components(path)?;
         let (mut cur, _) = self.tree_for_create(&[])?;
-        for comp in &comps {
-            if *comp == ".." {
+        for comp in comps {
+            if comp == ".." {
                 return Err(Errno::EINVAL);
             }
             let existing = match &self.node(cur).kind {
-                NodeKind::Dir(entries) => entries.get(*comp).copied(),
+                NodeKind::Dir(entries) => entries.get(comp).copied(),
                 _ => return Err(Errno::ENOTDIR),
             };
             cur = match existing {
@@ -292,13 +388,22 @@ impl Vfs {
 
     /// Creates a directory in the *overlay* tree (enabling it if needed),
     /// used to build the iOS hierarchy.
+    ///
+    /// # Errors
+    ///
+    /// `ENOTDIR` if a path component is a file; `EINVAL`, before any
+    /// change, for a `..` component, which would otherwise become an
+    /// entry's name.
     pub fn mkdir_p_overlay(&mut self, path: &str) -> Result<Ino, Errno> {
+        let comps = Self::components(path)?;
+        if comps.clone().any(|c| c == "..") {
+            return Err(Errno::EINVAL);
+        }
         self.enable_overlay();
-        let comps = Self::split(path)?;
         let mut cur = self.root_upper.expect("just enabled");
-        for comp in &comps {
+        for comp in comps {
             let existing = match &self.node(cur).kind {
-                NodeKind::Dir(entries) => entries.get(*comp).copied(),
+                NodeKind::Dir(entries) => entries.get(comp).copied(),
                 _ => return Err(Errno::ENOTDIR),
             };
             cur = match existing {
@@ -328,10 +433,15 @@ impl Vfs {
         Ok(())
     }
 
+    /// Splits a path into its parent's components and the final
+    /// name. `..` names no entry (it steps out of the parent), so it
+    /// is `EINVAL` as a name, exactly as in [`Vfs::mkdir_p`].
     fn parent_and_name(path: &str) -> Result<(Vec<&str>, &str), Errno> {
-        let comps = Self::split(path)?;
-        let (name, parent) = comps.split_last().ok_or(Errno::EINVAL)?;
-        Ok((parent.to_vec(), name))
+        let mut parent: Vec<&str> = Self::components(path)?.collect();
+        match parent.pop() {
+            Some("..") | None => Err(Errno::EINVAL),
+            Some(name) => Ok((parent, name)),
+        }
     }
 
     /// Creates (or truncates) a regular file with the given contents.
@@ -520,9 +630,12 @@ impl Vfs {
             .collect();
         for root in trees {
             let mut walked = 0;
-            let Ok(parent) =
-                self.walk_tree(root, &parent_comps, &mut walked, 0)
-            else {
+            let Ok(parent) = self.walk_tree(
+                root,
+                parent_comps.iter().copied(),
+                &mut walked,
+                0,
+            ) else {
                 continue;
             };
             let child = match &self.node(parent).kind {
@@ -601,30 +714,104 @@ impl Vfs {
     ///
     /// `ENOTDIR` if the path is not a directory in any tree.
     pub fn readdir(&self, path: &str) -> Result<Vec<String>, Errno> {
-        let comps = Self::split(path)?;
-        let mut names = BTreeMap::new();
-        let mut found = false;
-        let mut not_dir = false;
-        for root in self.root_upper.into_iter().chain(Some(self.root_lower)) {
-            let mut walked = 0;
-            if let Ok(ino) = self.walk_tree(root, &comps, &mut walked, 0) {
-                match &self.node(ino).kind {
-                    NodeKind::Dir(entries) => {
-                        found = true;
-                        for k in entries.keys() {
-                            names.entry(k.clone()).or_insert(());
-                        }
-                    }
-                    _ => not_dir = true,
-                }
-            }
+        let tracks = self.tracks(Self::components(path)?);
+        if tracks.iter().all(|t| t.entries(self).is_none()) {
+            return Err(if tracks.iter().any(|t| t.live) {
+                Errno::ENOTDIR
+            } else {
+                Errno::ENOENT
+            });
         }
-        if found {
-            Ok(names.into_keys().collect())
-        } else if not_dir {
-            Err(Errno::ENOTDIR)
-        } else {
-            Err(Errno::ENOENT)
+        Ok(self.listing(&tracks).map(str::to_string).collect())
+    }
+
+    /// One [`Track`] per tree, standing where `comps` resolves there.
+    /// An unmounted overlay is a tree in which nothing resolves.
+    fn tracks<'p>(
+        &self,
+        comps: impl Iterator<Item = &'p str> + Clone,
+    ) -> [Track; 2] {
+        [self.root_upper, Some(self.root_lower)].map(|root| {
+            let mut track = Track {
+                root: root.unwrap_or(self.root_lower),
+                stack: Vec::new(),
+                live: root.is_some(),
+            };
+            for comp in comps.clone() {
+                track.enter(self, comp);
+            }
+            track
+        })
+    }
+
+    /// The names under the tracks' path: the union, in name order, of
+    /// the entries of every tree in which it is a directory.
+    fn listing<'v>(
+        &'v self,
+        tracks: &[Track; 2],
+    ) -> impl Iterator<Item = &'v str> {
+        let [upper, lower] = tracks.each_ref().map(|t| t.entries(self));
+        union(
+            upper.into_iter().flat_map(BTreeMap::keys),
+            lower.into_iter().flat_map(BTreeMap::keys),
+        )
+    }
+
+    /// Visits `root` and every node below it in the union of both
+    /// trees, depth first with each directory's children in name
+    /// order: the same paths and nodes that [`Vfs::resolve`] and
+    /// [`Vfs::readdir`] report path by path. Rather than resolving
+    /// each path from `/`, the walk keeps one resolution stack per
+    /// tree and advances it one name at a time with the step
+    /// `resolve` folds over a path, so symlinks and `..` resolve
+    /// exactly as there.
+    ///
+    /// `visit` gets the path (from one reused buffer), the node's
+    /// [`Stat`], and its contents by reference (empty unless it is a
+    /// regular file). A path that resolves in neither tree (a dangling
+    /// or looping symlink) is skipped with its subtree, and the walk
+    /// does not descend more than [`MAX_WALK_DEPTH`] levels below
+    /// `root`.
+    pub fn walk(&self, root: &str, mut visit: impl FnMut(&str, &Stat, &[u8])) {
+        let Ok(comps) = Self::components(root) else {
+            return;
+        };
+        let mut tracks = self.tracks(comps);
+        self.walk_at(&mut root.to_string(), &mut tracks, 0, &mut visit);
+    }
+
+    fn walk_at(
+        &self,
+        path: &mut String,
+        tracks: &mut [Track; 2],
+        depth: usize,
+        visit: &mut impl FnMut(&str, &Stat, &[u8]),
+    ) {
+        // As in `resolve`, the overlay shadows the lower tree.
+        let Some(ino) = tracks.iter().find_map(Track::ino) else {
+            return;
+        };
+        let data = match &self.node(ino).kind {
+            NodeKind::File(data) => data.as_slice(),
+            _ => &[],
+        };
+        let st = self.stat(ino);
+        visit(path, &st, data);
+        if st.file_type != FileType::Directory || depth == MAX_WALK_DEPTH {
+            return;
+        }
+        let parent_len = path.len();
+        for name in self.listing(tracks) {
+            if path.as_str() != "/" {
+                path.push('/');
+            }
+            path.push_str(name);
+            let marks = tracks.each_mut().map(|t| t.enter(self, name));
+            self.walk_at(path, tracks, depth + 1, visit);
+            for (track, mark) in tracks.iter_mut().zip(marks) {
+                track.leave(mark);
+            }
+            path.truncate(parent_len);
         }
     }
 
@@ -718,8 +905,11 @@ mod tests {
         fs.write_file("/usr/lib/libc.so", vec![]).unwrap();
         fs.write_file_overlay("/usr/lib/libSystem.dylib", vec![])
             .unwrap();
+        fs.write_file_overlay("/usr/lib/libc.so", vec![]).unwrap();
         let names = fs.readdir("/usr/lib").unwrap();
         assert_eq!(names, vec!["libSystem.dylib", "libc.so"]);
+        assert_eq!(fs.readdir("/usr/lib/libc.so"), Err(Errno::ENOTDIR));
+        assert_eq!(fs.readdir("/usr/nope"), Err(Errno::ENOENT));
     }
 
     #[test]
@@ -786,6 +976,113 @@ mod tests {
         assert_eq!(fs.write_at(ino, 0, &[9]), Err(Errno::EIO));
         assert_eq!(fs.truncate(ino, 0), Err(Errno::EIO));
         assert_eq!(fs.file_len(ino), Err(Errno::EIO));
+    }
+
+    /// `..` as the name of a new entry would link a node that no path
+    /// reaches (`/tmp/..` resolves to `/`) and make every walk re-enter
+    /// the parent beneath it; each creating call rejects it.
+    fn dotdot_tree() -> Vfs {
+        let mut fs = Vfs::new();
+        fs.mkdir_p("/tmp").unwrap();
+        fs
+    }
+
+    #[test]
+    fn write_file_rejects_dotdot_name() {
+        let mut fs = dotdot_tree();
+        assert_eq!(fs.write_file("/tmp/..", vec![1]), Err(Errno::EINVAL));
+        assert_eq!(fs.readdir("/tmp").unwrap(), Vec::<String>::new());
+    }
+
+    #[test]
+    fn write_file_overlay_rejects_dotdot_name() {
+        let mut fs = dotdot_tree();
+        let n = fs.node_count();
+        assert_eq!(
+            fs.write_file_overlay("/tmp/..", vec![1]),
+            Err(Errno::EINVAL)
+        );
+        assert_eq!(
+            fs.write_file_overlay("/tmp/../f", vec![1]),
+            Err(Errno::EINVAL)
+        );
+        assert_eq!(fs.node_count(), n);
+    }
+
+    #[test]
+    fn symlink_rejects_dotdot_name() {
+        let mut fs = dotdot_tree();
+        assert_eq!(fs.symlink("/tmp/..", "/tmp"), Err(Errno::EINVAL));
+        assert_eq!(fs.readdir("/tmp").unwrap(), Vec::<String>::new());
+    }
+
+    #[test]
+    fn mknod_device_rejects_dotdot_name() {
+        let mut fs = dotdot_tree();
+        assert_eq!(
+            fs.mknod_device("/tmp/..", DeviceId(1)),
+            Err(Errno::EINVAL)
+        );
+        assert_eq!(fs.readdir("/tmp").unwrap(), Vec::<String>::new());
+    }
+
+    #[test]
+    fn mkdir_p_overlay_rejects_dotdot_component() {
+        let mut fs = dotdot_tree();
+        assert_eq!(fs.mkdir_p_overlay("/tmp/.."), Err(Errno::EINVAL));
+        assert_eq!(fs.mkdir_p_overlay("/tmp/../x"), Err(Errno::EINVAL));
+        assert!(!fs.exists("/x"));
+        assert_eq!(fs.mkdir_p("/tmp/.."), Err(Errno::EINVAL));
+    }
+
+    #[test]
+    fn walk_visits_the_union_in_name_order() {
+        let mut fs = Vfs::new();
+        fs.mkdir_p("/usr/lib").unwrap();
+        fs.write_file("/usr/lib/libc.so", b"elf".to_vec()).unwrap();
+        fs.write_file_overlay("/usr/lib/libSystem.dylib", b"macho".to_vec())
+            .unwrap();
+        fs.mknod_device("/usr/null", DeviceId(1)).unwrap();
+        // Created in the overlay, where `/usr/lib` resolves first; a
+        // symlink resolves in its own tree, so only the overlay's file
+        // is reachable through it.
+        fs.symlink("/usr/lib/self", "/usr/lib/libSystem.dylib")
+            .unwrap();
+        fs.symlink("/usr/lib/lower", "/usr/lib/libc.so").unwrap();
+        fs.symlink("/usr/gone", "/usr/nowhere").unwrap();
+        let mut seen = Vec::new();
+        fs.walk("/usr", |path, st, data| {
+            seen.push((path.to_string(), st.file_type, data.to_vec()));
+        });
+        let dir = |p: &str| (p.to_string(), FileType::Directory, vec![]);
+        let file =
+            |p: &str, d: &[u8]| (p.to_string(), FileType::Regular, d.to_vec());
+        assert_eq!(
+            seen,
+            vec![
+                dir("/usr"),
+                dir("/usr/lib"),
+                file("/usr/lib/libSystem.dylib", b"macho"),
+                file("/usr/lib/libc.so", b"elf"),
+                file("/usr/lib/self", b"macho"),
+                ("/usr/null".to_string(), FileType::CharDevice, vec![]),
+            ]
+        );
+    }
+
+    #[test]
+    fn walk_stops_at_the_depth_cap() {
+        let mut fs = Vfs::new();
+        fs.mkdir_p("/a").unwrap();
+        fs.symlink("/a/up", "/a").unwrap();
+        let mut deepest = 0;
+        let mut visits = 0;
+        fs.walk("/a", |path, _, _| {
+            deepest = deepest.max(path.matches('/').count() - 1);
+            visits += 1;
+        });
+        assert_eq!(deepest, MAX_WALK_DEPTH);
+        assert_eq!(visits, MAX_WALK_DEPTH + 1);
     }
 
     #[test]

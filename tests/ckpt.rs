@@ -232,6 +232,56 @@ fn half_materialized_cow_fork_is_checkpointed_and_checksummed() {
     assert!(Checkpoint::from_bytes(&bad).is_err());
 }
 
+/// `CKPT_VERSION = 1` frames stay readable: a frame checked into
+/// `tests/golden/` decodes, and re-booting its device and replaying
+/// to its cursor re-encodes the same bytes. A capture change that
+/// moves any record fails here, with the records that moved.
+///
+/// Regenerate (only together with a `CKPT_VERSION` bump) with:
+///
+/// ```text
+/// UPDATE_GOLDEN=1 cargo test --test ckpt frozen_v1_frame
+/// ```
+#[test]
+fn frozen_v1_frame_replays_byte_identical() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden/ckpt_v1_app_lifecycle.frame");
+    // A CiderIos app-lifecycle device (overlay hierarchy plus an
+    // installed app bundle) after one unit.
+    let s = spec(11, true, Workload::AppLifecycle { cycles: 2 });
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        let mut sim = DeviceSim::boot(&s);
+        sim.step();
+        std::fs::write(&path, checkpoint_at(&sim, &s)).unwrap();
+        return;
+    }
+    let frozen = std::fs::read(&path)
+        .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    let ckpt = Checkpoint::from_bytes(&frozen).expect("frozen frame decodes");
+    assert_eq!(cider_ckpt::CKPT_VERSION, 1);
+    assert_eq!(ckpt.header.config, "cider_ios");
+    assert_eq!(ckpt.header.workload, "app_lifecycle");
+    assert_eq!(ckpt.header.cursor, 1);
+
+    let mut replayed = DeviceSim::boot(&s);
+    for _ in 0..ckpt.header.cursor {
+        replayed.step();
+    }
+    let bytes = checkpoint_at(&replayed, &s);
+    if bytes != frozen {
+        let replayed = Checkpoint::from_bytes(&bytes).unwrap();
+        assert_eq!(replayed.header, ckpt.header, "frame header moved");
+        let deltas = ckpt.image.diff(&replayed.image);
+        let report: String = deltas.iter().map(|d| d.to_string()).collect();
+        panic!(
+            "replay re-encodes a different v1 frame ({} vs {} bytes); \
+             frozen (-) vs replayed (+) records:\n{report}",
+            frozen.len(),
+            bytes.len()
+        );
+    }
+}
+
 #[test]
 fn truncated_frame_is_rejected_not_panicked() {
     let s = spec(7, true, Workload::LmbenchMix { ops: 2 });
