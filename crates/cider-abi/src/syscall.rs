@@ -299,15 +299,19 @@ impl XnuTrap {
     ///
     /// Returns `None` when the number falls in no class or names an
     /// unimplemented call; Cider then fails the trap with `ENOSYS`.
+    /// Numbers whose call number does not fit the class's `i32` fail
+    /// too: they are never truncated onto a real trap.
     pub fn decode(raw: i64) -> Option<XnuTrap> {
         if raw >= 0x8000_0000 {
-            Some(XnuTrap::MachDep((raw - 0x8000_0000) as i32))
+            i32::try_from(raw - 0x8000_0000).ok().map(XnuTrap::MachDep)
         } else if raw >= 0x4000_0000 {
-            Some(XnuTrap::Diag((raw - 0x4000_0000) as i32))
+            i32::try_from(raw - 0x4000_0000).ok().map(XnuTrap::Diag)
         } else if raw > 0 {
-            XnuSyscall::from_number(raw as i32).map(XnuTrap::Unix)
+            let n = i32::try_from(raw).ok()?;
+            XnuSyscall::from_number(n).map(XnuTrap::Unix)
         } else if raw < 0 {
-            MachTrap::from_number((-raw) as i32).map(XnuTrap::Mach)
+            let n = raw.checked_neg().and_then(|n| i32::try_from(n).ok())?;
+            MachTrap::from_number(n).map(XnuTrap::Mach)
         } else {
             None
         }
@@ -355,6 +359,23 @@ mod tests {
         assert_eq!(XnuTrap::decode(0), None);
         assert_eq!(XnuTrap::decode(9999), None);
         assert_eq!(XnuTrap::decode(-9999), None);
+    }
+
+    #[test]
+    fn decode_rejects_numbers_outside_every_class() {
+        // Negating i64::MIN overflows; it names no trap.
+        assert_eq!(XnuTrap::decode(i64::MIN), None);
+        assert_eq!(XnuTrap::decode(i64::MAX), None);
+        // Out-of-range numbers are not truncated onto real traps.
+        let msg = MachTrap::MachMsgTrap.number() as i64;
+        assert_eq!(XnuTrap::decode(-(msg + (1 << 32))), None);
+        assert_eq!(XnuTrap::decode(0x8000_0000 + 3 + (1 << 32)), None);
+        // In-range numbers decode as before.
+        assert_eq!(
+            XnuTrap::decode(-msg),
+            Some(XnuTrap::Mach(MachTrap::MachMsgTrap))
+        );
+        assert_eq!(XnuTrap::decode(0x8000_0003), Some(XnuTrap::MachDep(3)));
     }
 
     #[test]

@@ -4,11 +4,13 @@
 use cider_abi::errno::Errno;
 use cider_abi::ids::{Pid, Tid};
 use cider_core::system::{CiderSystem, SystemKind};
-use cider_gfx::stack::{install_gfx, GfxConfig, SharedGfx};
+use cider_gfx::stack::{
+    install_gfx, register_gfx_libraries, GfxConfig, SharedGfx,
+};
 use cider_kernel::profile::{DeviceProfile, Toolchain};
 use cider_loader::framework_set::FrameworkSet;
 use cider_loader::{ElfBuilder, MachOBuilder};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// The paper's system configurations (§6): "(1) Linux binaries and
 /// Android apps running on unmodified (vanilla) Android, (2) Linux
@@ -242,6 +244,23 @@ impl TestBed {
     /// is disabled.
     pub fn trace_snapshot(&self) -> Option<cider_trace::TraceSnapshot> {
         self.sys.kernel.trace.snapshot()
+    }
+
+    /// A deep copy of this bed: a second device in exactly this state,
+    /// which then runs independently (see [`CiderSystem::fork_device`]).
+    /// The graphics stack is copied into a handle of its own, and the
+    /// four graphics libraries are registered again against it, so no
+    /// GL, EGL or gralloc call on the copy reaches this bed's stack.
+    pub fn fork_device(&self) -> TestBed {
+        let stack = self.gfx.lock().expect("no GL call panicked").clone();
+        let gfx: SharedGfx = Arc::new(Mutex::new(stack));
+        let mut sys = self.sys.fork_device();
+        register_gfx_libraries(&mut sys, &gfx);
+        TestBed {
+            sys,
+            gfx,
+            config: self.config,
+        }
     }
 }
 

@@ -41,7 +41,10 @@ pub struct DiplomatStats {
     pub resolutions: u64,
 }
 
-/// One diplomat stub.
+/// One diplomat stub. A copy shares the cached function, as a copied
+/// [`LibraryHost`] shares its export tables;
+/// [`DiplomaticLibrary::relink`] binds it to a replacement.
+#[derive(Clone)]
 pub struct Diplomat {
     /// The foreign symbol this stub replaces.
     pub foreign_symbol: String,
@@ -216,7 +219,7 @@ impl Diplomat {
 
 /// A foreign library replaced wholesale by diplomats (e.g. the Cider
 /// OpenGL ES library).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DiplomaticLibrary {
     /// Library name.
     pub name: String,
@@ -232,6 +235,19 @@ impl DiplomaticLibrary {
             name: name.into(),
             diplomats: BTreeMap::new(),
             stats: DiplomatStats::default(),
+        }
+    }
+
+    /// Binds every resolved diplomat again in `host`, after a domestic
+    /// library was replaced there. A stub whose symbol `host` lacks
+    /// drops its cache, so its next call reports `ENOSYS`.
+    pub fn relink(&mut self, host: &LibraryHost) {
+        for d in self.diplomats.values_mut() {
+            if d.cached.is_some() {
+                d.cached = host
+                    .get(&d.domestic_lib)
+                    .and_then(|lib| lib.dlsym(&d.domestic_symbol));
+            }
         }
     }
 
@@ -404,5 +420,31 @@ mod tests {
         );
         assert_eq!(lib.stats.calls, 2);
         assert_eq!(lib.stats.resolutions, 1);
+    }
+
+    #[test]
+    fn relink_binds_resolved_diplomats_to_the_replacement() {
+        let (mut k, tid, host) = setup();
+        let (mut lib, _) = DiplomaticLibrary::generate(
+            "OpenGLES",
+            &["glClear", "glDrawArrays"],
+            &host,
+        );
+        lib.call(&mut k, &host, tid, "glClear", &[]).unwrap();
+        let mut copy = lib.clone();
+        let mut other = LibraryHost::new();
+        let mut gles = NativeLibrary::new("libGLESv2.so");
+        gles.export("glClear", Arc::new(|_, _, _| Ok(7)));
+        other.register(gles);
+        copy.relink(&other);
+        assert!(copy.get("glClear").unwrap().is_resolved());
+        assert!(!copy.get("glDrawArrays").unwrap().is_resolved());
+        // The copy calls the replacement with no second resolution; the
+        // original still calls its own library.
+        let t0 = k.clock.now_ns();
+        assert_eq!(copy.call(&mut k, &other, tid, "glClear", &[]), Ok(7));
+        assert!(k.clock.now_ns() - t0 < RESOLVE_NS);
+        assert_eq!(copy.stats.resolutions, 1);
+        assert_eq!(lib.call(&mut k, &host, tid, "glClear", &[]), Ok(0));
     }
 }

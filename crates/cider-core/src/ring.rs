@@ -42,7 +42,7 @@ pub struct RingCompletion {
 }
 
 /// A submission/completion queue pair for batched Mach traps.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct TrapRing {
     sq: Vec<(u64, RingOp)>,
     cq: Vec<RingCompletion>,

@@ -91,7 +91,7 @@ pub mod msg_ids {
 
 /// launchd's service-name registry, living in kernel-resident Cider
 /// state so the Mach layer can reach it.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct BootstrapRegistry {
     /// launchd's IPC space.
     pub launchd_space: Option<cider_xnu::ipc::SpaceId>,
@@ -153,7 +153,7 @@ struct RestartState {
 /// launchd-style supervision policy: respawn dead daemons with capped
 /// exponential backoff charged against *virtual* time, giving up after
 /// a fixed restart budget.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Supervisor {
     /// The first respawn waits this long (virtual ns).
     pub backoff_base_ns: u64,
@@ -220,7 +220,7 @@ fn daemon_dead(k: &Kernel, d: Daemon) -> bool {
 }
 
 /// The three service daemons plus their user-space state.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Services {
     /// The bootstrap server.
     pub launchd: Daemon,

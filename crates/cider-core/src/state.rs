@@ -24,7 +24,9 @@ use cider_xnu::psynch::{PsynchOutcome, PsynchState};
 use crate::ring::{RingCompletion, RingOp, TrapRing};
 use crate::services::BootstrapRegistry;
 
-/// All Cider kernel-resident state.
+/// All Cider kernel-resident state. `clone` is deep: no part of it is
+/// shared with the copy.
+#[derive(Clone)]
 pub struct CiderState {
     /// Duct-tape bookkeeping (zones, symbol table, translation stats).
     pub ducttape: DuctTapeState,

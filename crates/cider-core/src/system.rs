@@ -43,6 +43,8 @@ pub const EXCLUDED_IOKIT_OBJECTS: [&str; 2] =
 /// and [`CiderSystem::sync_iokit`]. Genuinely aliased (the registry and
 /// the system both hold it), so a `Mutex` — not a `RefCell`, which
 /// would make `CiderSystem` `!Send` and panic under reentrant borrows.
+/// Being aliased, it is never shared across systems:
+/// [`CiderSystem::fork_device`] gives the copy a recorder of its own.
 #[derive(Debug, Default)]
 struct NubRecorder {
     pending: Mutex<Vec<KernelDevice>>,
@@ -262,6 +264,39 @@ impl CiderSystem {
         sys
     }
 
+    /// A deep copy of this system: a second device in exactly this
+    /// state (see [`Kernel::fork_device`] for what the kernel shares).
+    ///
+    /// The copy gets its own device-registry recorder, attached to its
+    /// own kernel, holding a copy of this one's pending devices. The
+    /// library host and the diplomats are copied, but the functions
+    /// they hold are shared; a layer whose exports capture state of
+    /// their own registers fresh ones on the copy with
+    /// [`CiderSystem::register_library`], which binds the copied
+    /// diplomats to them.
+    pub fn fork_device(&self) -> CiderSystem {
+        let mut kernel = self.kernel.fork_device();
+        let pending = self
+            .nub_recorder
+            .pending
+            .lock()
+            .expect("device hooks never panic")
+            .clone();
+        let nub_recorder = Arc::new(NubRecorder {
+            pending: Mutex::new(pending),
+        });
+        kernel.devices.attach_hook(nub_recorder.clone());
+        CiderSystem {
+            kernel,
+            xnu_personality: self.xnu_personality,
+            services: self.services.clone(),
+            host: self.host.clone(),
+            diplomatic: self.diplomatic.clone(),
+            kernel_task: self.kernel_task,
+            nub_recorder,
+        }
+    }
+
     /// Registers a kernel device: a Linux device node appears in the VFS
     /// and — through the `device_add` hook — an I/O Kit device-class
     /// registry entry is published for matching.
@@ -375,8 +410,13 @@ impl CiderSystem {
     }
 
     /// Registers a domestic runtime library for diplomats to resolve.
+    /// Replacing a library binds the diplomats that cached one of its
+    /// functions again, to the replacement's.
     pub fn register_library(&mut self, lib: NativeLibrary) {
         self.host.register(lib);
+        for diplomatic in self.diplomatic.values_mut() {
+            diplomatic.relink(&self.host);
+        }
     }
 
     /// Installs a diplomatic library.

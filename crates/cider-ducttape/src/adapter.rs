@@ -34,7 +34,7 @@ const ADAPT_NS: u64 = 12;
 
 /// Persistent duct-tape state: zone bookkeeping that outlives individual
 /// trap handlers.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct DuctTapeState {
     next_lock: u64,
     locked: BTreeMap<u64, bool>,

@@ -26,7 +26,7 @@ pub struct KernelObject {
 }
 
 /// The C++ runtime Cider adds to the Linux kernel.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct CxxRuntime {
     obj_y: Vec<KernelObject>,
 }
@@ -69,7 +69,7 @@ impl CxxRuntime {
         symbols: &mut SymbolTable,
         class_name: &str,
         zone: Zone,
-        factory: Box<dyn Fn() -> Box<dyn IoDriver> + Send + Sync>,
+        factory: impl Fn() -> Box<dyn IoDriver> + Send + Sync + 'static,
     ) {
         // A driver class name may legitimately already exist if the
         // object defining it was compiled first.
@@ -117,6 +117,9 @@ mod tests {
         ) -> KernResult<(Vec<u64>, Vec<u8>)> {
             Err(KernReturn::MigBadId)
         }
+        fn clone_box(&self) -> Box<dyn IoDriver> {
+            Box::new(NullDriver)
+        }
     }
 
     #[test]
@@ -157,7 +160,7 @@ mod tests {
             &mut st.symbols,
             "NullDriver",
             Zone::Domestic,
-            Box::new(|| Box::new(NullDriver)),
+            || Box::new(NullDriver),
         );
         assert!(iokit.meta.instantiate("NullDriver").is_some());
         assert_eq!(st.symbols.zone_of("NullDriver"), Some(Zone::Domestic));

@@ -96,7 +96,7 @@ pub struct ImportReport {
 }
 
 /// The kernel-wide symbol table with zone tags.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct SymbolTable {
     symbols: BTreeMap<String, Zone>,
     /// foreign original name → remapped unique name.

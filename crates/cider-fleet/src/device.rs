@@ -19,7 +19,7 @@
 //! copy of the ring and no string per event.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Once;
+use std::sync::{Mutex, Once, OnceLock};
 
 use cider_abi::ids::{Pid, Tid};
 use cider_bench::apps;
@@ -122,6 +122,35 @@ fn fingerprint_metrics(h: &mut Fnv1a, metrics: &Metrics) {
     }
 }
 
+/// A booted configuration every device of that configuration forks
+/// from: the traced bed with the measured process spawned, before any
+/// fault plan is armed.
+struct Zygote {
+    bed: TestBed,
+    pid: Pid,
+    tid: Tid,
+}
+
+impl Zygote {
+    fn boot(config: SystemConfig) -> Zygote {
+        let mut bed = TestBed::builder(config).traced().build();
+        let (pid, tid) = bed.spawn_measured().expect("bench binary installed");
+        Zygote { bed, pid, tid }
+    }
+}
+
+/// The zygote of `config`, booted on first use and shared by every host
+/// thread of the process.
+fn zygote(config: SystemConfig) -> &'static Mutex<Zygote> {
+    static ZYGOTES: [OnceLock<Mutex<Zygote>>; 4] =
+        [const { OnceLock::new() }; 4];
+    let slot = SystemConfig::ALL
+        .iter()
+        .position(|&c| c == config)
+        .expect("every configuration is in ALL");
+    ZYGOTES[slot].get_or_init(|| Mutex::new(Zygote::boot(config)))
+}
+
 /// One device broken into unit-sized steps.
 ///
 /// The sim is a pure function of its spec: booting twice and stepping
@@ -148,9 +177,33 @@ impl DeviceSim {
     /// fault plan. Faults arm after the measured process boots: they
     /// target the device's workload, not the harness, so every device
     /// produces a ledger instead of dying in setup.
+    ///
+    /// Everything before the fault plan depends only on the
+    /// configuration, so it is booted once per process (the zygote) and
+    /// every device starts as a [`TestBed::fork_device`] of it.
     pub fn boot(spec: &DeviceSpec) -> DeviceSim {
-        let mut bed = TestBed::builder(spec.config).traced().build();
-        let (pid, tid) = bed.spawn_measured().expect("bench binary installed");
+        let (bed, pid, tid) = {
+            let z = zygote(spec.config)
+                .lock()
+                .expect("forking never panics while holding the zygote");
+            (z.bed.fork_device(), z.pid, z.tid)
+        };
+        DeviceSim::from_bed(spec, bed, pid, tid)
+    }
+
+    /// Wraps a booted bed of `spec.config` whose measured process is
+    /// `(pid, tid)`, and arms the spec's fault plan on it.
+    /// [`DeviceSim::boot`] hands it a fork of the zygote; a bed booted
+    /// afresh the way the zygote is
+    /// (`TestBed::builder(config).traced().build()`, then
+    /// `spawn_measured`) makes the same device, which is how the fork
+    /// is checked.
+    pub fn from_bed(
+        spec: &DeviceSpec,
+        mut bed: TestBed,
+        pid: Pid,
+        tid: Tid,
+    ) -> DeviceSim {
         if let Some(plan) = &spec.fault_plan {
             bed.sys.kernel.faults = FaultLayer::with_plan(plan.clone());
         }

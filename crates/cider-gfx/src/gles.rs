@@ -25,7 +25,7 @@ pub const GL_DISPATCH_NS: u64 = 1_200;
 pub struct ContextId(pub u64);
 
 /// GL state for one context.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct GlesContext {
     /// Attached window surface.
     pub surface: Option<SurfaceId>,
@@ -48,7 +48,7 @@ pub struct GlesContext {
 }
 
 /// The EGL implementation: contexts + window binding + swap.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Egl {
     contexts: BTreeMap<u64, GlesContext>,
     next: u64,

@@ -50,7 +50,7 @@ pub const FENCE_BUG_STALL_NS: u64 = 120_000;
 pub const FENCE_TIMEOUT_NS: u64 = 4_000_000;
 
 /// The simulated GPU.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SimGpu {
     queue: VecDeque<GpuCommand>,
     next_fence: u64,

@@ -33,7 +33,7 @@ impl PixelFormat {
 }
 
 /// One graphics buffer.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct GraphicsBuffer {
     /// Handle.
     pub id: BufferId,
@@ -60,7 +60,7 @@ impl GraphicsBuffer {
 }
 
 /// The allocator.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Gralloc {
     buffers: BTreeMap<u64, GraphicsBuffer>,
     next: u64,

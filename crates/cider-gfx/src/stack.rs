@@ -21,8 +21,10 @@ use crate::gpu::SimGpu;
 use crate::gralloc::{BufferId, Gralloc, PixelFormat};
 use crate::surfaceflinger::SurfaceFlinger;
 
-/// The graphics stack.
-#[derive(Debug, Default)]
+/// The graphics stack. `clone` copies all of it; the library export
+/// closures are bound to one [`SharedGfx`] handle, so a copy serves a
+/// system only after [`register_gfx_libraries`] binds them to it.
+#[derive(Debug, Clone, Default)]
 pub struct GfxStack {
     /// The GPU.
     pub gpu: SimGpu,
@@ -570,6 +572,18 @@ pub struct GfxInstallReport {
     pub fence_bug: bool,
 }
 
+/// Registers the four domestic graphics libraries (`libGLESv2.so`,
+/// `libEGL.so`, `libgralloc.so`, `libEGLbridge.so`) with their exports
+/// bound to `gfx`, replacing any already registered. A forked system
+/// calls this with its own copy of the stack, so no export of the copy
+/// reaches the original's.
+pub fn register_gfx_libraries(sys: &mut CiderSystem, gfx: &SharedGfx) {
+    sys.register_library(build_libglesv2(gfx));
+    sys.register_library(build_libegl(gfx));
+    sys.register_library(build_libgralloc(gfx));
+    sys.register_library(build_libeglbridge(gfx));
+}
+
 /// Installs the full graphics stack into a Cider system and returns the
 /// shared stack plus a report.
 pub fn install_gfx(
@@ -577,11 +591,7 @@ pub fn install_gfx(
     config: GfxConfig,
 ) -> (SharedGfx, GfxInstallReport) {
     let gfx: SharedGfx = Arc::new(Mutex::new(GfxStack::new()));
-
-    sys.register_library(build_libglesv2(&gfx));
-    sys.register_library(build_libegl(&gfx));
-    sys.register_library(build_libgralloc(&gfx));
-    sys.register_library(build_libeglbridge(&gfx));
+    register_gfx_libraries(sys, &gfx);
 
     // The generation script: match the iOS OpenGLES exports against the
     // domestic libraries.

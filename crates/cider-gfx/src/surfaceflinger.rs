@@ -15,7 +15,7 @@ use crate::gralloc::{BufferId, Gralloc, PixelFormat};
 pub struct SurfaceId(pub u64);
 
 /// One client window surface: double-buffered window memory.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Surface {
     /// Handle.
     pub id: SurfaceId,
@@ -34,7 +34,7 @@ pub struct Surface {
 }
 
 /// The compositor service.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct SurfaceFlinger {
     surfaces: BTreeMap<u64, Surface>,
     next: u64,

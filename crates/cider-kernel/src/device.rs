@@ -89,6 +89,25 @@ impl DeviceRegistry {
         Ok(id)
     }
 
+    /// A copy of the device table with no hooks: a hook belongs to the
+    /// system that installed it, which installs its own on the copy
+    /// with [`DeviceRegistry::attach_hook`].
+    pub fn fork_without_hooks(&self) -> DeviceRegistry {
+        DeviceRegistry {
+            devices: self.devices.clone(),
+            hooks: Vec::new(),
+            next_id: self.next_id,
+        }
+    }
+
+    /// Installs a hook that observes only devices added from now on —
+    /// for an observer whose owner already accounts for the devices
+    /// present (a forked device table, see
+    /// [`DeviceRegistry::fork_without_hooks`]).
+    pub fn attach_hook(&mut self, hook: Arc<dyn DeviceAddHook>) {
+        self.hooks.push(hook);
+    }
+
     /// Installs a hook; it immediately observes all existing devices.
     pub fn add_hook(&mut self, hook: Arc<dyn DeviceAddHook>) {
         for dev in &self.devices {

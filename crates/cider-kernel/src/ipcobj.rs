@@ -35,7 +35,7 @@ pub struct SocketEnd {
     pub side: u8,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct PipeObject {
     buf: VecDeque<u8>,
     // Descriptor reference counts per end: `dup` and `fork` both create
@@ -48,7 +48,7 @@ struct PipeObject {
 /// Default pipe capacity (64 KiB, as on Linux).
 pub const PIPE_CAPACITY: usize = 65536;
 
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct SocketObject {
     // buf[i] holds data travelling *towards* side i.
     buf: [VecDeque<u8>; 2],
@@ -57,7 +57,7 @@ struct SocketObject {
 }
 
 /// Kernel table of live pipes and socketpairs.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct IpcObjects {
     pipes: BTreeMap<u64, PipeObject>,
     sockets: BTreeMap<u64, SocketObject>,

@@ -58,9 +58,29 @@ pub type ProgramBehavior = Arc<dyn Fn(&mut Kernel, Tid) -> i32 + Send + Sync>;
 /// (Cider) compile into the kernel. Handlers `take` their state out,
 /// operate with both the state and the kernel borrowed, and `insert` it
 /// back.
+///
+/// Each entry keeps the clone function of its type, recorded at
+/// `insert`, so [`Extensions::fork`] can copy values it only knows as
+/// `dyn Any`.
 #[derive(Default)]
 pub struct Extensions {
-    map: HashMap<std::any::TypeId, Box<dyn std::any::Any + Send>>,
+    map: HashMap<std::any::TypeId, Extension>,
+}
+
+struct Extension {
+    value: Box<dyn std::any::Any + Send>,
+    clone_fn: fn(&(dyn std::any::Any + Send)) -> Box<dyn std::any::Any + Send>,
+}
+
+fn clone_extension<T: Clone + Send + 'static>(
+    value: &(dyn std::any::Any + Send),
+) -> Box<dyn std::any::Any + Send> {
+    Box::new(
+        value
+            .downcast_ref::<T>()
+            .expect("entry stored under its own TypeId")
+            .clone(),
+    )
 }
 
 impl std::fmt::Debug for Extensions {
@@ -71,16 +91,21 @@ impl std::fmt::Debug for Extensions {
 
 impl Extensions {
     /// Stores a value, replacing any previous value of the same type.
-    pub fn insert<T: Send + 'static>(&mut self, value: T) {
-        self.map
-            .insert(std::any::TypeId::of::<T>(), Box::new(value));
+    pub fn insert<T: Clone + Send + 'static>(&mut self, value: T) {
+        self.map.insert(
+            std::any::TypeId::of::<T>(),
+            Extension {
+                value: Box::new(value),
+                clone_fn: clone_extension::<T>,
+            },
+        );
     }
 
     /// Removes and returns the value of type `T`.
     pub fn take<T: 'static>(&mut self) -> Option<T> {
         self.map
             .remove(&std::any::TypeId::of::<T>())
-            .and_then(|b| b.downcast::<T>().ok())
+            .and_then(|e| e.value.downcast::<T>().ok())
             .map(|b| *b)
     }
 
@@ -88,14 +113,29 @@ impl Extensions {
     pub fn get<T: 'static>(&self) -> Option<&T> {
         self.map
             .get(&std::any::TypeId::of::<T>())
-            .and_then(|b| b.downcast_ref::<T>())
+            .and_then(|e| e.value.downcast_ref::<T>())
     }
 
     /// Mutably borrows the value of type `T`.
     pub fn get_mut<T: 'static>(&mut self) -> Option<&mut T> {
         self.map
             .get_mut(&std::any::TypeId::of::<T>())
-            .and_then(|b| b.downcast_mut::<T>())
+            .and_then(|e| e.value.downcast_mut::<T>())
+    }
+
+    /// A deep copy: every value cloned through its own type's `Clone`.
+    pub fn fork(&self) -> Extensions {
+        Extensions {
+            map: self
+                .map
+                .iter()
+                .map(|(&id, e)| {
+                    let value = (e.clone_fn)(e.value.as_ref());
+                    let clone_fn = e.clone_fn;
+                    (id, Extension { value, clone_fn })
+                })
+                .collect(),
+        }
     }
 }
 
@@ -254,6 +294,55 @@ impl Kernel {
         k.vfs.mkdir_p("/dev").expect("fresh fs");
         k.vfs.mkdir_p("/tmp").expect("fresh fs");
         k
+    }
+
+    /// A deep copy of this kernel: a second device in exactly this
+    /// state, which then runs independently of the first.
+    ///
+    /// Only what is never mutated after boot is shared: the
+    /// personalities, binary-format loaders, fork hooks and program
+    /// behaviours. Everything else is copied — processes, threads (with
+    /// their extension state), the VFS, the clock, the scheduler, the
+    /// fault streams, and every extension through the clone function it
+    /// was inserted with. The trace sink is a [`TraceSink::fork`]: the
+    /// ring and metrics are copied, not shared as `clone` would. Device
+    /// hooks are not copied (see [`DeviceRegistry::fork_without_hooks`]);
+    /// the system that installed them attaches its own to the copy.
+    pub fn fork_device(&self) -> Kernel {
+        Kernel {
+            clock: self.clock.clone(),
+            profile: self.profile.clone(),
+            vfs: self.vfs.clone(),
+            ipc: self.ipc.clone(),
+            devices: self.devices.fork_without_hooks(),
+            counters: self.counters,
+            extensions: self.extensions.fork(),
+            trace: self.trace.fork(),
+            faults: self.faults.clone(),
+            sched: self.sched.clone(),
+            warm: self.warm.clone(),
+            memorystatus: self.memorystatus.clone(),
+            deferred_wakeups: self.deferred_wakeups.clone(),
+            procs: self.procs.clone(),
+            threads: self.threads.clone(),
+            next_pid: self.next_pid,
+            next_tid: self.next_tid,
+            next_wait_channel: self.next_wait_channel,
+            personalities: self.personalities.clone(),
+            binfmts: self.binfmts.clone(),
+            fork_hooks: self.fork_hooks.clone(),
+            programs: self.programs.clone(),
+            current: self.current,
+            cider_enabled: self.cider_enabled,
+            linux_personality: self.linux_personality,
+            // Pooled buffers keep their capacity, so the copy's traps
+            // allocate exactly where the original's would.
+            scratch: self
+                .scratch
+                .iter()
+                .map(|b| Vec::with_capacity(b.capacity()))
+                .collect(),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -2848,7 +2937,7 @@ mod tests {
 
     #[test]
     fn extensions_store_typed_state() {
-        #[derive(Debug, PartialEq)]
+        #[derive(Debug, Clone, PartialEq)]
         struct Marker(u32);
         let mut k = kernel();
         assert!(k.extensions.get::<Marker>().is_none());
@@ -2862,6 +2951,33 @@ mod tests {
         k.extensions.insert(Marker(1));
         k.extensions.insert(Marker(2));
         assert_eq!(k.extensions.get::<Marker>(), Some(&Marker(2)));
+    }
+
+    #[test]
+    fn fork_device_copies_state_and_shares_nothing_mutable() {
+        #[derive(Debug, Clone, PartialEq)]
+        struct Marker(u32);
+        let mut k = kernel();
+        k.trace = TraceSink::enabled(16);
+        k.extensions.insert(Marker(1));
+        let (pid, tid) = k.spawn_process();
+        k.sys_write(tid, Fd::STDOUT, b"boot").unwrap();
+        let mut fork = k.fork_device();
+        assert_eq!(fork.clock.now_ns(), k.clock.now_ns());
+        assert_eq!(fork.console_of(pid).unwrap(), b"boot");
+        // Mutate every copied part of the fork.
+        fork.sys_write(tid, Fd::STDOUT, b" fork").unwrap();
+        fork.vfs.write_file("/tmp/f", b"x".to_vec()).unwrap();
+        fork.extensions.get_mut::<Marker>().unwrap().0 = 2;
+        fork.trace.incr("fork/only");
+        fork.spawn_process();
+        // The original saw none of it.
+        assert_eq!(k.console_of(pid).unwrap(), b"boot");
+        assert!(!k.vfs.exists("/tmp/f"));
+        assert_eq!(k.extensions.get::<Marker>(), Some(&Marker(1)));
+        assert_eq!(k.trace.counter("fork/only"), 0);
+        assert!(k.process(Pid(2)).is_err());
+        assert!(fork.clock.now_ns() > k.clock.now_ns());
     }
 
     #[test]

@@ -132,7 +132,9 @@ impl AddressSpace {
     ///
     /// # Errors
     ///
-    /// Returns `ENOMEM` if `len` is zero (nothing to map).
+    /// Returns `ENOMEM` if `len` is zero (nothing to map) or if the
+    /// page-rounded mapping and its guard page do not fit below the top
+    /// of the address space.
     pub fn map(
         &mut self,
         len: u64,
@@ -143,9 +145,15 @@ impl AddressSpace {
         if len == 0 {
             return Err(Errno::ENOMEM);
         }
-        let len = len.div_ceil(PAGE_SIZE) * PAGE_SIZE;
+        let len = len
+            .div_ceil(PAGE_SIZE)
+            .checked_mul(PAGE_SIZE)
+            .ok_or(Errno::ENOMEM)?;
         let start = self.next_free;
-        self.next_free += len + PAGE_SIZE; // guard page
+        self.next_free = start
+            .checked_add(len)
+            .and_then(|end| end.checked_add(PAGE_SIZE)) // guard page
+            .ok_or(Errno::ENOMEM)?;
         self.maps.insert(
             start,
             Mapping {
@@ -368,6 +376,25 @@ mod tests {
             a.map(0, Prot::RW, MappingKind::Anonymous, "x"),
             Err(Errno::ENOMEM)
         );
+    }
+
+    #[test]
+    fn map_past_the_top_of_the_address_space_fails() {
+        let mut a = AddressSpace::new();
+        // Page rounding of a length near u64::MAX overflows.
+        assert_eq!(
+            a.map(u64::MAX, Prot::RW, MappingKind::Anonymous, "x"),
+            Err(Errno::ENOMEM)
+        );
+        // A length that rounds but no longer fits above `next_free`.
+        assert_eq!(
+            a.map(u64::MAX - PAGE_SIZE, Prot::RW, MappingKind::Anonymous, "x"),
+            Err(Errno::ENOMEM)
+        );
+        // Failed maps change nothing; the next one lands where it would.
+        let start = a.map(1, Prot::RW, MappingKind::Anonymous, "y").unwrap();
+        assert_eq!(start, AddressSpace::new().next_free);
+        assert_eq!(a.total_ptes(), 1);
     }
 
     #[test]

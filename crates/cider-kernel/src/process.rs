@@ -76,6 +76,23 @@ pub struct DeliveredSignal {
     pub frame_bytes: usize,
 }
 
+impl Clone for Thread {
+    /// An exact copy, extension state included (through
+    /// [`ThreadExt::clone_ext`]); `fork` uses [`Thread::fork_clone`].
+    fn clone(&self) -> Thread {
+        Thread {
+            tid: self.tid,
+            pid: self.pid,
+            state: self.state,
+            personality: self.personality,
+            sigmask: self.sigmask,
+            pending: self.pending.clone(),
+            delivered: self.delivered.clone(),
+            ext: self.ext.as_ref().map(|e| e.clone_ext()),
+        }
+    }
+}
+
 impl Thread {
     pub(crate) fn fork_clone(&self, tid: Tid, pid: Pid) -> Thread {
         Thread {
@@ -159,7 +176,7 @@ pub struct ProgramInfo {
 }
 
 /// One process.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Process {
     /// Process id.
     pub pid: Pid,

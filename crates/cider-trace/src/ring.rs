@@ -7,7 +7,7 @@ use crate::event::TraceEvent;
 /// A bounded event trace. When full, the oldest events are overwritten
 /// (like `ktrace`/`ftrace` ring buffers), and the drop count records how
 /// much history was lost.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct TraceBuffer {
     slots: Vec<TraceEvent>,
     capacity: usize,
@@ -15,6 +15,22 @@ pub struct TraceBuffer {
     head: usize,
     /// Events recorded over the buffer's lifetime.
     total: u64,
+}
+
+impl Clone for TraceBuffer {
+    /// Copies the retained events, the write position and the lifetime
+    /// count, and keeps the preallocated slot capacity: the copy records
+    /// without reallocating wherever the original would not.
+    fn clone(&self) -> TraceBuffer {
+        let mut slots = Vec::with_capacity(self.slots.capacity());
+        slots.extend_from_slice(&self.slots);
+        TraceBuffer {
+            slots,
+            capacity: self.capacity,
+            head: self.head,
+            total: self.total,
+        }
+    }
 }
 
 impl TraceBuffer {

@@ -80,6 +80,24 @@ impl TraceSink {
         TraceSink::enabled(DEFAULT_CAPACITY)
     }
 
+    /// An independent sink holding a copy of everything this one has
+    /// collected: the ring (retained events, write position, lifetime
+    /// count and slot capacity) and the metrics registry. Recording
+    /// into either afterwards never shows in the other. `clone`, by
+    /// contrast, returns a second handle onto the same state.
+    pub fn fork(&self) -> TraceSink {
+        TraceSink {
+            state: self.state.as_ref().map(|state| {
+                let state = state.lock().unwrap();
+                Arc::new(Mutex::new(TraceState {
+                    buffer: state.buffer.clone(),
+                    metrics: state.metrics.clone(),
+                    name: String::with_capacity(state.name.capacity()),
+                }))
+            }),
+        }
+    }
+
     /// Whether this handle records anything.
     pub fn is_enabled(&self) -> bool {
         self.state.is_some()
@@ -262,6 +280,35 @@ mod tests {
         let other = sink.clone();
         other.incr("shared");
         assert_eq!(sink.counter("shared"), 1);
+    }
+
+    #[test]
+    fn forks_copy_state_and_diverge() {
+        let sink = TraceSink::enabled(2);
+        for ts in 0..3 {
+            sink.record(
+                TraceContext::kernel(ts),
+                EventKind::Mark { label: "m".into() },
+            );
+        }
+        sink.incr("c");
+        let fork = sink.fork();
+        assert_eq!(
+            format!("{:?}", fork.snapshot()),
+            format!("{:?}", sink.snapshot())
+        );
+        fork.incr("c");
+        fork.record(
+            TraceContext::kernel(9),
+            EventKind::Mark { label: "f".into() },
+        );
+        assert_eq!((sink.counter("c"), fork.counter("c")), (1, 2));
+        let stamps = |s: &TraceSink| -> Vec<u64> {
+            let snap = s.snapshot().unwrap();
+            snap.events.iter().map(|e| e.ctx.ts_ns).collect()
+        };
+        assert_eq!((stamps(&sink), stamps(&fork)), (vec![1, 2], vec![2, 9]));
+        assert!(!TraceSink::disabled().fork().is_enabled());
     }
 
     #[test]

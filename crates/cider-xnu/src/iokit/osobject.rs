@@ -30,7 +30,7 @@ pub enum OsValue {
 }
 
 /// The object arena with retain counts.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct OsArena {
     objects: HashMap<u64, (OsValue, u32)>,
     next: u64,

@@ -9,6 +9,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::iokit::osobject::{OsArena, OsId, OsValue};
 use crate::kern_return::{KernResult, KernReturn};
@@ -42,7 +43,15 @@ pub trait IoDriver: Send {
         input: &[u64],
         in_data: &[u8],
     ) -> KernResult<(Vec<u64>, Vec<u8>)>;
+
+    /// A copy of this instance with its own state, for a copied
+    /// registry (`IoKit`'s `Clone`).
+    fn clone_box(&self) -> Box<dyn IoDriver>;
 }
+
+/// An `OSMetaClass` constructor. It captures nothing mutable, so forked
+/// registries share it.
+pub type DriverFactory = Arc<dyn Fn() -> Box<dyn IoDriver> + Send + Sync>;
 
 /// One registry entry (device nub or driver instance).
 pub struct RegistryEntry {
@@ -60,6 +69,20 @@ pub struct RegistryEntry {
     pub children: Vec<EntryId>,
     /// Attached driver instance, if this entry is a started driver.
     pub driver: Option<Box<dyn IoDriver>>,
+}
+
+impl Clone for RegistryEntry {
+    fn clone(&self) -> RegistryEntry {
+        RegistryEntry {
+            id: self.id,
+            class_name: self.class_name.clone(),
+            name: self.name.clone(),
+            properties: self.properties,
+            parent: self.parent,
+            children: self.children.clone(),
+            driver: self.driver.as_ref().map(|d| d.clone_box()),
+        }
+    }
 }
 
 impl fmt::Debug for RegistryEntry {
@@ -90,10 +113,9 @@ pub struct MatchRule {
 
 /// `OSMetaClass`: the class registry the in-kernel C++ runtime maintains,
 /// used to instantiate driver objects by name.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct OsMetaClass {
-    factories:
-        BTreeMap<String, Box<dyn Fn() -> Box<dyn IoDriver> + Send + Sync>>,
+    factories: BTreeMap<String, DriverFactory>,
 }
 
 impl fmt::Debug for OsMetaClass {
@@ -109,9 +131,9 @@ impl OsMetaClass {
     pub fn register_class(
         &mut self,
         name: impl Into<String>,
-        factory: Box<dyn Fn() -> Box<dyn IoDriver> + Send + Sync>,
+        factory: impl Fn() -> Box<dyn IoDriver> + Send + Sync + 'static,
     ) {
-        self.factories.insert(name.into(), factory);
+        self.factories.insert(name.into(), Arc::new(factory));
     }
 
     /// Instantiates a class by name.
@@ -125,13 +147,17 @@ impl OsMetaClass {
     }
 }
 
+#[derive(Clone)]
 struct UserClient {
     entry: EntryId,
     calls: u64,
 }
 
 /// The I/O Kit subsystem: registry + matching + user clients.
-#[derive(Default)]
+///
+/// `clone` is deep: every attached driver is copied through
+/// [`IoDriver::clone_box`]; only the class constructors are shared.
+#[derive(Clone, Default)]
 pub struct IoKit {
     /// Property-object arena.
     pub arena: OsArena,
@@ -426,14 +452,18 @@ mod tests {
                 _ => Err(KernReturn::MigBadId),
             }
         }
+        fn clone_box(&self) -> Box<dyn IoDriver> {
+            Box::new(TestDriver {
+                started: self.started,
+            })
+        }
     }
 
     fn iokit_with_driver() -> IoKit {
         let mut k = IoKit::new();
-        k.meta.register_class(
-            "TestDriver",
-            Box::new(|| Box::new(TestDriver { started: false })),
-        );
+        k.meta.register_class("TestDriver", || {
+            Box::new(TestDriver { started: false })
+        });
         k.register_personality(MatchRule {
             driver_class: "TestDriver".into(),
             provider_class: "IODisplayNub".into(),
@@ -464,10 +494,9 @@ mod tests {
         let mut k = IoKit::new();
         k.publish_nub("IODisplayNub", "fb0", &[]);
         assert_eq!(k.matches_made, 0);
-        k.meta.register_class(
-            "TestDriver",
-            Box::new(|| Box::new(TestDriver { started: false })),
-        );
+        k.meta.register_class("TestDriver", || {
+            Box::new(TestDriver { started: false })
+        });
         k.register_personality(MatchRule {
             driver_class: "TestDriver".into(),
             provider_class: "IODisplayNub".into(),
@@ -480,10 +509,9 @@ mod tests {
     #[test]
     fn name_match_filters() {
         let mut k = IoKit::new();
-        k.meta.register_class(
-            "TestDriver",
-            Box::new(|| Box::new(TestDriver { started: false })),
-        );
+        k.meta.register_class("TestDriver", || {
+            Box::new(TestDriver { started: false })
+        });
         k.register_personality(MatchRule {
             driver_class: "TestDriver".into(),
             provider_class: "IODisplayNub".into(),

@@ -25,7 +25,7 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Entry<T> {
     stamp: u64,
     seq: u64,
@@ -37,6 +37,17 @@ struct Entry<T> {
 pub struct LockFreeQueue<T> {
     entries: VecDeque<Entry<T>>,
     next_seq: AtomicU64,
+}
+
+impl<T: Clone> Clone for LockFreeQueue<T> {
+    /// Copies the entries and the sequence counter: the copy claims the
+    /// same sequence numbers the original would claim next.
+    fn clone(&self) -> LockFreeQueue<T> {
+        LockFreeQueue {
+            entries: self.entries.clone(),
+            next_seq: AtomicU64::new(self.next_seq.load(Ordering::Relaxed)),
+        }
+    }
 }
 
 impl<T> LockFreeQueue<T> {

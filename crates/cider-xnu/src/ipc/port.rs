@@ -96,6 +96,12 @@ impl RightCount {
     }
 }
 
+impl Clone for RightCount {
+    fn clone(&self) -> RightCount {
+        RightCount::new(self.get())
+    }
+}
+
 impl PartialEq<u32> for RightCount {
     fn eq(&self, other: &u32) -> bool {
         self.get() == *other
@@ -111,7 +117,7 @@ impl PartialEq for RightCount {
 impl Eq for RightCount {}
 
 /// A Mach port: one receive right, counted send rights, a message queue.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Port {
     /// Global id.
     pub id: PortId,

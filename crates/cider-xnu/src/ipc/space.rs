@@ -21,7 +21,7 @@ pub struct NameEntry {
 }
 
 /// A task's IPC space.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct IpcSpace {
     /// Space id.
     pub id: SpaceId,

@@ -64,7 +64,7 @@ pub struct IpcStats {
 }
 
 /// The Mach IPC subsystem state.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MachIpc {
     ports: BTreeMap<u64, Port>,
     spaces: BTreeMap<u64, IpcSpace>,

@@ -28,7 +28,7 @@ pub enum PsynchOutcome {
     Blocked,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct KernelMutex {
     owner: Option<ForeignThread>,
     waiters: XnuQueue<ForeignThread>,
@@ -36,13 +36,13 @@ struct KernelMutex {
     lseq: u32,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct KernelCondvar {
     waiters: XnuQueue<ForeignThread>,
     cseq: u32,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct KernelSemaphore {
     count: i32,
     waiters: XnuQueue<ForeignThread>,
@@ -50,7 +50,7 @@ struct KernelSemaphore {
 
 /// The psynch state tables, keyed by user-space object addresses exactly
 /// as XNU keys them.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct PsynchState {
     mutexes: BTreeMap<u64, KernelMutex>,
     condvars: BTreeMap<u64, KernelCondvar>,
@@ -60,6 +60,13 @@ pub struct PsynchState {
 const MTX_EVENT_BASE: u64 = 0x2000_0000;
 const CV_EVENT_BASE: u64 = 0x3000_0000;
 const SEM_EVENT_BASE: u64 = 0x4000_0000;
+
+/// The wait event of the psynch object at user address `addr` in the
+/// object class starting at `base`. User space picks the address, so the
+/// sum wraps instead of overflowing: a trap cannot panic the kernel.
+fn event(base: u64, addr: u64) -> Event {
+    Event(base.wrapping_add(addr))
+}
 
 impl PsynchState {
     /// Empty tables.
@@ -93,7 +100,7 @@ impl PsynchState {
             }
             Some(_) => {
                 m.waiters.enqueue_tail(me);
-                api.assert_wait(Event(MTX_EVENT_BASE + addr));
+                api.assert_wait(event(MTX_EVENT_BASE, addr));
                 match api.thread_block() {
                     WaitResult::Awakened => PsynchOutcome::Acquired,
                     _ => PsynchOutcome::Blocked,
@@ -124,7 +131,7 @@ impl PsynchState {
         m.owner = m.waiters.dequeue_head();
         if m.owner.is_some() {
             m.lseq += 1;
-            api.thread_wakeup(Event(MTX_EVENT_BASE + addr));
+            api.thread_wakeup(event(MTX_EVENT_BASE, addr));
         }
         Ok(())
     }
@@ -162,7 +169,7 @@ impl PsynchState {
         self.mutexdrop(api, mutex_addr)?;
         let cv = self.condvars.entry(cv_addr).or_default();
         cv.waiters.enqueue_tail(me);
-        api.assert_wait(Event(CV_EVENT_BASE + cv_addr));
+        api.assert_wait(event(CV_EVENT_BASE, cv_addr));
         match api.thread_block() {
             WaitResult::Awakened => Ok(PsynchOutcome::Acquired),
             _ => Ok(PsynchOutcome::Blocked),
@@ -178,7 +185,7 @@ impl PsynchState {
         let cv = self.condvars.get_mut(&cv_addr)?;
         let woken = cv.waiters.dequeue_head()?;
         cv.cseq += 1;
-        api.thread_wakeup(Event(CV_EVENT_BASE + cv_addr));
+        api.thread_wakeup(event(CV_EVENT_BASE, cv_addr));
         Some(woken)
     }
 
@@ -197,7 +204,7 @@ impl PsynchState {
         }
         if n > 0 {
             cv.cseq += 1;
-            api.thread_wakeup(Event(CV_EVENT_BASE + cv_addr));
+            api.thread_wakeup(event(CV_EVENT_BASE, cv_addr));
         }
         n
     }
@@ -245,7 +252,7 @@ impl PsynchState {
             Ok(PsynchOutcome::Acquired)
         } else {
             s.waiters.enqueue_tail(me);
-            api.assert_wait(Event(SEM_EVENT_BASE + addr));
+            api.assert_wait(event(SEM_EVENT_BASE, addr));
             match api.thread_block() {
                 WaitResult::Awakened => Ok(PsynchOutcome::Acquired),
                 _ => Ok(PsynchOutcome::Blocked),
@@ -268,7 +275,7 @@ impl PsynchState {
             .get_mut(&addr)
             .ok_or(KernReturn::InvalidArgument)?;
         if s.waiters.dequeue_head().is_some() {
-            api.thread_wakeup(Event(SEM_EVENT_BASE + addr));
+            api.thread_wakeup(event(SEM_EVENT_BASE, addr));
         } else {
             s.count += 1;
         }
@@ -435,6 +442,39 @@ mod tests {
         // Signal with no waiters increments.
         ps.semaphore_signal(&mut api, SEM).unwrap();
         assert_eq!(ps.semaphore_count(SEM), Some(1));
+    }
+
+    #[test]
+    fn objects_at_the_top_of_the_address_space_do_not_overflow() {
+        // User space chooses the addresses; every wait and wakeup on an
+        // object near u64::MAX must park and hand off, not panic.
+        let mut api = MockForeignKernel::new();
+        let mut ps = PsynchState::new();
+        let (m, cv, sem) = (u64::MAX, u64::MAX - 1, u64::MAX - 2);
+        api.thread = ForeignThread(1);
+        assert_eq!(ps.mutexwait(&mut api, m), PsynchOutcome::Acquired);
+        api.thread = ForeignThread(2);
+        assert_eq!(ps.mutexwait(&mut api, m), PsynchOutcome::Blocked);
+        api.thread = ForeignThread(1);
+        ps.mutexdrop(&mut api, m).unwrap();
+        assert_eq!(ps.mutex_owner(m), Some(ForeignThread(2)));
+        for t in [2, 3] {
+            api.thread = ForeignThread(t);
+            ps.mutexwait(&mut api, m);
+            assert_eq!(
+                ps.cvwait(&mut api, cv, m).unwrap(),
+                PsynchOutcome::Blocked
+            );
+        }
+        assert_eq!(ps.cvsignal(&mut api, cv), Some(ForeignThread(2)));
+        assert_eq!(ps.cvbroadcast(&mut api, cv), 1);
+        ps.semaphore_create(sem, 0);
+        assert_eq!(
+            ps.semaphore_wait(&mut api, sem).unwrap(),
+            PsynchOutcome::Blocked
+        );
+        ps.semaphore_signal(&mut api, sem).unwrap();
+        assert_eq!(ps.semaphore_count(sem), Some(0));
     }
 
     #[test]
