@@ -12,7 +12,7 @@ use cider_abi::types::OpenFlags;
 use cider_core::system::CiderSystem;
 use cider_gfx::draw2d;
 use cider_gfx::gralloc::PixelFormat;
-use cider_gfx::stack::SharedGfx;
+use cider_gfx::stack::{gfx, with_gfx};
 
 use crate::vm::Vm;
 use crate::workloads::{self, Lcg, Sizes};
@@ -207,10 +207,8 @@ pub struct Passmark {
 
 /// The environment a PassMark run needs.
 pub struct PassmarkEnv<'a> {
-    /// The system under test.
+    /// The system under test; its kernel holds the graphics stack.
     pub sys: &'a mut CiderSystem,
-    /// The graphics stack.
-    pub gfx: &'a SharedGfx,
     /// The app's main thread.
     pub tid: Tid,
     /// How GL calls reach the driver.
@@ -442,12 +440,11 @@ impl Passmark {
     ) -> Result<u64, Errno> {
         let overhead = lib2d_overhead_ns(self.form, test);
         let mut lcg = Lcg(SEED);
-        let (buf, aux) = {
-            let mut g = env.gfx.lock().unwrap();
+        let (buf, aux) = with_gfx(&mut env.sys.kernel, |_, g| {
             let buf = g.gralloc.alloc(640, 480, PixelFormat::Rgba8888)?;
             let aux = g.gralloc.alloc(96, 96, PixelFormat::Rgba8888)?;
-            (buf, aux)
-        };
+            Ok::<_, Errno>((buf, aux))
+        })?;
         let ops: u64 = match test {
             Test::Gfx2dSolidVectors => {
                 for i in 0..400u64 {
@@ -457,27 +454,28 @@ impl Passmark {
                         (lcg.next_value() % 640) as i32,
                         (lcg.next_value() % 480) as i32,
                     );
-                    let mut g = env.gfx.lock().unwrap();
-                    env.sys.kernel.charge_cpu(overhead);
-                    if i % 4 == 0 {
-                        draw2d::fill_rect(
-                            &mut env.sys.kernel,
-                            &mut g.gralloc,
-                            buf,
-                            (x0 as u32 % 600, y0 as u32 % 440),
-                            (32, 32),
-                            0xFF00FF00,
-                        )?;
-                    } else {
-                        draw2d::draw_line(
-                            &mut env.sys.kernel,
-                            &mut g.gralloc,
-                            buf,
-                            (x0, y0),
-                            (x1, y1),
-                            0xFF0000FF,
-                        )?;
-                    }
+                    with_gfx(&mut env.sys.kernel, |k, g| {
+                        k.charge_cpu(overhead);
+                        if i % 4 == 0 {
+                            draw2d::fill_rect(
+                                k,
+                                &mut g.gralloc,
+                                buf,
+                                (x0 as u32 % 600, y0 as u32 % 440),
+                                (32, 32),
+                                0xFF00FF00,
+                            )
+                        } else {
+                            draw2d::draw_line(
+                                k,
+                                &mut g.gralloc,
+                                buf,
+                                (x0, y0),
+                                (x1, y1),
+                                0xFF0000FF,
+                            )
+                        }
+                    })?;
                 }
                 400
             }
@@ -487,17 +485,18 @@ impl Passmark {
                         (lcg.next_value() % 600) as u32,
                         (lcg.next_value() % 440) as u32,
                     );
-                    let mut g = env.gfx.lock().unwrap();
-                    env.sys.kernel.charge_cpu(overhead);
-                    draw2d::blend_rect(
-                        &mut env.sys.kernel,
-                        &mut g.gralloc,
-                        buf,
-                        (x, y),
-                        (40, 40),
-                        0x80FF0080,
-                        128,
-                    )?;
+                    with_gfx(&mut env.sys.kernel, |k, g| {
+                        k.charge_cpu(overhead);
+                        draw2d::blend_rect(
+                            k,
+                            &mut g.gralloc,
+                            buf,
+                            (x, y),
+                            (40, 40),
+                            0x80FF0080,
+                            128,
+                        )
+                    })?;
                 }
                 300
             }
@@ -506,17 +505,18 @@ impl Passmark {
                     let mut p = |m: u64| (lcg.next_value() % m) as f32;
                     let (p0, p1, p2) =
                         ((p(640), p(480)), (p(640), p(480)), (p(640), p(480)));
-                    let mut g = env.gfx.lock().unwrap();
-                    env.sys.kernel.charge_cpu(overhead);
-                    draw2d::draw_bezier(
-                        &mut env.sys.kernel,
-                        &mut g.gralloc,
-                        buf,
-                        p0,
-                        p1,
-                        p2,
-                        0xFFFFFFFF,
-                    )?;
+                    with_gfx(&mut env.sys.kernel, |k, g| {
+                        k.charge_cpu(overhead);
+                        draw2d::draw_bezier(
+                            k,
+                            &mut g.gralloc,
+                            buf,
+                            p0,
+                            p1,
+                            p2,
+                            0xFFFFFFFF,
+                        )
+                    })?;
                 }
                 150
             }
@@ -525,11 +525,10 @@ impl Passmark {
                 // the path where the Cider fence bug bites (§6.3).
                 self.setup_gl_context(env)?;
                 for _ in 0..60u64 {
-                    {
-                        let mut g = env.gfx.lock().unwrap();
-                        env.sys.kernel.charge_cpu(overhead);
+                    with_gfx(&mut env.sys.kernel, |k, g| {
+                        k.charge_cpu(overhead);
                         draw2d::blit_image(
-                            &mut env.sys.kernel,
+                            k,
                             &mut g.gralloc,
                             aux,
                             buf,
@@ -537,8 +536,8 @@ impl Passmark {
                                 (lcg.next_value() % 500) as u32,
                                 (lcg.next_value() % 380) as u32,
                             ),
-                        )?;
-                    }
+                        )
+                    })?;
                     self.gl_call(env, "glTexImage2D", &[96 * 96 * 4])?;
                     let fence = self.gl_call(env, "glFenceSync", &[])?;
                     self.gl_call(env, "glClientWaitSync", &[fence])?;
@@ -547,21 +546,19 @@ impl Passmark {
             }
             Test::Gfx2dImageFilters => {
                 for _ in 0..25u64 {
-                    let mut g = env.gfx.lock().unwrap();
-                    env.sys.kernel.charge_cpu(overhead);
-                    draw2d::box_blur(
-                        &mut env.sys.kernel,
-                        &mut g.gralloc,
-                        aux,
-                    )?;
+                    with_gfx(&mut env.sys.kernel, |k, g| {
+                        k.charge_cpu(overhead);
+                        draw2d::box_blur(k, &mut g.gralloc, aux)
+                    })?;
                 }
                 25
             }
             _ => unreachable!("not a 2D test"),
         };
-        let mut g = env.gfx.lock().unwrap();
-        g.gralloc.release(buf)?;
-        g.gralloc.release(aux)?;
+        with_gfx(&mut env.sys.kernel, |_, g| {
+            g.gralloc.release(buf)?;
+            g.gralloc.release(aux)
+        })?;
         Ok(ops)
     }
 
@@ -596,12 +593,10 @@ impl Passmark {
     ) -> Result<(), Errno> {
         // The app sets its GL context up once; repeated test runs reuse
         // it (and its window surface).
-        {
-            let g = env.gfx.lock().unwrap();
-            if let Some(ctx) = g.egl.current() {
-                if g.egl.context(ctx)?.surface.is_some() {
-                    return Ok(());
-                }
+        let egl = &gfx(&env.sys.kernel).egl;
+        if let Some(ctx) = egl.current() {
+            if egl.context(ctx)?.surface.is_some() {
+                return Ok(());
             }
         }
         match env.gl_path {
@@ -712,9 +707,9 @@ mod tests {
         }
     }
 
-    fn cider_env() -> (CiderSystem, SharedGfx, Tid) {
+    fn cider_env() -> (CiderSystem, Tid) {
         let mut sys = CiderSystem::new(DeviceProfile::nexus7());
-        let (gfx, _) = install_gfx(&mut sys, GfxConfig::default());
+        install_gfx(&mut sys, GfxConfig::default());
         let (_, tid) = sys.spawn_process();
         let xnu = sys.xnu_personality;
         let linux = sys.kernel.linux_personality();
@@ -723,12 +718,12 @@ mod tests {
         persona_ext_mut(&mut sys.kernel, tid)
             .unwrap()
             .install(Persona::Domestic, linux);
-        (sys, gfx, tid)
+        (sys, tid)
     }
 
     #[test]
     fn cpu_group_native_beats_interpreted() {
-        let (mut sys, gfx, tid) = cider_env();
+        let (mut sys, tid) = cider_env();
         for test in [
             Test::CpuInteger,
             Test::CpuFloat,
@@ -738,7 +733,6 @@ mod tests {
             let android = {
                 let mut env = PassmarkEnv {
                     sys: &mut sys,
-                    gfx: &gfx,
                     tid,
                     gl_path: GlPath::Diplomatic,
                 };
@@ -747,7 +741,6 @@ mod tests {
             let ios = {
                 let mut env = PassmarkEnv {
                     sys: &mut sys,
-                    gfx: &gfx,
                     tid,
                     gl_path: GlPath::Diplomatic,
                 };
@@ -765,10 +758,9 @@ mod tests {
 
     #[test]
     fn storage_write_slower_than_read_on_nexus7() {
-        let (mut sys, gfx, tid) = cider_env();
+        let (mut sys, tid) = cider_env();
         let mut env = PassmarkEnv {
             sys: &mut sys,
-            gfx: &gfx,
             tid,
             gl_path: GlPath::Diplomatic,
         };
@@ -780,11 +772,10 @@ mod tests {
 
     #[test]
     fn complex_vectors_favour_ios_but_solid_favour_android() {
-        let (mut sys, gfx, tid) = cider_env();
+        let (mut sys, tid) = cider_env();
         let run = |sys: &mut CiderSystem, form, test| {
             let mut env = PassmarkEnv {
                 sys,
-                gfx: &gfx,
                 tid,
                 gl_path: GlPath::Diplomatic,
             };
@@ -804,22 +795,20 @@ mod tests {
 
     #[test]
     fn fence_bug_hurts_diplomatic_image_rendering() {
-        let (mut sys, gfx, tid) = cider_env();
+        let (mut sys, tid) = cider_env();
         let pm = quick(AppForm::IosNative);
         let diplomatic = {
             let mut env = PassmarkEnv {
                 sys: &mut sys,
-                gfx: &gfx,
                 tid,
                 gl_path: GlPath::Diplomatic,
             };
             pm.run(&mut env, Test::Gfx2dImageRendering).unwrap()
         };
-        assert!(gfx.lock().unwrap().gpu.bug_stalls >= 60);
+        assert!(gfx(&sys.kernel).gpu.bug_stalls >= 60);
         let direct = {
             let mut env = PassmarkEnv {
                 sys: &mut sys,
-                gfx: &gfx,
                 tid,
                 gl_path: GlPath::DirectHost,
             };
@@ -830,13 +819,12 @@ mod tests {
 
     #[test]
     fn diplomatic_3d_is_20_to_40_percent_slower() {
-        let (mut sys, gfx, tid) = cider_env();
+        let (mut sys, tid) = cider_env();
         let pm = quick(AppForm::IosNative);
         for test in [Test::Gfx3dSimple, Test::Gfx3dComplex] {
             let direct = {
                 let mut env = PassmarkEnv {
                     sys: &mut sys,
-                    gfx: &gfx,
                     tid,
                     gl_path: GlPath::DirectHost,
                 };
@@ -845,7 +833,6 @@ mod tests {
             let diplomatic = {
                 let mut env = PassmarkEnv {
                     sys: &mut sys,
-                    gfx: &gfx,
                     tid,
                     gl_path: GlPath::Diplomatic,
                 };

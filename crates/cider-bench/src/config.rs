@@ -4,13 +4,11 @@
 use cider_abi::errno::Errno;
 use cider_abi::ids::{Pid, Tid};
 use cider_core::system::{CiderSystem, SystemKind};
-use cider_gfx::stack::{
-    install_gfx, register_gfx_libraries, GfxConfig, SharedGfx,
-};
+use cider_gfx::stack::{install_gfx, GfxConfig, GfxStack};
 use cider_kernel::profile::{DeviceProfile, Toolchain};
 use cider_loader::framework_set::FrameworkSet;
 use cider_loader::{ElfBuilder, MachOBuilder};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// The paper's system configurations (§6): "(1) Linux binaries and
 /// Android apps running on unmodified (vanilla) Android, (2) Linux
@@ -92,10 +90,8 @@ impl SystemConfig {
 
 /// A booted system with graphics and the benchmark binaries installed.
 pub struct TestBed {
-    /// The system under test.
+    /// The system under test; its kernel holds the graphics stack.
     pub sys: CiderSystem,
-    /// Its graphics stack.
-    pub gfx: SharedGfx,
     /// The configuration this bed realises.
     pub config: SystemConfig,
 }
@@ -153,13 +149,6 @@ impl TestBedBuilder {
             warm_start: false,
             ipc_v2: false,
         }
-    }
-
-    /// Switches the bed to a different configuration.
-    #[must_use]
-    pub fn config(mut self, config: SystemConfig) -> TestBedBuilder {
-        self.config = config;
-        self
     }
 
     /// Boots with the trace subsystem enabled (event ring plus metrics
@@ -246,19 +235,18 @@ impl TestBed {
         self.sys.kernel.trace.snapshot()
     }
 
+    /// The bed's graphics stack.
+    pub fn gfx(&self) -> &GfxStack {
+        cider_gfx::stack::gfx(&self.sys.kernel)
+    }
+
     /// A deep copy of this bed: a second device in exactly this state,
     /// which then runs independently (see [`CiderSystem::fork_device`]).
-    /// The graphics stack is copied into a handle of its own, and the
-    /// four graphics libraries are registered again against it, so no
-    /// GL, EGL or gralloc call on the copy reaches this bed's stack.
+    /// The graphics stack is a kernel extension, so it is copied with
+    /// the kernel.
     pub fn fork_device(&self) -> TestBed {
-        let stack = self.gfx.lock().expect("no GL call panicked").clone();
-        let gfx: SharedGfx = Arc::new(Mutex::new(stack));
-        let mut sys = self.sys.fork_device();
-        register_gfx_libraries(&mut sys, &gfx);
         TestBed {
-            sys,
-            gfx,
+            sys: self.sys.fork_device(),
             config: self.config,
         }
     }
@@ -269,7 +257,7 @@ impl TestBed {
 fn boot_bed(config: SystemConfig) -> TestBed {
     let mut sys = CiderSystem::new_kind(config.profile(), config.kind());
     let fence_bug = config.kind() == SystemKind::Cider;
-    let (gfx, _) = install_gfx(&mut sys, GfxConfig { fence_bug });
+    install_gfx(&mut sys, GfxConfig { fence_bug });
 
     // Program behaviours shared by every bed.
     sys.kernel.register_program(
@@ -362,7 +350,7 @@ fn boot_bed(config: SystemConfig) -> TestBed {
             .expect("fresh fs");
     }
 
-    TestBed { sys, gfx, config }
+    TestBed { sys, config }
 }
 
 impl TestBed {

@@ -3,9 +3,9 @@
 //! The kernel (and each subsystem it owns) exports its observable
 //! state as named record sections — see `Kernel::ckpt_sections` in
 //! `cider-kernel`. This module assembles them into a [`StateImage`];
-//! harness layers (fleet, conform) append their own sections on top
-//! (workload cursor, Mach port space, gfx counters) before framing
-//! the image into a [`crate::Checkpoint`].
+//! the fleet harness appends its own sections on top (workload cursor
+//! and metrics, gfx counters) before framing the image into a
+//! [`crate::Checkpoint`]. No harness appends Mach port state.
 
 use cider_kernel::Kernel;
 

@@ -4,8 +4,8 @@
 //! device at one instant: an ordered list of named sections, each an
 //! ordered list of `(key, value)` string records. Sections come from
 //! the per-subsystem exporters (kernel tasks/threads/VFS/IPC,
-//! scheduler bands, fault streams, Mach port space, gfx counters) and
-//! from the harness (workload cursor). Record values are rendered by
+//! scheduler bands, fault streams) and from the harness (workload
+//! cursor and metrics, gfx counters). Record values are rendered by
 //! the exporters from `BTreeMap`s and stable walks, so two captures of
 //! identical devices are equal record-for-record — and therefore
 //! byte-for-byte once encoded.

@@ -42,8 +42,9 @@ pub struct DiplomatStats {
 }
 
 /// One diplomat stub. A copy shares the cached function, as a copied
-/// [`LibraryHost`] shares its export tables;
-/// [`DiplomaticLibrary::relink`] binds it to a replacement.
+/// [`LibraryHost`] shares its export tables: a domestic function keeps
+/// its state in the kernel it is called with, so the copy's calls reach
+/// the copy's state.
 #[derive(Clone)]
 pub struct Diplomat {
     /// The foreign symbol this stub replaces.
@@ -238,19 +239,6 @@ impl DiplomaticLibrary {
         }
     }
 
-    /// Binds every resolved diplomat again in `host`, after a domestic
-    /// library was replaced there. A stub whose symbol `host` lacks
-    /// drops its cache, so its next call reports `ENOSYS`.
-    pub fn relink(&mut self, host: &LibraryHost) {
-        for d in self.diplomats.values_mut() {
-            if d.cached.is_some() {
-                d.cached = host
-                    .get(&d.domestic_lib)
-                    .and_then(|lib| lib.dlsym(&d.domestic_symbol));
-            }
-        }
-    }
-
     /// Installs a hand-written diplomat (the paper's "single diplomat to
     /// use targeted functionality" case).
     pub fn install(&mut self, d: Diplomat) {
@@ -420,31 +408,5 @@ mod tests {
         );
         assert_eq!(lib.stats.calls, 2);
         assert_eq!(lib.stats.resolutions, 1);
-    }
-
-    #[test]
-    fn relink_binds_resolved_diplomats_to_the_replacement() {
-        let (mut k, tid, host) = setup();
-        let (mut lib, _) = DiplomaticLibrary::generate(
-            "OpenGLES",
-            &["glClear", "glDrawArrays"],
-            &host,
-        );
-        lib.call(&mut k, &host, tid, "glClear", &[]).unwrap();
-        let mut copy = lib.clone();
-        let mut other = LibraryHost::new();
-        let mut gles = NativeLibrary::new("libGLESv2.so");
-        gles.export("glClear", Arc::new(|_, _, _| Ok(7)));
-        other.register(gles);
-        copy.relink(&other);
-        assert!(copy.get("glClear").unwrap().is_resolved());
-        assert!(!copy.get("glDrawArrays").unwrap().is_resolved());
-        // The copy calls the replacement with no second resolution; the
-        // original still calls its own library.
-        let t0 = k.clock.now_ns();
-        assert_eq!(copy.call(&mut k, &other, tid, "glClear", &[]), Ok(7));
-        assert!(k.clock.now_ns() - t0 < RESOLVE_NS);
-        assert_eq!(copy.stats.resolutions, 1);
-        assert_eq!(lib.call(&mut k, &host, tid, "glClear", &[]), Ok(0));
     }
 }

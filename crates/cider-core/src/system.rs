@@ -7,12 +7,11 @@
 //! registry — the full §3 "system integration" picture.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use cider_abi::errno::Errno;
 use cider_abi::ids::{Pid, PortName, Tid};
 use cider_abi::syscall::{MachTrap, XnuTrap};
-use cider_kernel::device::{DeviceAddHook, KernelDevice};
 use cider_kernel::dispatch::{SyscallArgs, UserTrapResult};
 use cider_kernel::kernel::Kernel;
 use cider_kernel::process::PersonalityId;
@@ -38,23 +37,6 @@ use crate::xnu_abi::XnuPersonality;
 /// 2: they talk directly to hardware the Linux kernel already drives).
 pub const EXCLUDED_IOKIT_OBJECTS: [&str; 2] =
     ["IODMAController.cpp", "IOInterruptController.cpp"];
-
-/// Pending-device queue shared between the kernel's `device_add` hook
-/// and [`CiderSystem::sync_iokit`]. Genuinely aliased (the registry and
-/// the system both hold it), so a `Mutex` — not a `RefCell`, which
-/// would make `CiderSystem` `!Send` and panic under reentrant borrows.
-/// Being aliased, it is never shared across systems:
-/// [`CiderSystem::fork_device`] gives the copy a recorder of its own.
-#[derive(Debug, Default)]
-struct NubRecorder {
-    pending: Mutex<Vec<KernelDevice>>,
-}
-
-impl DeviceAddHook for NubRecorder {
-    fn device_added(&self, dev: &KernelDevice) {
-        self.pending.lock().unwrap().push(dev.clone());
-    }
-}
 
 /// Which system the test bed models — the paper's §6 configurations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -82,7 +64,9 @@ pub struct CiderSystem {
     pub diplomatic: BTreeMap<String, DiplomaticLibrary>,
     /// The kernel task driving boot-time subsystem work.
     pub kernel_task: (Pid, Tid),
-    nub_recorder: Arc<NubRecorder>,
+    /// How many of the kernel's devices (a prefix of its registry,
+    /// which only grows) the I/O Kit bridge has published.
+    iokit_published: usize,
 }
 
 impl std::fmt::Debug for CiderSystem {
@@ -239,11 +223,6 @@ impl CiderSystem {
         let services =
             Services::boot(&mut kernel).expect("fault-free service boot");
 
-        // Device bridge: every Linux device also becomes an I/O Kit
-        // registry entry (§5.1).
-        let nub_recorder = Arc::new(NubRecorder::default());
-        kernel.devices.add_hook(nub_recorder.clone());
-
         let mut sys = CiderSystem {
             kernel,
             xnu_personality,
@@ -251,7 +230,7 @@ impl CiderSystem {
             host: LibraryHost::new(),
             diplomatic: BTreeMap::new(),
             kernel_task,
-            nub_recorder,
+            iokit_published: 0,
         };
 
         // The standard Nexus 7 devices.
@@ -267,39 +246,26 @@ impl CiderSystem {
     /// A deep copy of this system: a second device in exactly this
     /// state (see [`Kernel::fork_device`] for what the kernel shares).
     ///
-    /// The copy gets its own device-registry recorder, attached to its
-    /// own kernel, holding a copy of this one's pending devices. The
-    /// library host and the diplomats are copied, but the functions
-    /// they hold are shared; a layer whose exports capture state of
-    /// their own registers fresh ones on the copy with
-    /// [`CiderSystem::register_library`], which binds the copied
-    /// diplomats to them.
+    /// The library host and the diplomats are copied, but the functions
+    /// they hold are shared: exports keep their state in the kernel
+    /// (as extensions), never in what they capture, so the copy's
+    /// calls reach the copy's kernel. The bridge's published count is
+    /// copied with the device registry it counts.
     pub fn fork_device(&self) -> CiderSystem {
-        let mut kernel = self.kernel.fork_device();
-        let pending = self
-            .nub_recorder
-            .pending
-            .lock()
-            .expect("device hooks never panic")
-            .clone();
-        let nub_recorder = Arc::new(NubRecorder {
-            pending: Mutex::new(pending),
-        });
-        kernel.devices.attach_hook(nub_recorder.clone());
         CiderSystem {
-            kernel,
+            kernel: self.kernel.fork_device(),
             xnu_personality: self.xnu_personality,
             services: self.services.clone(),
             host: self.host.clone(),
             diplomatic: self.diplomatic.clone(),
             kernel_task: self.kernel_task,
-            nub_recorder,
+            iokit_published: self.iokit_published,
         }
     }
 
-    /// Registers a kernel device: a Linux device node appears in the VFS
-    /// and — through the `device_add` hook — an I/O Kit device-class
-    /// registry entry is published for matching.
+    /// Registers a kernel device — the paper's hook in the Linux device
+    /// add function (§5.1): a Linux device node appears in the VFS and
+    /// an I/O Kit device-class registry entry is published for matching.
     ///
     /// # Errors
     ///
@@ -320,21 +286,17 @@ impl CiderSystem {
         Ok(id)
     }
 
-    /// Drains devices observed by the `device_add` hook into I/O Kit
-    /// device-class registry entries.
+    /// Publishes every kernel device the bridge has not published yet,
+    /// in registry order, as an I/O Kit device-class registry entry:
+    /// the devices the kernel registered on its own since the last sync.
     pub fn sync_iokit(&mut self) {
-        let pending: Vec<KernelDevice> = self
-            .nub_recorder
-            .pending
-            .lock()
-            .unwrap()
-            .drain(..)
-            .collect();
-        if pending.is_empty() {
+        let published = self.iokit_published;
+        if published == self.kernel.devices.len() {
             return;
         }
-        with_state(&mut self.kernel, |_, st| {
-            for dev in pending {
+        self.iokit_published = self.kernel.devices.len();
+        with_state(&mut self.kernel, |k, st| {
+            for dev in k.devices.iter().skip(published) {
                 let class = match dev.class.as_str() {
                     "display" => "IODisplayNub",
                     "input" => "IOHIDNub",
@@ -410,13 +372,8 @@ impl CiderSystem {
     }
 
     /// Registers a domestic runtime library for diplomats to resolve.
-    /// Replacing a library binds the diplomats that cached one of its
-    /// functions again, to the replacement's.
     pub fn register_library(&mut self, lib: NativeLibrary) {
         self.host.register(lib);
-        for diplomatic in self.diplomatic.values_mut() {
-            diplomatic.relink(&self.host);
-        }
     }
 
     /// Installs a diplomatic library.
@@ -775,6 +732,54 @@ mod tests {
         completions.extend(sys.ring_flush(tid).unwrap());
         assert_eq!(completions.len(), 4);
         assert!(completions.iter().all(|c| c.kr.is_success()));
+    }
+
+    /// The Linux node of every nub the I/O Kit bridge published, in
+    /// publish order.
+    fn published_nodes(sys: &CiderSystem) -> Vec<&str> {
+        let st = sys.kernel.extensions.get::<CiderState>().unwrap();
+        let root = st.iokit.entry(st.iokit.root()).unwrap();
+        root.children
+            .iter()
+            .filter_map(|&c| st.iokit.property_string(c, "IOLinuxDevice"))
+            .collect()
+    }
+
+    #[test]
+    fn every_device_is_published_once_in_registry_order() {
+        let mut sys = CiderSystem::new(DeviceProfile::nexus7());
+        let boot = ["/dev/fb0", "/dev/input/event0", "/dev/nvhost-gr3d"];
+        assert_eq!(published_nodes(&sys), boot);
+
+        // Devices the kernel registers on its own wait for the next sync,
+        // and a fork taken now inherits them unpublished.
+        sys.kernel
+            .devices
+            .add("cam", "camera", "/dev/video0")
+            .unwrap();
+        sys.kernel
+            .devices
+            .add("imu", "sensor", "/dev/iio0")
+            .unwrap();
+        let mut fork = sys.fork_device();
+        assert_eq!(published_nodes(&sys), boot);
+        sys.sync_iokit();
+        sys.sync_iokit();
+        let mut want = boot.to_vec();
+        want.extend(["/dev/video0", "/dev/iio0"]);
+        assert_eq!(published_nodes(&sys), want);
+
+        sys.add_device("gps", "location", "/dev/gps0").unwrap();
+        want.push("/dev/gps0");
+        assert_eq!(published_nodes(&sys), want);
+
+        // The fork publishes the devices it inherited on its own bridge,
+        // once, and its syncs leave the original's registry alone.
+        assert_eq!(published_nodes(&fork), boot);
+        fork.sync_iokit();
+        fork.sync_iokit();
+        assert_eq!(published_nodes(&fork), want[..5]);
+        assert_eq!(published_nodes(&sys), want);
     }
 
     #[test]

@@ -299,21 +299,16 @@ impl DeviceSim {
                     self.units += 1;
                 }
             }
-            Workload::LaunchStorm { .. } => {
-                let ios = self.spec.config.runs_ios_binary();
-                if let Ok(d) =
-                    lmbench::fork_exec_lat(&mut self.bed, self.tid, ios)
-                {
-                    self.workload.observe("launch/latency", d.ns);
-                    self.units += 1;
+            Workload::LaunchStorm { .. }
+            | Workload::LaunchStormWarm { .. } => {
+                if let Workload::LaunchStormWarm { .. } = self.spec.workload {
+                    // Warm start is device policy, toggled
+                    // deterministically before every unit so checkpoint
+                    // replay re-derives the same state: the first launch
+                    // bakes the shared cache, every later launch forks
+                    // CoW and maps it O(1).
+                    self.bed.sys.kernel.warm.set_enabled(true);
                 }
-            }
-            Workload::LaunchStormWarm { .. } => {
-                // Warm start is device policy, toggled deterministically
-                // before every unit so checkpoint replay re-derives the
-                // same state: the first launch bakes the shared cache,
-                // every later launch forks CoW and maps it O(1).
-                self.bed.sys.kernel.warm.set_enabled(true);
                 let ios = self.spec.config.runs_ios_binary();
                 if let Ok(d) =
                     lmbench::fork_exec_lat(&mut self.bed, self.tid, ios)
@@ -428,7 +423,7 @@ impl DeviceSim {
     }
 
     fn gfx_records(&self) -> Vec<(String, String)> {
-        let gfx = self.bed.gfx.lock().unwrap();
+        let gfx = self.bed.gfx();
         vec![
             ("gpu_busy_ns".to_string(), gfx.gpu.gpu_busy_ns.to_string()),
             ("retired".to_string(), gfx.gpu.retired.to_string()),

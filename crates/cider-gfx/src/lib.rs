@@ -20,5 +20,5 @@ pub mod surfaceflinger;
 pub use gles::{Egl, GlesContext, GL_DISPATCH_NS};
 pub use gpu::{FenceId, GpuCommand, SimGpu};
 pub use gralloc::{BufferId, Gralloc, GraphicsBuffer, PixelFormat};
-pub use stack::{install_gfx, GfxConfig, GfxStack, SharedGfx};
+pub use stack::{install_gfx, with_gfx, GfxConfig, GfxStack};
 pub use surfaceflinger::{SurfaceFlinger, SurfaceId};

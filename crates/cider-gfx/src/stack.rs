@@ -1,29 +1,32 @@
 //! The assembled graphics stack and its library surface.
 //!
 //! [`GfxStack`] owns the GPU, gralloc, SurfaceFlinger, and EGL state.
-//! [`install_gfx`] wires it into a [`CiderSystem`]: the domestic
-//! libraries (`libGLESv2.so`, `libEGL.so`, `libgralloc.so`, and the
-//! custom `libEGLbridge.so` of paper §5.3) are registered as runtime
-//! export tables, the Cider **diplomatic OpenGL ES library** is generated
-//! by symbol matching (with EAGL extensions routed to libEGLbridge), the
-//! **diplomatic IOSurface** entry points are interposed onto gralloc, and
-//! the `AppleM2CLCD` framebuffer driver class is registered with I/O Kit.
+//! [`install_gfx`] wires it into a [`CiderSystem`]: the stack becomes an
+//! extension of the device kernel, the domestic libraries
+//! (`libGLESv2.so`, `libEGL.so`, `libgralloc.so`, and the custom
+//! `libEGLbridge.so` of paper §5.3) are registered as runtime export
+//! tables that reach it through [`with_gfx`], the Cider **diplomatic
+//! OpenGL ES library** is generated by symbol matching (with EAGL
+//! extensions routed to libEGLbridge), the **diplomatic IOSurface**
+//! entry points are interposed onto gralloc, and the `AppleM2CLCD`
+//! framebuffer driver class is registered with I/O Kit.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use cider_abi::errno::Errno;
 use cider_core::diplomat::{Diplomat, DiplomaticLibrary};
 use cider_core::library::NativeLibrary;
 use cider_core::system::CiderSystem;
+use cider_kernel::kernel::Kernel;
 
 use crate::gles::{api, Egl};
 use crate::gpu::SimGpu;
 use crate::gralloc::{BufferId, Gralloc, PixelFormat};
 use crate::surfaceflinger::SurfaceFlinger;
 
-/// The graphics stack. `clone` copies all of it; the library export
-/// closures are bound to one [`SharedGfx`] handle, so a copy serves a
-/// system only after [`register_gfx_libraries`] binds them to it.
+/// The graphics stack: per-device state, held by the device kernel as
+/// an extension. The library exports capture nothing and reach it
+/// through [`with_gfx`], so a forked kernel's copy serves the fork.
 #[derive(Debug, Clone, Default)]
 pub struct GfxStack {
     /// The GPU.
@@ -43,12 +46,36 @@ impl GfxStack {
     }
 }
 
-/// Shared handle to the stack, captured by library export closures.
+/// Runs `f` with the graphics stack taken out of the kernel's extension
+/// slot, so both can be borrowed mutably, and puts it back afterwards.
+/// A panic inside `f` leaves the stack taken.
 ///
-/// A `Mutex` (not a `RefCell`) so the export closures are `Send + Sync`
-/// and a bed holding the stack can run on a fleet worker thread; within
-/// one device the lock is uncontended.
-pub type SharedGfx = Arc<Mutex<GfxStack>>;
+/// # Panics
+///
+/// Panics if [`install_gfx`] has not run on this kernel.
+pub fn with_gfx<R>(
+    k: &mut Kernel,
+    f: impl FnOnce(&mut Kernel, &mut GfxStack) -> R,
+) -> R {
+    let mut gfx = k
+        .extensions
+        .take::<GfxStack>()
+        .expect("graphics stack installed on this kernel");
+    let r = f(k, &mut gfx);
+    k.extensions.insert(gfx);
+    r
+}
+
+/// The kernel's graphics stack, for reading.
+///
+/// # Panics
+///
+/// Panics if [`install_gfx`] has not run on this kernel.
+pub fn gfx(k: &Kernel) -> &GfxStack {
+    k.extensions
+        .get::<GfxStack>()
+        .expect("graphics stack installed on this kernel")
+}
 
 /// Configuration for [`install_gfx`].
 #[derive(Debug, Clone, Copy)]
@@ -117,182 +144,118 @@ pub const EAGL_SYMBOLS: [&str; 4] = [
     "EAGLContext_presentRenderbuffer",
 ];
 
-fn stateful_noop(gfx: &SharedGfx) -> cider_core::library::NativeFn {
-    let gfx = gfx.clone();
-    Arc::new(move |k, _tid, _args| {
+fn stateful_noop() -> cider_core::library::NativeFn {
+    Arc::new(|k, _tid, _args| {
         k.charge_cpu(crate::gles::GL_DISPATCH_NS);
-        let mut g = gfx.lock().unwrap();
-        g.egl.current_mut()?.total_calls += 1;
-        Ok(0)
+        with_gfx(k, |_, g| {
+            g.egl.current_mut()?.total_calls += 1;
+            Ok(0)
+        })
     })
 }
 
-/// Builds the domestic `libGLESv2.so` export table over a shared stack.
-pub fn build_libglesv2(gfx: &SharedGfx) -> NativeLibrary {
+/// Builds the domestic `libGLESv2.so` export table.
+fn build_libglesv2() -> NativeLibrary {
     let mut lib = NativeLibrary::new("libGLESv2.so");
-    {
-        let g = gfx.clone();
-        lib.export(
-            "glClear",
-            Arc::new(move |k, _t, args| {
-                let mut s = g.lock().unwrap();
-                let GfxStack { gpu, egl, .. } = &mut *s;
-                api::gl_clear(k, egl, gpu, args.first().copied().unwrap_or(0))
-            }),
-        );
-    }
-    {
-        let g = gfx.clone();
-        lib.export(
-            "glClearColor",
-            Arc::new(move |k, _t, args| {
-                let mut s = g.lock().unwrap();
-                api::gl_clear_color(
-                    k,
-                    &mut s.egl,
-                    args.first().copied().unwrap_or(0),
-                )
-            }),
-        );
-    }
-    {
-        let g = gfx.clone();
-        lib.export(
-            "glDrawArrays",
-            Arc::new(move |k, _t, args| {
-                let mut s = g.lock().unwrap();
-                let GfxStack { gpu, egl, .. } = &mut *s;
-                api::gl_draw_arrays(
-                    k,
-                    egl,
-                    gpu,
-                    args.get(2).copied().unwrap_or(0),
-                )
-            }),
-        );
-    }
-    {
-        let g = gfx.clone();
-        lib.export(
-            "glDrawElements",
-            Arc::new(move |k, _t, args| {
-                let mut s = g.lock().unwrap();
-                let GfxStack { gpu, egl, .. } = &mut *s;
-                api::gl_draw_arrays(
-                    k,
-                    egl,
-                    gpu,
-                    args.get(1).copied().unwrap_or(0),
-                )
-            }),
-        );
-    }
-    {
-        let g = gfx.clone();
-        lib.export(
-            "glBindTexture",
-            Arc::new(move |k, _t, args| {
-                let mut s = g.lock().unwrap();
-                api::gl_bind_texture(
-                    k,
-                    &mut s.egl,
-                    args.get(1).copied().unwrap_or(0),
-                )
-            }),
-        );
-    }
-    {
-        let g = gfx.clone();
-        lib.export(
-            "glGenTextures",
-            Arc::new(move |k, _t, _args| {
-                let mut s = g.lock().unwrap();
-                api::gl_gen_texture(k, &mut s.egl)
-            }),
-        );
-    }
-    {
-        let g = gfx.clone();
-        lib.export(
-            "glTexImage2D",
-            Arc::new(move |k, _t, args| {
-                let mut s = g.lock().unwrap();
-                let GfxStack { gpu, egl, .. } = &mut *s;
-                api::gl_tex_image_2d(
-                    k,
-                    egl,
-                    gpu,
-                    args.first().copied().unwrap_or(0),
-                )
-            }),
-        );
-    }
-    {
-        let g = gfx.clone();
-        lib.export(
-            "glUseProgram",
-            Arc::new(move |k, _t, args| {
-                let mut s = g.lock().unwrap();
-                api::gl_use_program(
-                    k,
-                    &mut s.egl,
-                    args.first().copied().unwrap_or(0),
-                )
-            }),
-        );
-    }
-    {
-        let g = gfx.clone();
-        lib.export(
-            "glEnable",
-            Arc::new(move |k, _t, args| {
-                let mut s = g.lock().unwrap();
-                api::gl_enable(
-                    k,
-                    &mut s.egl,
-                    args.first().copied().unwrap_or(0),
-                )
-            }),
-        );
-    }
-    {
-        let g = gfx.clone();
-        lib.export(
-            "glFenceSync",
-            Arc::new(move |k, _t, _args| {
-                let mut s = g.lock().unwrap();
-                let GfxStack { gpu, egl, .. } = &mut *s;
-                api::gl_fence_sync(k, egl, gpu)
-            }),
-        );
-    }
-    {
-        let g = gfx.clone();
-        lib.export(
-            "glClientWaitSync",
-            Arc::new(move |k, _t, args| {
-                let mut s = g.lock().unwrap();
-                let GfxStack { gpu, egl, .. } = &mut *s;
-                api::gl_client_wait_sync(
-                    k,
-                    egl,
-                    gpu,
-                    args.first().copied().unwrap_or(0),
-                )
-            }),
-        );
-    }
-    {
-        let g = gfx.clone();
-        lib.export(
-            "glFinish",
-            Arc::new(move |k, _t, _args| {
-                let mut s = g.lock().unwrap();
-                let GfxStack { gpu, egl, .. } = &mut *s;
-                api::gl_finish(k, egl, gpu)
-            }),
-        );
-    }
+    lib.export(
+        "glClear",
+        Arc::new(|k, _t, args| {
+            with_gfx(k, |k, g| {
+                let mask = args.first().copied().unwrap_or(0);
+                api::gl_clear(k, &mut g.egl, &mut g.gpu, mask)
+            })
+        }),
+    );
+    lib.export(
+        "glClearColor",
+        Arc::new(|k, _t, args| {
+            with_gfx(k, |k, g| {
+                let rgba = args.first().copied().unwrap_or(0);
+                api::gl_clear_color(k, &mut g.egl, rgba)
+            })
+        }),
+    );
+    lib.export(
+        "glDrawArrays",
+        Arc::new(|k, _t, args| {
+            with_gfx(k, |k, g| {
+                let count = args.get(2).copied().unwrap_or(0);
+                api::gl_draw_arrays(k, &mut g.egl, &mut g.gpu, count)
+            })
+        }),
+    );
+    lib.export(
+        "glDrawElements",
+        Arc::new(|k, _t, args| {
+            with_gfx(k, |k, g| {
+                let count = args.get(1).copied().unwrap_or(0);
+                api::gl_draw_arrays(k, &mut g.egl, &mut g.gpu, count)
+            })
+        }),
+    );
+    lib.export(
+        "glBindTexture",
+        Arc::new(|k, _t, args| {
+            with_gfx(k, |k, g| {
+                let name = args.get(1).copied().unwrap_or(0);
+                api::gl_bind_texture(k, &mut g.egl, name)
+            })
+        }),
+    );
+    lib.export(
+        "glGenTextures",
+        Arc::new(|k, _t, _args| {
+            with_gfx(k, |k, g| api::gl_gen_texture(k, &mut g.egl))
+        }),
+    );
+    lib.export(
+        "glTexImage2D",
+        Arc::new(|k, _t, args| {
+            with_gfx(k, |k, g| {
+                let bytes = args.first().copied().unwrap_or(0);
+                api::gl_tex_image_2d(k, &mut g.egl, &mut g.gpu, bytes)
+            })
+        }),
+    );
+    lib.export(
+        "glUseProgram",
+        Arc::new(|k, _t, args| {
+            with_gfx(k, |k, g| {
+                let program = args.first().copied().unwrap_or(0);
+                api::gl_use_program(k, &mut g.egl, program)
+            })
+        }),
+    );
+    lib.export(
+        "glEnable",
+        Arc::new(|k, _t, args| {
+            with_gfx(k, |k, g| {
+                let cap = args.first().copied().unwrap_or(0);
+                api::gl_enable(k, &mut g.egl, cap)
+            })
+        }),
+    );
+    lib.export(
+        "glFenceSync",
+        Arc::new(|k, _t, _args| {
+            with_gfx(k, |k, g| api::gl_fence_sync(k, &mut g.egl, &mut g.gpu))
+        }),
+    );
+    lib.export(
+        "glClientWaitSync",
+        Arc::new(|k, _t, args| {
+            with_gfx(k, |k, g| {
+                let fence = args.first().copied().unwrap_or(0);
+                api::gl_client_wait_sync(k, &mut g.egl, &mut g.gpu, fence)
+            })
+        }),
+    );
+    lib.export(
+        "glFinish",
+        Arc::new(|k, _t, _args| {
+            with_gfx(k, |k, g| api::gl_finish(k, &mut g.egl, &mut g.gpu))
+        }),
+    );
     for sym in [
         "glActiveTexture",
         "glAttachShader",
@@ -314,154 +277,128 @@ pub fn build_libglesv2(gfx: &SharedGfx) -> NativeLibrary {
         "glVertexAttribPointer",
         "glViewport",
     ] {
-        lib.export(sym, stateful_noop(gfx));
+        lib.export(sym, stateful_noop());
     }
     lib
 }
 
 /// Builds the domestic `libEGL.so` export table.
-pub fn build_libegl(gfx: &SharedGfx) -> NativeLibrary {
+fn build_libegl() -> NativeLibrary {
     let mut lib = NativeLibrary::new("libEGL.so");
-    {
-        let g = gfx.clone();
-        lib.export(
-            "eglCreateContext",
-            Arc::new(move |k, _t, _args| {
-                k.charge_cpu(4_000);
-                Ok(g.lock().unwrap().egl.create_context().0 as i64)
-            }),
-        );
-    }
-    {
-        let g = gfx.clone();
-        lib.export(
-            "eglCreateWindowSurface",
-            Arc::new(move |k, _t, args| {
-                k.charge_cpu(20_000);
-                let ctx = crate::gles::ContextId(
-                    args.first().copied().unwrap_or(0) as u64,
-                );
-                let w = args.get(1).copied().unwrap_or(0) as u32;
-                let h = args.get(2).copied().unwrap_or(0) as u32;
-                let mut s = g.lock().unwrap();
-                let GfxStack {
-                    egl,
-                    flinger,
-                    gralloc,
-                    ..
-                } = &mut *s;
-                egl.create_window_surface(flinger, gralloc, ctx, w, h)
+    lib.export(
+        "eglCreateContext",
+        Arc::new(|k, _t, _args| {
+            k.charge_cpu(4_000);
+            with_gfx(k, |_, g| Ok(g.egl.create_context().0 as i64))
+        }),
+    );
+    lib.export(
+        "eglCreateWindowSurface",
+        Arc::new(|k, _t, args| {
+            k.charge_cpu(20_000);
+            let ctx = crate::gles::ContextId(
+                args.first().copied().unwrap_or(0) as u64,
+            );
+            let w = args.get(1).copied().unwrap_or(0) as u32;
+            let h = args.get(2).copied().unwrap_or(0) as u32;
+            with_gfx(k, |_, g| {
+                g.egl
+                    .create_window_surface(
+                        &mut g.flinger,
+                        &mut g.gralloc,
+                        ctx,
+                        w,
+                        h,
+                    )
                     .map(|sid| sid.0 as i64)
-            }),
-        );
-    }
-    {
-        let g = gfx.clone();
-        lib.export(
-            "eglMakeCurrent",
-            Arc::new(move |k, _t, args| {
-                k.charge_cpu(2_500);
-                let ctx = crate::gles::ContextId(
-                    args.first().copied().unwrap_or(0) as u64,
-                );
-                g.lock().unwrap().egl.make_current(ctx).map(|_| 0)
-            }),
-        );
-    }
-    {
-        let g = gfx.clone();
-        lib.export(
-            "eglSwapBuffers",
-            Arc::new(move |k, _t, _args| {
-                let mut s = g.lock().unwrap();
-                let GfxStack {
-                    gpu,
-                    egl,
-                    flinger,
-                    gralloc,
-                } = &mut *s;
-                egl.swap_buffers(k, gpu, flinger, gralloc).map(|_| 0)
-            }),
-        );
-    }
+            })
+        }),
+    );
+    lib.export(
+        "eglMakeCurrent",
+        Arc::new(|k, _t, args| {
+            k.charge_cpu(2_500);
+            let ctx = crate::gles::ContextId(
+                args.first().copied().unwrap_or(0) as u64,
+            );
+            with_gfx(k, |_, g| g.egl.make_current(ctx).map(|_| 0))
+        }),
+    );
+    lib.export(
+        "eglSwapBuffers",
+        Arc::new(|k, _t, _args| {
+            with_gfx(k, |k, g| {
+                g.egl
+                    .swap_buffers(k, &mut g.gpu, &mut g.flinger, &g.gralloc)
+                    .map(|_| 0)
+            })
+        }),
+    );
     lib
 }
 
 /// Builds the domestic `libgralloc.so` export table.
-pub fn build_libgralloc(gfx: &SharedGfx) -> NativeLibrary {
+fn build_libgralloc() -> NativeLibrary {
     let mut lib = NativeLibrary::new("libgralloc.so");
-    {
-        let g = gfx.clone();
-        lib.export(
-            "gralloc_alloc",
-            Arc::new(move |k, _t, args| {
-                k.charge_cpu(9_000); // ion allocation + map
-                let w = args.first().copied().unwrap_or(0) as u32;
-                let h = args.get(1).copied().unwrap_or(0) as u32;
-                g.lock()
-                    .unwrap()
-                    .gralloc
+    lib.export(
+        "gralloc_alloc",
+        Arc::new(|k, _t, args| {
+            k.charge_cpu(9_000); // ion allocation + map
+            let w = args.first().copied().unwrap_or(0) as u32;
+            let h = args.get(1).copied().unwrap_or(0) as u32;
+            with_gfx(k, |_, g| {
+                g.gralloc
                     .alloc(w, h, PixelFormat::Rgba8888)
                     .map(|b| b.0 as i64)
-            }),
-        );
-    }
-    {
-        let g = gfx.clone();
-        lib.export(
-            "gralloc_lock",
-            Arc::new(move |k, _t, args| {
-                k.charge_cpu(600);
-                let id = BufferId(args.first().copied().unwrap_or(0) as u64);
-                let mut s = g.lock().unwrap();
-                let b = s.gralloc.get_mut(id)?;
+            })
+        }),
+    );
+    lib.export(
+        "gralloc_lock",
+        Arc::new(|k, _t, args| {
+            k.charge_cpu(600);
+            let id = BufferId(args.first().copied().unwrap_or(0) as u64);
+            with_gfx(k, |_, g| {
+                let b = g.gralloc.get_mut(id)?;
                 if b.locked {
                     return Err(Errno::EBUSY);
                 }
                 b.locked = true;
                 Ok(0)
-            }),
-        );
-    }
-    {
-        let g = gfx.clone();
-        lib.export(
-            "gralloc_unlock",
-            Arc::new(move |k, _t, args| {
-                k.charge_cpu(600);
-                let id = BufferId(args.first().copied().unwrap_or(0) as u64);
-                let mut s = g.lock().unwrap();
-                let b = s.gralloc.get_mut(id)?;
+            })
+        }),
+    );
+    lib.export(
+        "gralloc_unlock",
+        Arc::new(|k, _t, args| {
+            k.charge_cpu(600);
+            let id = BufferId(args.first().copied().unwrap_or(0) as u64);
+            with_gfx(k, |_, g| {
+                let b = g.gralloc.get_mut(id)?;
                 if !b.locked {
                     return Err(Errno::EINVAL);
                 }
                 b.locked = false;
                 Ok(0)
-            }),
-        );
-    }
-    {
-        let g = gfx.clone();
-        lib.export(
-            "gralloc_retain",
-            Arc::new(move |k, _t, args| {
-                k.charge_cpu(300);
-                let id = BufferId(args.first().copied().unwrap_or(0) as u64);
-                g.lock().unwrap().gralloc.retain(id).map(|_| 0)
-            }),
-        );
-    }
-    {
-        let g = gfx.clone();
-        lib.export(
-            "gralloc_release",
-            Arc::new(move |k, _t, args| {
-                k.charge_cpu(300);
-                let id = BufferId(args.first().copied().unwrap_or(0) as u64);
-                g.lock().unwrap().gralloc.release(id).map(|_| 0)
-            }),
-        );
-    }
+            })
+        }),
+    );
+    lib.export(
+        "gralloc_retain",
+        Arc::new(|k, _t, args| {
+            k.charge_cpu(300);
+            let id = BufferId(args.first().copied().unwrap_or(0) as u64);
+            with_gfx(k, |_, g| g.gralloc.retain(id).map(|_| 0))
+        }),
+    );
+    lib.export(
+        "gralloc_release",
+        Arc::new(|k, _t, args| {
+            k.charge_cpu(300);
+            let id = BufferId(args.first().copied().unwrap_or(0) as u64);
+            with_gfx(k, |_, g| g.gralloc.release(id).map(|_| 0))
+        }),
+    );
     lib
 }
 
@@ -469,95 +406,76 @@ pub fn build_libgralloc(gfx: &SharedGfx) -> NativeLibrary {
 /// that utilizes Android's libEGL library and SurfaceFlinger service to
 /// provide functionality corresponding to the missing EAGL functions"
 /// (paper §5.3).
-pub fn build_libeglbridge(gfx: &SharedGfx) -> NativeLibrary {
+fn build_libeglbridge() -> NativeLibrary {
     let mut lib = NativeLibrary::new("libEGLbridge.so");
-    {
-        let g = gfx.clone();
-        lib.export(
-            "EAGLBridge_initWithAPI",
-            Arc::new(move |k, _t, _args| {
-                k.charge_cpu(5_000);
-                Ok(g.lock().unwrap().egl.create_context().0 as i64)
-            }),
-        );
-    }
-    {
-        let g = gfx.clone();
-        lib.export(
-            "EAGLBridge_setCurrent",
-            Arc::new(move |k, _t, args| {
-                k.charge_cpu(2_500);
-                let ctx = crate::gles::ContextId(
-                    args.first().copied().unwrap_or(0) as u64,
-                );
-                g.lock().unwrap().egl.make_current(ctx).map(|_| 0)
-            }),
-        );
-    }
-    {
-        let g = gfx.clone();
-        lib.export(
-            "EAGLBridge_renderbufferStorage",
-            Arc::new(move |k, _t, args| {
-                // Window memory comes from SurfaceFlinger, so "Cider
-                // manage[s] the iOS display in the same manner that all
-                // Android app windows are managed" (§5.3).
-                k.charge_cpu(22_000);
-                let ctx = crate::gles::ContextId(
-                    args.first().copied().unwrap_or(0) as u64,
-                );
-                let w = args.get(1).copied().unwrap_or(0) as u32;
-                let h = args.get(2).copied().unwrap_or(0) as u32;
-                let mut s = g.lock().unwrap();
-                let GfxStack {
-                    egl,
-                    flinger,
-                    gralloc,
-                    ..
-                } = &mut *s;
-                egl.create_window_surface(flinger, gralloc, ctx, w, h)
+    lib.export(
+        "EAGLBridge_initWithAPI",
+        Arc::new(|k, _t, _args| {
+            k.charge_cpu(5_000);
+            with_gfx(k, |_, g| Ok(g.egl.create_context().0 as i64))
+        }),
+    );
+    lib.export(
+        "EAGLBridge_setCurrent",
+        Arc::new(|k, _t, args| {
+            k.charge_cpu(2_500);
+            let ctx = crate::gles::ContextId(
+                args.first().copied().unwrap_or(0) as u64,
+            );
+            with_gfx(k, |_, g| g.egl.make_current(ctx).map(|_| 0))
+        }),
+    );
+    lib.export(
+        "EAGLBridge_renderbufferStorage",
+        Arc::new(|k, _t, args| {
+            // Window memory comes from SurfaceFlinger, so "Cider
+            // manage[s] the iOS display in the same manner that all
+            // Android app windows are managed" (§5.3).
+            k.charge_cpu(22_000);
+            let ctx = crate::gles::ContextId(
+                args.first().copied().unwrap_or(0) as u64,
+            );
+            let w = args.get(1).copied().unwrap_or(0) as u32;
+            let h = args.get(2).copied().unwrap_or(0) as u32;
+            with_gfx(k, |_, g| {
+                g.egl
+                    .create_window_surface(
+                        &mut g.flinger,
+                        &mut g.gralloc,
+                        ctx,
+                        w,
+                        h,
+                    )
                     .map(|sid| sid.0 as i64)
-            }),
-        );
-    }
-    {
-        let g = gfx.clone();
-        lib.export(
-            "EAGLBridge_present",
-            Arc::new(move |k, _t, _args| {
-                let mut s = g.lock().unwrap();
-                let GfxStack {
-                    gpu,
-                    egl,
-                    flinger,
-                    gralloc,
-                } = &mut *s;
-                egl.swap_buffers(k, gpu, flinger, gralloc).map(|_| 0)
-            }),
-        );
-    }
-    {
-        // The buggy fence wait used by the prototype's Cider OpenGL ES
-        // library (§6.3).
-        let g = gfx.clone();
-        lib.export(
-            "glClientWaitSync_cider",
-            Arc::new(move |k, _t, args| {
-                let mut s = g.lock().unwrap();
-                let was = s.gpu.fence_bug;
-                s.gpu.fence_bug = true;
-                let GfxStack { gpu, egl, .. } = &mut *s;
-                let r = api::gl_client_wait_sync(
-                    k,
-                    egl,
-                    gpu,
-                    args.first().copied().unwrap_or(0),
-                );
-                s.gpu.fence_bug = was;
+            })
+        }),
+    );
+    lib.export(
+        "EAGLBridge_present",
+        Arc::new(|k, _t, _args| {
+            with_gfx(k, |k, g| {
+                g.egl
+                    .swap_buffers(k, &mut g.gpu, &mut g.flinger, &g.gralloc)
+                    .map(|_| 0)
+            })
+        }),
+    );
+    // The buggy fence wait used by the prototype's Cider OpenGL ES
+    // library (§6.3).
+    lib.export(
+        "glClientWaitSync_cider",
+        Arc::new(|k, _t, args| {
+            with_gfx(k, |k, g| {
+                let was = g.gpu.fence_bug;
+                g.gpu.fence_bug = true;
+                let fence = args.first().copied().unwrap_or(0);
+                let r =
+                    api::gl_client_wait_sync(k, &mut g.egl, &mut g.gpu, fence);
+                g.gpu.fence_bug = was;
                 r
-            }),
-        );
-    }
+            })
+        }),
+    );
     lib
 }
 
@@ -572,26 +490,20 @@ pub struct GfxInstallReport {
     pub fence_bug: bool,
 }
 
-/// Registers the four domestic graphics libraries (`libGLESv2.so`,
-/// `libEGL.so`, `libgralloc.so`, `libEGLbridge.so`) with their exports
-/// bound to `gfx`, replacing any already registered. A forked system
-/// calls this with its own copy of the stack, so no export of the copy
-/// reaches the original's.
-pub fn register_gfx_libraries(sys: &mut CiderSystem, gfx: &SharedGfx) {
-    sys.register_library(build_libglesv2(gfx));
-    sys.register_library(build_libegl(gfx));
-    sys.register_library(build_libgralloc(gfx));
-    sys.register_library(build_libeglbridge(gfx));
-}
-
-/// Installs the full graphics stack into a Cider system and returns the
-/// shared stack plus a report.
+/// Installs the full graphics stack into a Cider system: the stack
+/// becomes an extension of the device kernel, and the four domestic
+/// libraries (`libGLESv2.so`, `libEGL.so`, `libgralloc.so`,
+/// `libEGLbridge.so`) are registered with exports that reach it through
+/// [`with_gfx`].
 pub fn install_gfx(
     sys: &mut CiderSystem,
     config: GfxConfig,
-) -> (SharedGfx, GfxInstallReport) {
-    let gfx: SharedGfx = Arc::new(Mutex::new(GfxStack::new()));
-    register_gfx_libraries(sys, &gfx);
+) -> GfxInstallReport {
+    sys.kernel.extensions.insert(GfxStack::new());
+    sys.register_library(build_libglesv2());
+    sys.register_library(build_libegl());
+    sys.register_library(build_libgralloc());
+    sys.register_library(build_libeglbridge());
 
     // The generation script: match the iOS OpenGLES exports against the
     // domestic libraries.
@@ -649,12 +561,11 @@ pub fn install_gfx(
     // The AppleM2CLCD framebuffer driver (paper §5.1).
     crate::fbdriver::register_display_driver(sys);
 
-    let report = GfxInstallReport {
+    GfxInstallReport {
         matched,
         bridged_eagl: bridged,
         fence_bug: config.fence_bug,
-    };
-    (gfx, report)
+    }
 }
 
 #[cfg(test)]
@@ -683,7 +594,7 @@ mod tests {
     #[test]
     fn install_matches_standard_symbols_and_bridges_eagl() {
         let mut sys = CiderSystem::new(DeviceProfile::nexus7());
-        let (_, report) = install_gfx(&mut sys, GfxConfig::default());
+        let report = install_gfx(&mut sys, GfxConfig::default());
         assert_eq!(report.matched, standard_gles_symbols().len());
         assert_eq!(report.bridged_eagl, EAGL_SYMBOLS.len());
         assert!(report.fence_bug);
@@ -692,7 +603,7 @@ mod tests {
     #[test]
     fn ios_app_renders_through_diplomats() {
         let mut sys = CiderSystem::new(DeviceProfile::nexus7());
-        let (gfx, _) = install_gfx(&mut sys, GfxConfig::default());
+        install_gfx(&mut sys, GfxConfig::default());
         let tid = foreign_thread(&mut sys);
         let lib = "OpenGLES.framework/OpenGLES";
         // EAGL setup through the bridge.
@@ -714,7 +625,7 @@ mod tests {
             .unwrap();
         sys.diplomat_call(tid, lib, "EAGLContext_presentRenderbuffer", &[])
             .unwrap();
-        let g = gfx.lock().unwrap();
+        let g = gfx(&sys.kernel);
         assert_eq!(g.flinger.frames_presented, 1);
         assert!(g.gpu.gpu_busy_ns > 0);
     }
@@ -722,7 +633,7 @@ mod tests {
     #[test]
     fn fence_bug_only_on_diplomatic_path() {
         let mut sys = CiderSystem::new(DeviceProfile::nexus7());
-        let (gfx, _) = install_gfx(&mut sys, GfxConfig::default());
+        install_gfx(&mut sys, GfxConfig::default());
         let tid = foreign_thread(&mut sys);
         let lib = "OpenGLES.framework/OpenGLES";
         let ctx = sys
@@ -740,21 +651,21 @@ mod tests {
         let fence = sys.diplomat_call(tid, lib, "glFenceSync", &[]).unwrap();
         sys.diplomat_call(tid, lib, "glClientWaitSync", &[fence])
             .unwrap();
-        assert_eq!(gfx.lock().unwrap().gpu.bug_stalls, 1);
+        assert_eq!(gfx(&sys.kernel).gpu.bug_stalls, 1);
         // The domestic path stays correct.
-        assert!(!gfx.lock().unwrap().gpu.fence_bug);
+        assert!(!gfx(&sys.kernel).gpu.fence_bug);
     }
 
     #[test]
     fn iosurface_interposition_reaches_gralloc() {
         let mut sys = CiderSystem::new(DeviceProfile::nexus7());
-        let (gfx, _) = install_gfx(&mut sys, GfxConfig::default());
+        install_gfx(&mut sys, GfxConfig::default());
         let tid = foreign_thread(&mut sys);
         let lib = "IOSurface.framework/IOSurface";
         let buf = sys
             .diplomat_call(tid, lib, "IOSurfaceCreate", &[256, 256])
             .unwrap();
-        assert_eq!(gfx.lock().unwrap().gralloc.live(), 1);
+        assert_eq!(gfx(&sys.kernel).gralloc.live(), 1);
         sys.diplomat_call(tid, lib, "IOSurfaceLock", &[buf])
             .unwrap();
         assert_eq!(
@@ -765,6 +676,6 @@ mod tests {
             .unwrap();
         sys.diplomat_call(tid, lib, "IOSurfaceDecrementUseCount", &[buf])
             .unwrap();
-        assert_eq!(gfx.lock().unwrap().gralloc.live(), 0);
+        assert_eq!(gfx(&sys.kernel).gralloc.live(), 0);
     }
 }

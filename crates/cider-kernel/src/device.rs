@@ -1,13 +1,15 @@
-//! Kernel device registry and the `device_add` hook.
+//! Kernel device registry.
 //!
 //! The paper adds "a small hook in the Linux device add function" so that
 //! every registered Linux device also appears as an I/O Kit registry
-//! entry (§5.1). [`DeviceRegistry::add`] reproduces that hook point: any
-//! number of [`DeviceAddHook`]s observe device registration, and the I/O
-//! Kit bridge in `cider-core` installs one to publish device-class
-//! instances.
-
-use std::sync::Arc;
+//! entry (§5.1). The registry is the kernel's own device table, and it
+//! only grows, in registration order. The I/O Kit bridge in `cider-core`
+//! publishes from it: `CiderSystem::add_device` is the hook point
+//! (register the device, make its node, publish its nub), and
+//! `CiderSystem::sync_iokit` publishes, in registry order, every device
+//! past the count it has already published. A forked kernel clones the
+//! table, and its system copies the count, so each device bridges its
+//! own devices.
 
 use cider_abi::errno::Errno;
 
@@ -26,31 +28,11 @@ pub struct KernelDevice {
     pub node_path: String,
 }
 
-/// Observer of device registration — the Cider I/O Kit bridge.
-///
-/// Hooks are `Send + Sync` so a kernel holding them can migrate to a
-/// fleet worker thread; observers needing mutation use a `Mutex`.
-pub trait DeviceAddHook: Send + Sync {
-    /// Called once for every device added after hook installation, and
-    /// retroactively for devices already present when the hook installs.
-    fn device_added(&self, dev: &KernelDevice);
-}
-
-/// The kernel's table of devices plus registered hooks.
-#[derive(Default)]
+/// The kernel's table of devices, in registration order.
+#[derive(Debug, Clone, Default)]
 pub struct DeviceRegistry {
     devices: Vec<KernelDevice>,
-    hooks: Vec<Arc<dyn DeviceAddHook>>,
     next_id: u32,
-}
-
-impl std::fmt::Debug for DeviceRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DeviceRegistry")
-            .field("devices", &self.devices)
-            .field("hooks", &self.hooks.len())
-            .finish()
-    }
 }
 
 impl DeviceRegistry {
@@ -59,7 +41,7 @@ impl DeviceRegistry {
         DeviceRegistry::default()
     }
 
-    /// Registers a device, fires all hooks, and returns its id.
+    /// Registers a device at the end of the table and returns its id.
     ///
     /// # Errors
     ///
@@ -76,44 +58,13 @@ impl DeviceRegistry {
         }
         let id = DeviceId(self.next_id);
         self.next_id += 1;
-        let dev = KernelDevice {
+        self.devices.push(KernelDevice {
             id,
             name: name.into(),
             class: class.into(),
             node_path,
-        };
-        for hook in self.hooks.clone() {
-            hook.device_added(&dev);
-        }
-        self.devices.push(dev);
+        });
         Ok(id)
-    }
-
-    /// A copy of the device table with no hooks: a hook belongs to the
-    /// system that installed it, which installs its own on the copy
-    /// with [`DeviceRegistry::attach_hook`].
-    pub fn fork_without_hooks(&self) -> DeviceRegistry {
-        DeviceRegistry {
-            devices: self.devices.clone(),
-            hooks: Vec::new(),
-            next_id: self.next_id,
-        }
-    }
-
-    /// Installs a hook that observes only devices added from now on —
-    /// for an observer whose owner already accounts for the devices
-    /// present (a forked device table, see
-    /// [`DeviceRegistry::fork_without_hooks`]).
-    pub fn attach_hook(&mut self, hook: Arc<dyn DeviceAddHook>) {
-        self.hooks.push(hook);
-    }
-
-    /// Installs a hook; it immediately observes all existing devices.
-    pub fn add_hook(&mut self, hook: Arc<dyn DeviceAddHook>) {
-        for dev in &self.devices {
-            hook.device_added(dev);
-        }
-        self.hooks.push(hook);
     }
 
     /// Looks up a device by id.
@@ -126,7 +77,7 @@ impl DeviceRegistry {
         self.devices.iter().find(|d| d.class == class)
     }
 
-    /// All devices.
+    /// All devices, in registration order.
     pub fn iter(&self) -> impl Iterator<Item = &KernelDevice> {
         self.devices.iter()
     }
@@ -145,18 +96,6 @@ impl DeviceRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    #[derive(Default)]
-    struct Recorder {
-        seen: Mutex<Vec<String>>,
-    }
-
-    impl DeviceAddHook for Recorder {
-        fn device_added(&self, dev: &KernelDevice) {
-            self.seen.lock().unwrap().push(dev.name.clone());
-        }
-    }
 
     #[test]
     fn add_and_lookup() {
@@ -176,20 +115,16 @@ mod tests {
     }
 
     #[test]
-    fn hooks_fire_for_new_devices() {
-        let mut r = DeviceRegistry::new();
-        let rec = Arc::new(Recorder::default());
-        r.add_hook(rec.clone());
-        r.add("touchscreen", "input", "/dev/input/event0").unwrap();
-        assert_eq!(*rec.seen.lock().unwrap(), vec!["touchscreen"]);
-    }
-
-    #[test]
-    fn hooks_observe_existing_devices_retroactively() {
+    fn iteration_follows_registration_order() {
         let mut r = DeviceRegistry::new();
         r.add("gpu", "gpu", "/dev/nvhost").unwrap();
-        let rec = Arc::new(Recorder::default());
-        r.add_hook(rec.clone());
-        assert_eq!(*rec.seen.lock().unwrap(), vec!["gpu"]);
+        let mut copy = r.clone();
+        r.add("touchscreen", "input", "/dev/input/event0").unwrap();
+        copy.add("gps", "location", "/dev/gps0").unwrap();
+        let names = |r: &DeviceRegistry| -> Vec<String> {
+            r.iter().map(|d| d.name.clone()).collect()
+        };
+        assert_eq!(names(&r), vec!["gpu", "touchscreen"]);
+        assert_eq!(names(&copy), vec!["gpu", "gps"]);
     }
 }

@@ -181,7 +181,7 @@ pub struct Kernel {
     pub vfs: Vfs,
     /// Pipes and socketpairs.
     pub ipc: IpcObjects,
-    /// Device registry with `device_add` hooks.
+    /// The device table Cider's I/O Kit bridge publishes from.
     pub devices: DeviceRegistry,
     /// Event counters.
     pub counters: KernelCounters,
@@ -305,16 +305,14 @@ impl Kernel {
     /// their extension state), the VFS, the clock, the scheduler, the
     /// fault streams, and every extension through the clone function it
     /// was inserted with. The trace sink is a [`TraceSink::fork`]: the
-    /// ring and metrics are copied, not shared as `clone` would. Device
-    /// hooks are not copied (see [`DeviceRegistry::fork_without_hooks`]);
-    /// the system that installed them attaches its own to the copy.
+    /// ring and metrics are copied, not shared as `clone` would.
     pub fn fork_device(&self) -> Kernel {
         Kernel {
             clock: self.clock.clone(),
             profile: self.profile.clone(),
             vfs: self.vfs.clone(),
             ipc: self.ipc.clone(),
-            devices: self.devices.fork_without_hooks(),
+            devices: self.devices.clone(),
             counters: self.counters,
             extensions: self.extensions.fork(),
             trace: self.trace.fork(),

@@ -4,8 +4,8 @@
 //! Native Execution of iOS Apps on Android"* (ASPLOS 2014). It provides
 //! processes and threads, address spaces with explicit page-table
 //! accounting, a VFS with overlay mounts, pipes and UNIX sockets,
-//! `select`, signals, `fork`/`exec`/`exit`/`wait`, a device registry with
-//! the `device_add` hook Cider's I/O Kit bridge uses, and — crucially — a
+//! `select`, signals, `fork`/`exec`/`exit`/`wait`, the device registry
+//! Cider's I/O Kit bridge publishes from, and — crucially — a
 //! **virtual clock**: every operation charges nanoseconds scaled by a
 //! [`profile::DeviceProfile`], so experiments are exactly
 //! reproducible and one host can model both the Nexus 7 and the iPad mini.

@@ -16,7 +16,7 @@ use cider_apps::launcher::install_ipa;
 use cider_apps::package::{build_ios_app, decrypt_ipa, DeviceKey};
 use cider_core::persona::{persona_of, set_persona};
 use cider_core::system::CiderSystem;
-use cider_gfx::stack::{install_gfx, GfxConfig};
+use cider_gfx::stack::{gfx, install_gfx, GfxConfig};
 use cider_input::events::translate;
 use cider_input::gestures::{
     synth_pan, synth_pinch, Gesture, GestureRecognizer,
@@ -25,7 +25,7 @@ use cider_kernel::profile::DeviceProfile;
 
 fn main() {
     let mut sys = CiderSystem::new(DeviceProfile::nexus7());
-    let (gfx, _) = install_gfx(&mut sys, GfxConfig::default());
+    install_gfx(&mut sys, GfxConfig::default());
 
     let ipa = decrypt_ipa(
         &build_ios_app("com.example.game", "SpaceGame", "game_main", true),
@@ -35,7 +35,7 @@ fn main() {
     let binary = install_ipa(&mut sys, &ipa).expect("install");
     sys.kernel
         .register_program("game_main", std::sync::Arc::new(|_, _| 0));
-    let mut cp = CiderPress::launch(&mut sys, &gfx, &binary).expect("launch");
+    let mut cp = CiderPress::launch(&mut sys, &binary).expect("launch");
     let input_tid = cp.app.1;
 
     // The render thread: same process, switched to the domestic persona
@@ -124,9 +124,9 @@ fn main() {
     println!(
         "game loop done: {frames} draw calls, {} composited frames, \
          virtual time {:.2} ms",
-        gfx.lock().unwrap().flinger.frames_presented,
+        gfx(&sys.kernel).flinger.frames_presented,
         sys.kernel.clock.now_ns() as f64 / 1e6
     );
     assert!(zoom > 1.0, "net zoom in");
-    cp.stop(&mut sys, &gfx).expect("stop");
+    cp.stop(&mut sys).expect("stop");
 }

@@ -20,12 +20,11 @@ use cider_kernel::profile::DeviceProfile;
 fn main() {
     // 1. Boot the Nexus 7 with the Cider kernel extensions.
     let mut sys = CiderSystem::new(DeviceProfile::nexus7());
-    let (_gfx, report) = install_gfx(&mut sys, GfxConfig::default());
+    let report = install_gfx(&mut sys, GfxConfig::default());
     println!(
         "booted {}: {} GL diplomats generated, {} EAGL bridges",
         sys.kernel.profile.name, report.matched, report.bridged_eagl
     );
-    let gfx = _gfx;
 
     // 2. An encrypted App Store app arrives; decrypt it the way the
     //    paper did, on a jailbroken device.
@@ -58,7 +57,7 @@ fn main() {
             0
         }),
     );
-    let mut cp = CiderPress::launch(&mut sys, &gfx, &binary).expect("launch");
+    let mut cp = CiderPress::launch(&mut sys, &binary).expect("launch");
     println!(
         "launched: app pid {} runs the {} persona",
         cp.app.0,

@@ -29,7 +29,7 @@
 //! use cider_suite::prelude::*;
 //!
 //! let mut sys = CiderSystem::new(DeviceProfile::nexus7());
-//! let (_gfx, _) = install_gfx(&mut sys, GfxConfig::default());
+//! install_gfx(&mut sys, GfxConfig::default());
 //! assert!(sys.kernel.vfs.exists(
 //!     "/System/Library/Frameworks/UIKit.framework/UIKit"
 //! ));

@@ -7,13 +7,13 @@ use cider_abi::errno::Errno;
 use cider_abi::persona::Persona;
 use cider_core::persona::{attach_persona_ext, persona_ext_mut};
 use cider_core::system::CiderSystem;
-use cider_gfx::stack::{install_gfx, GfxConfig, SharedGfx};
+use cider_gfx::stack::{gfx, install_gfx, GfxConfig};
 use cider_kernel::profile::DeviceProfile;
 
-fn booted() -> (CiderSystem, SharedGfx) {
+fn booted() -> CiderSystem {
     let mut sys = CiderSystem::new(DeviceProfile::nexus7());
-    let (gfx, _) = install_gfx(&mut sys, GfxConfig::default());
-    (sys, gfx)
+    install_gfx(&mut sys, GfxConfig::default());
+    sys
 }
 
 fn foreign_thread(sys: &mut CiderSystem) -> cider_abi::ids::Tid {
@@ -32,7 +32,7 @@ fn camera_dependent_app_cannot_run() {
     // "an app such as Facetime that requires use of the camera does not
     // currently work with Cider" — the camera has no I/O Kit bridge
     // entry and no diplomatic library.
-    let (mut sys, _) = booted();
+    let mut sys = booted();
     let tid = foreign_thread(&mut sys);
     let camera_service = cider_core::with_state(&mut sys.kernel, |_, st| {
         st.iokit.find_service("IOCameraNub")
@@ -56,7 +56,7 @@ fn yelp_style_app_continues_without_location() {
     // "the iOS Yelp app runs on Cider even though GPS and location
     // services are currently unsupported" — the location query fails,
     // the rest of the app keeps working.
-    let (mut sys, _) = booted();
+    let mut sys = booted();
     let tid = foreign_thread(&mut sys);
     let gps = cider_core::with_state(&mut sys.kernel, |_, st| {
         st.iokit.find_service("IOGPSNub")
@@ -80,7 +80,7 @@ fn webkit_multithreaded_gl_is_hazardous() {
     // multi-threaded use of the OpenGL ES API" — the diplomatic GL
     // library shares one current-context slot, so two foreign threads
     // using GL concurrently stomp each other's context.
-    let (mut sys, gfx) = booted();
+    let mut sys = booted();
     let t1 = foreign_thread(&mut sys);
     let t2 = sys.kernel.spawn_thread(t1).unwrap();
     let lib = "OpenGLES.framework/OpenGLES";
@@ -108,7 +108,7 @@ fn webkit_multithreaded_gl_is_hazardous() {
     sys.diplomat_call(t1, lib, "glDrawArrays", &[4, 0, 30])
         .unwrap();
     {
-        let g = gfx.lock().unwrap();
+        let g = gfx(&sys.kernel);
         let c1 = g
             .egl
             .context(cider_gfx::gles::ContextId(ctx1 as u64))
@@ -134,7 +134,7 @@ fn ios_security_model_is_not_mapped() {
     // "Cider does not map iOS security to Android security" — the
     // overlay FS carries no iOS entitlement metadata: any process can
     // read another app's container.
-    let (mut sys, _) = booted();
+    let mut sys = booted();
     sys.kernel
         .vfs
         .write_file_overlay(
@@ -160,7 +160,7 @@ fn hotplugging_a_device_class_enables_it() {
     // §6.4: "Devices with a simple interface, such as GPS, can be
     // supported with I/O Kit drivers and diplomatic functions" — adding
     // the Linux driver publishes the nub for matching.
-    let (mut sys, _) = booted();
+    let mut sys = booted();
     sys.add_device("mpu6050", "sensor", "/dev/iio0").unwrap();
     cider_core::with_state(&mut sys.kernel, |_, st| {
         assert!(st.iokit.find_service("IOSensorNub").is_some());

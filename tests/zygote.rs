@@ -148,7 +148,7 @@ fn observe(bed: &TestBed) -> Observation {
     Observation {
         image: capture_kernel(&bed.sys.kernel),
         trace: format!("{:?}", bed.trace_snapshot()),
-        gfx: format!("{:?}", *bed.gfx.lock().unwrap()),
+        gfx: format!("{:?}", bed.gfx()),
         cider,
     }
 }
@@ -236,8 +236,8 @@ fn mutate(bed: &mut TestBed, pid: Pid, tid: Tid, gl: Tid) {
         .add_device("hotplug-gps", "location", "/dev/gps0")
         .unwrap();
     bed.sys.mach_port_allocate(gl).unwrap();
-    // A device the kernel registers on its own: the registry hook queues
-    // it for the I/O Kit bridge, which the caller runs.
+    // A device the kernel registers on its own: the I/O Kit bridge
+    // publishes it at the next `sync_iokit`, which the caller runs.
     bed.sys
         .kernel
         .devices
@@ -254,8 +254,9 @@ fn has_camera_nub(bed: &TestBed) -> bool {
 fn a_fork_shares_nothing_mutable_with_its_template() {
     for config in SystemConfig::ALL {
         let (mut template, pid, tid) = fresh_bed(config);
-        // Resolve the template's diplomats first, so the fork has cached
-        // domestic functions to bind again rather than share.
+        // Resolve the template's diplomats first, so the fork inherits
+        // cached domestic functions: shared, they must still reach the
+        // fork's own graphics stack, never the template's.
         let gl = gl_thread(&mut template);
         gl_frame(&mut template, gl);
         let before = observe(&template);
@@ -264,8 +265,8 @@ fn a_fork_shares_nothing_mutable_with_its_template() {
         assert_same_bed(&before, &observe(&fork), &format!("{config:?} fork"));
         mutate(&mut fork, pid, tid, gl);
         assert_ne!(observe(&fork), before, "{config:?}: mutations showed");
-        // The camera the fork's kernel queued reaches the fork's bridge,
-        // not the template's, whichever drains first.
+        // The camera the fork's kernel registered is published by the
+        // fork's bridge, not the template's, whichever syncs first.
         template.sys.sync_iokit();
         fork.sys.sync_iokit();
         assert!(has_camera_nub(&fork), "{config:?}: fork bridged its camera");
