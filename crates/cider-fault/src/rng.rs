@@ -13,6 +13,7 @@
 //! published reference vectors in this module's tests.
 
 use std::fmt;
+use std::hash::Hasher;
 
 /// Advances `state` by the splitmix64 increment and returns the next
 /// output word.
@@ -69,9 +70,10 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Streaming FNV-1a: writing chunks one after another hashes exactly
-/// like [`fnv1a`] over their concatenation, so ring buffers and
-/// `Debug` output hash in place, without a copy. The field is the
-/// running digest.
+/// like [`fnv1a`] over their concatenation, so a trace ring hashes in
+/// place, one event's field bytes at a time through [`Hasher`], and
+/// `Debug` output as it is formatted through `fmt::Write`, without a
+/// copy. The field is the running digest.
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv1a(pub u64);
 
@@ -114,6 +116,51 @@ impl Fnv1a {
     pub fn write_debug(&mut self, v: &dyn fmt::Debug) {
         fmt::Write::write_fmt(self, format_args!("{v:?}"))
             .expect("hashing cannot fail");
+    }
+}
+
+/// Every integer method folds little-endian bytes, and `usize` and
+/// `isize` fold as 64-bit values: std's defaults use the platform's
+/// byte order and width, and a digest must not depend on either.
+impl Hasher for Fnv1a {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        Fnv1a::write(self, bytes);
+    }
+
+    #[inline]
+    fn write_u16(&mut self, v: u16) {
+        self.write(&v.to_le_bytes());
+    }
+
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.write(&v.to_le_bytes());
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.write(&v.to_le_bytes());
+    }
+
+    #[inline]
+    fn write_u128(&mut self, v: u128) {
+        self.write(&v.to_le_bytes());
+    }
+
+    #[inline]
+    fn write_usize(&mut self, v: usize) {
+        self.write(&(v as u64).to_le_bytes());
+    }
+
+    #[inline]
+    fn write_isize(&mut self, v: isize) {
+        self.write(&(v as i64).to_le_bytes());
     }
 }
 
@@ -170,5 +217,42 @@ mod tests {
             h.write(b);
             assert_eq!(h.0, fnv1a(whole));
         }
+    }
+
+    #[test]
+    fn hasher_integers_fold_little_endian_and_64_bit() {
+        let digest = |f: fn(&mut Fnv1a)| {
+            let mut h = Fnv1a::new();
+            f(&mut h);
+            Hasher::finish(&h)
+        };
+        let u64_le = [8, 7, 6, 5, 4, 3, 2, 1];
+        assert_eq!(digest(|h| h.write_u8(0xa1)), fnv1a(&[0xa1]));
+        assert_eq!(digest(|h| Hasher::write_u16(h, 0x0102)), fnv1a(&[2, 1]));
+        assert_eq!(
+            digest(|h| Hasher::write_u32(h, 0x0102_0304)),
+            fnv1a(&[4, 3, 2, 1])
+        );
+        assert_eq!(
+            digest(|h| Hasher::write_i32(h, -2)),
+            fnv1a(&[0xfe, 0xff, 0xff, 0xff])
+        );
+        assert_eq!(
+            digest(|h| Hasher::write_u64(h, 0x0102_0304_0506_0708)),
+            fnv1a(&u64_le)
+        );
+        assert_eq!(
+            digest(|h| Hasher::write_i64(h, 0x0102_0304_0506_0708)),
+            fnv1a(&u64_le)
+        );
+        assert_eq!(
+            digest(|h| Hasher::write_u128(h, 0x0102_0304_0506_0708)),
+            fnv1a(&[u64_le, [0; 8]].concat())
+        );
+        assert_eq!(
+            digest(|h| h.write_usize(0x0102_0304)),
+            fnv1a(&[4, 3, 2, 1, 0, 0, 0, 0])
+        );
+        assert_eq!(digest(|h| h.write_isize(-1)), fnv1a(&[0xff; 8]));
     }
 }

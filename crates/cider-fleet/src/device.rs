@@ -14,9 +14,10 @@
 //! agree on it bit for bit, whichever host thread ran them. Healing
 //! state (outcome, recovery ledger) folds into the fingerprint only
 //! when present, so plain fault-free runs keep their historical
-//! fingerprints. Records hash as their `Debug` text, streamed into the
-//! hash as it is formatted: one pass over the live trace ring, with no
-//! copy of the ring and no string per event.
+//! fingerprints. Retained trace events hash as their fields in the
+//! fixed little-endian layout of `TraceEvent::encode`, fed to the hash
+//! in one pass over the live trace ring, with no copy of the ring; the
+//! fault and recovery ledgers hash as their `Debug` text.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, Once, OnceLock};
@@ -101,7 +102,10 @@ pub struct DeviceResult {
     pub outcome: DeviceOutcome,
     /// Self-healing statistics, present only for healed runs.
     pub heal: Option<HealStats>,
-    /// FNV-1a digest of the full observable trace.
+    /// FNV-1a digest of the full observable trace: the device header,
+    /// both metric registries, every retained event's field bytes
+    /// (`TraceEvent::encode`), the fault and recovery ledgers, and the
+    /// outcome and healing statistics when present.
     pub trace_fingerprint: u64,
 }
 
@@ -476,7 +480,7 @@ impl DeviceSim {
                 fingerprint_metrics(&mut h, metrics);
                 fingerprint_metrics(&mut h, &self.workload);
                 h.write_u64(ring.dropped());
-                ring.write_debug(&mut h).expect("hashing cannot fail");
+                ring.encode(&mut h);
                 (metrics.snapshot(), ring.len() as u64)
             })
             .expect("bed was built traced");
@@ -752,9 +756,10 @@ mod tests {
         assert_eq!(guarded.outcome, DeviceOutcome::Completed);
     }
 
-    /// The fingerprint as first written: copy the ring out of the sink,
-    /// render every record into its own `String`, hash the strings.
-    /// `finish` must hash exactly these bytes in one streaming pass.
+    /// The fingerprint the long way: copy the ring out of the sink,
+    /// encode every event into its own buffer, hash the concatenation,
+    /// and render every ledger record into its own `String`. `finish`
+    /// must hash exactly these bytes in one streaming pass.
     fn reference_fingerprint(
         mut sim: DeviceSim,
         outcome: DeviceOutcome,
@@ -787,9 +792,16 @@ mod tests {
         metrics(&mut h, &snap.metrics);
         metrics(&mut h, &sim.workload.snapshot());
         h.write_u64(snap.dropped);
-        for ev in &snap.events {
-            h.write_str(&format!("{ev:?}"));
-        }
+        let events: Vec<u8> = snap
+            .events
+            .iter()
+            .flat_map(|ev| {
+                let mut bytes = Bytes::default();
+                ev.encode(&mut bytes);
+                bytes.0
+            })
+            .collect();
+        h.write(&events);
         for rec in faults.ledger() {
             h.write_str(&format!("{rec:?}"));
         }
@@ -804,6 +816,20 @@ mod tests {
             stats.fold_into(&mut h);
         }
         (h.0, snap)
+    }
+
+    /// A sink that keeps the bytes it is fed.
+    #[derive(Default)]
+    struct Bytes(Vec<u8>);
+
+    impl std::hash::Hasher for Bytes {
+        fn finish(&self) -> u64 {
+            unreachable!("the reference hashes the bytes it keeps")
+        }
+
+        fn write(&mut self, bytes: &[u8]) {
+            self.0.extend_from_slice(bytes);
+        }
     }
 
     type Ended = (DeviceSim, DeviceOutcome, Option<HealStats>);

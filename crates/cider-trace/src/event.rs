@@ -2,6 +2,7 @@
 
 use std::borrow::Cow;
 use std::fmt;
+use std::hash::Hasher;
 
 use cider_abi::ids::{Pid, Tid};
 
@@ -272,6 +273,144 @@ pub struct TraceEvent {
     pub ctx: TraceContext,
     /// What.
     pub kind: EventKind,
+}
+
+impl TraceEvent {
+    /// Feeds the event to `out` as its fields in a fixed byte layout:
+    ///
+    /// * the context: `ts_ns` as 8 bytes, `pid` and `tid` as 4 each,
+    ///   `foreign` as 1;
+    /// * a one-byte variant tag, numbering the variants of
+    ///   [`EventKind`] in declaration order from 0;
+    /// * the variant's fields in declaration order.
+    ///
+    /// Integers are little-endian at their declared width and a `bool`
+    /// is one byte. An `Option` is a tag byte (0 for `None`, 1 for
+    /// `Some`), then the value. A string is its byte length as 8
+    /// bytes, then its UTF-8 bytes. Every field has a fixed width or a
+    /// length prefix, so distinct events, and distinct sequences of
+    /// events, feed distinct bytes.
+    ///
+    /// The bytes reach the sink only through [`Hasher::write`], never
+    /// its integer methods, so they are the same for every sink on
+    /// every platform.
+    pub fn encode(&self, out: &mut impl Hasher) {
+        fn string(out: &mut impl Hasher, s: &str) {
+            out.write(&(s.len() as u64).to_le_bytes());
+            out.write(s.as_bytes());
+        }
+        let TraceContext {
+            ts_ns,
+            pid,
+            tid,
+            foreign,
+        } = self.ctx;
+        out.write(&ts_ns.to_le_bytes());
+        out.write(&pid.to_le_bytes());
+        out.write(&tid.to_le_bytes());
+        out.write(&[u8::from(foreign)]);
+        match &self.kind {
+            EventKind::SyscallEnter { nr, translated } => {
+                out.write(&[0]);
+                out.write(&nr.to_le_bytes());
+                match translated {
+                    None => out.write(&[0]),
+                    Some(t) => {
+                        out.write(&[1]);
+                        out.write(&t.to_le_bytes());
+                    }
+                }
+            }
+            EventKind::SyscallExit { nr, ret } => {
+                out.write(&[1]);
+                out.write(&nr.to_le_bytes());
+                out.write(&ret.to_le_bytes());
+            }
+            EventKind::SignalDeliver {
+                signal,
+                frame_bytes,
+            } => {
+                out.write(&[2]);
+                out.write(&signal.to_le_bytes());
+                out.write(&frame_bytes.to_le_bytes());
+            }
+            EventKind::SignalTranslate { from, to } => {
+                out.write(&[3]);
+                out.write(&from.to_le_bytes());
+                out.write(&to.to_le_bytes());
+            }
+            EventKind::PersonaSwitch { to_foreign } => {
+                out.write(&[4, u8::from(*to_foreign)]);
+            }
+            EventKind::MachMsgSend { msg_id, bytes } => {
+                out.write(&[5]);
+                out.write(&msg_id.to_le_bytes());
+                out.write(&bytes.to_le_bytes());
+            }
+            EventKind::MachMsgReceive { msg_id, bytes } => {
+                out.write(&[6]);
+                out.write(&msg_id.to_le_bytes());
+                out.write(&bytes.to_le_bytes());
+            }
+            EventKind::DiplomatEnter { symbol } => {
+                out.write(&[7]);
+                string(out, symbol);
+            }
+            EventKind::DiplomatExit { symbol, ok } => {
+                out.write(&[8]);
+                string(out, symbol);
+                out.write(&[u8::from(*ok)]);
+            }
+            EventKind::VfsOp { op, bytes } => {
+                out.write(&[9]);
+                string(out, op);
+                out.write(&bytes.to_le_bytes());
+            }
+            EventKind::PageTableCopy { ptes } => {
+                out.write(&[10]);
+                out.write(&ptes.to_le_bytes());
+            }
+            EventKind::DyldMap { libraries } => {
+                out.write(&[11]);
+                out.write(&libraries.to_le_bytes());
+            }
+            EventKind::DyldHandlers { handlers } => {
+                out.write(&[12]);
+                out.write(&handlers.to_le_bytes());
+            }
+            EventKind::ContextSwitch { from, to } => {
+                out.write(&[13]);
+                out.write(&from.to_le_bytes());
+                out.write(&to.to_le_bytes());
+            }
+            EventKind::GpuFenceWait { fence, buggy } => {
+                out.write(&[14]);
+                out.write(&fence.to_le_bytes());
+                out.write(&[u8::from(*buggy)]);
+            }
+            EventKind::SpanBegin { label } => {
+                out.write(&[15]);
+                string(out, label);
+            }
+            EventKind::SpanEnd { label } => {
+                out.write(&[16]);
+                string(out, label);
+            }
+            EventKind::Mark { label } => {
+                out.write(&[17]);
+                string(out, label);
+            }
+            EventKind::FaultInjected { site, seq } => {
+                out.write(&[18]);
+                string(out, site);
+                out.write(&seq.to_le_bytes());
+            }
+            EventKind::Recovery { action } => {
+                out.write(&[19]);
+                string(out, action);
+            }
+        }
+    }
 }
 
 impl fmt::Display for TraceEvent {

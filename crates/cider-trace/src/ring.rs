@@ -1,6 +1,6 @@
 //! Fixed-capacity ring buffer of trace events.
 
-use std::fmt;
+use std::hash::Hasher;
 
 use crate::event::TraceEvent;
 
@@ -97,11 +97,11 @@ impl TraceBuffer {
         self.iter().cloned().collect()
     }
 
-    /// Streams each retained event's `Debug` text into `out`,
-    /// oldest-first and unseparated: the bytes of
-    /// `format!("{ev:?}")` per event, without building any string.
-    pub fn write_debug(&self, out: &mut impl fmt::Write) -> fmt::Result {
-        self.iter().try_for_each(|ev| write!(out, "{ev:?}"))
+    /// Feeds each retained event's [`TraceEvent::encode`] bytes to
+    /// `out`, oldest-first and unseparated, reading the events in
+    /// place.
+    pub fn encode(&self, out: &mut impl Hasher) {
+        self.iter().for_each(|ev| ev.encode(out));
     }
 
     /// Clears all retained events and counters.
@@ -182,7 +182,8 @@ mod tests {
         assert_eq!(timestamps(&b), vec![9]);
     }
 
-    /// Every event kind, with labels that `Debug` must escape.
+    /// Every event kind, with labels full of quotes, backslashes,
+    /// control characters and multi-byte characters.
     fn every_kind() -> Vec<EventKind> {
         const TRICKY: &str = "q\"b\\s\nn\u{e9}\u{1F600}\u{200B}\t\u{7f}";
         vec![
@@ -247,43 +248,328 @@ mod tests {
         ]
     }
 
-    /// A writer that keeps each chunk apart, so the test sees the
-    /// stream as the writer receives it.
-    #[derive(Default)]
-    struct Chunks(Vec<String>);
-
-    impl fmt::Write for Chunks {
-        fn write_str(&mut self, s: &str) -> fmt::Result {
-            self.0.push(s.to_string());
-            Ok(())
+    /// The context of the `i`th event of [`every_kind`].
+    fn ctx(i: usize) -> TraceContext {
+        TraceContext {
+            ts_ns: 0x1_0000_0000 + i as u64,
+            pid: 7,
+            tid: 0x0102,
+            foreign: i.is_multiple_of(2),
         }
     }
 
-    #[test]
-    fn streamed_debug_text_matches_format_for_every_kind() {
-        let kinds = every_kind();
-        // Capacity below the event count, so the stream crosses the
-        // wrap point and must still come out oldest-first.
-        let mut b = TraceBuffer::new(kinds.len() - 3);
-        for (i, kind) in kinds.into_iter().enumerate() {
-            b.push(TraceEvent {
-                ctx: TraceContext {
-                    ts_ns: i as u64,
-                    pid: 7,
-                    tid: 8,
-                    foreign: i % 2 == 0,
-                },
-                kind,
-            });
+    fn events() -> Vec<TraceEvent> {
+        every_kind()
+            .into_iter()
+            .enumerate()
+            .map(|(i, kind)| TraceEvent { ctx: ctx(i), kind })
+            .collect()
+    }
+
+    /// A sink that keeps the bytes it is fed.
+    #[derive(Default)]
+    struct Bytes(Vec<u8>);
+
+    impl Hasher for Bytes {
+        fn finish(&self) -> u64 {
+            unreachable!("the tests compare bytes, not digests")
         }
-        let want: String = b.iter().map(|ev| format!("{ev:?}")).collect();
-        let mut got = Chunks::default();
-        b.write_debug(&mut got).unwrap();
-        assert!(got.0.len() > b.len(), "Debug streams in pieces");
-        assert_eq!(got.0.concat(), want);
-        assert!(want.contains("\\\"b\\\\s\\n"), "{want}");
-        let oldest = "TraceEvent { ctx: TraceContext { ts_ns: 3,";
-        assert!(want.starts_with(oldest), "{want}");
+
+        fn write(&mut self, bytes: &[u8]) {
+            self.0.extend_from_slice(bytes);
+        }
+    }
+
+    fn encoded<'a>(
+        events: impl IntoIterator<Item = &'a TraceEvent>,
+    ) -> Vec<u8> {
+        let mut out = Bytes::default();
+        events.into_iter().for_each(|ev| ev.encode(&mut out));
+        out.0
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// [`TraceEvent::encode`] of [`events`], one per line, in hex:
+    /// `ts_ns`, `pid`, `tid`, `foreign`, the tag, then the fields.
+    /// `{tricky}` stands for the length and bytes of the labels that
+    /// [`every_kind`] fills with quotes, escapes and multi-byte
+    /// characters.
+    const GOLDEN: [&str; 21] = [
+        "0000000001000000 07000000 02010000 01 00 fcffffffffffffff 01 0100000000000000",
+        "0100000001000000 07000000 02010000 00 00 1400000000000000 00",
+        "0200000001000000 07000000 02010000 01 01 0400000000000000 f7ffffffffffffff",
+        "0300000001000000 07000000 02010000 00 02 1e000000 e002000000000000",
+        "0400000001000000 07000000 02010000 01 03 0a000000 1e000000",
+        "0500000001000000 07000000 02010000 00 04 01",
+        "0600000001000000 07000000 02010000 01 05 00060000 0020000000000000",
+        "0700000001000000 07000000 02010000 00 06 ffffffff 0000000000000000",
+        "0800000001000000 07000000 02010000 01 07 {tricky}",
+        "0900000001000000 07000000 02010000 00 08 {tricky} 00",
+        "0a00000001000000 07000000 02010000 01 09 {tricky} ffffffffffffffff",
+        "0b00000001000000 07000000 02010000 00 0a 0900000000000000",
+        "0c00000001000000 07000000 02010000 01 0b 7300000000000000",
+        "0d00000001000000 07000000 02010000 00 0c e600000000000000",
+        "0e00000001000000 07000000 02010000 01 0d 00000000 65000000",
+        "0f00000001000000 07000000 02010000 00 0e 0300000000000000 01",
+        "1000000001000000 07000000 02010000 01 0f {tricky}",
+        "1100000001000000 07000000 02010000 00 10 {tricky}",
+        "1200000001000000 07000000 02010000 01 11 0300000000000000 000d27",
+        "1300000001000000 07000000 02010000 00 12 {tricky} 0100000000000000",
+        "1400000001000000 07000000 02010000 01 13 {tricky}",
+    ];
+
+    const TRICKY_HEX: &str =
+        "1200000000000000 7122625c730a6ec3a9f09f9880e2808b097f";
+
+    fn golden(i: usize) -> String {
+        GOLDEN[i].replace("{tricky}", TRICKY_HEX).replace(' ', "")
+    }
+
+    #[test]
+    fn encoded_bytes_match_the_golden_layout_for_every_kind() {
+        // Three marks fall off first, so the ring has wrapped and the
+        // stream must cross the wrap point to come out oldest-first.
+        let mut b = TraceBuffer::new(GOLDEN.len());
+        for ts in 0..3 {
+            b.push(mark(ts));
+        }
+        for ev in events() {
+            b.push(ev);
+        }
+        assert_eq!((b.dropped(), b.head), (3, 3));
+        assert_eq!(b.len(), GOLDEN.len());
+        for (i, ev) in b.iter().enumerate() {
+            assert_eq!(hex(&encoded([ev])), golden(i), "event {i}: {ev:?}");
+        }
+        let mut streamed = Bytes::default();
+        b.encode(&mut streamed);
+        let all: String = (0..GOLDEN.len()).map(golden).collect();
+        assert_eq!(hex(&streamed.0), all);
+    }
+
+    /// One copy of `ev` per field of its context and its kind, with
+    /// that field changed by one: an integer incremented, a `bool`
+    /// flipped, an `Option` made `Some` of the next value, a string's
+    /// last character moved to the next code point.
+    fn nudges(ev: &TraceEvent) -> Vec<TraceEvent> {
+        use EventKind as K;
+        fn next(s: &str) -> String {
+            let mut s = s.to_string();
+            let last = s.pop().expect("labels are not empty");
+            s.push(char::from_u32(u32::from(last) + 1).expect("a char"));
+            s
+        }
+        fn next_static(s: &str) -> &'static str {
+            Box::leak(next(s).into_boxed_str())
+        }
+        let c = ev.ctx;
+        let contexts = [
+            TraceContext {
+                ts_ns: c.ts_ns + 1,
+                ..c
+            },
+            TraceContext {
+                pid: c.pid + 1,
+                ..c
+            },
+            TraceContext {
+                tid: c.tid + 1,
+                ..c
+            },
+            TraceContext {
+                foreign: !c.foreign,
+                ..c
+            },
+        ];
+        let kinds = match ev.kind.clone() {
+            K::SyscallEnter { nr, translated } => vec![
+                K::SyscallEnter {
+                    nr: nr + 1,
+                    translated,
+                },
+                K::SyscallEnter {
+                    nr,
+                    translated: Some(translated.map_or(0, |t| t + 1)),
+                },
+            ],
+            K::SyscallExit { nr, ret } => vec![
+                K::SyscallExit { nr: nr + 1, ret },
+                K::SyscallExit { nr, ret: ret + 1 },
+            ],
+            K::SignalDeliver {
+                signal,
+                frame_bytes,
+            } => vec![
+                K::SignalDeliver {
+                    signal: signal + 1,
+                    frame_bytes,
+                },
+                K::SignalDeliver {
+                    signal,
+                    frame_bytes: frame_bytes + 1,
+                },
+            ],
+            K::SignalTranslate { from, to } => vec![
+                K::SignalTranslate { from: from + 1, to },
+                K::SignalTranslate { from, to: to + 1 },
+            ],
+            K::PersonaSwitch { to_foreign } => vec![K::PersonaSwitch {
+                to_foreign: !to_foreign,
+            }],
+            K::MachMsgSend { msg_id, bytes } => vec![
+                K::MachMsgSend {
+                    msg_id: msg_id + 1,
+                    bytes,
+                },
+                K::MachMsgSend {
+                    msg_id,
+                    bytes: bytes + 1,
+                },
+            ],
+            K::MachMsgReceive { msg_id, bytes } => vec![
+                K::MachMsgReceive {
+                    msg_id: msg_id + 1,
+                    bytes,
+                },
+                K::MachMsgReceive {
+                    msg_id,
+                    bytes: bytes + 1,
+                },
+            ],
+            K::DiplomatEnter { symbol } => vec![K::DiplomatEnter {
+                symbol: next(&symbol).into(),
+            }],
+            K::DiplomatExit { symbol, ok } => vec![
+                K::DiplomatExit {
+                    symbol: next(&symbol).into(),
+                    ok,
+                },
+                K::DiplomatExit { symbol, ok: !ok },
+            ],
+            K::VfsOp { op, bytes } => vec![
+                K::VfsOp {
+                    op: next_static(op),
+                    bytes,
+                },
+                K::VfsOp {
+                    op,
+                    bytes: bytes.wrapping_add(1),
+                },
+            ],
+            K::PageTableCopy { ptes } => {
+                vec![K::PageTableCopy { ptes: ptes + 1 }]
+            }
+            K::DyldMap { libraries } => vec![K::DyldMap {
+                libraries: libraries + 1,
+            }],
+            K::DyldHandlers { handlers } => vec![K::DyldHandlers {
+                handlers: handlers + 1,
+            }],
+            K::ContextSwitch { from, to } => vec![
+                K::ContextSwitch { from: from + 1, to },
+                K::ContextSwitch { from, to: to + 1 },
+            ],
+            K::GpuFenceWait { fence, buggy } => vec![
+                K::GpuFenceWait {
+                    fence: fence + 1,
+                    buggy,
+                },
+                K::GpuFenceWait {
+                    fence,
+                    buggy: !buggy,
+                },
+            ],
+            K::SpanBegin { label } => vec![K::SpanBegin {
+                label: next(&label).into(),
+            }],
+            K::SpanEnd { label } => vec![K::SpanEnd {
+                label: next(&label).into(),
+            }],
+            K::Mark { label } => vec![K::Mark {
+                label: next(&label).into(),
+            }],
+            K::FaultInjected { site, seq } => vec![
+                K::FaultInjected {
+                    site: next_static(site),
+                    seq,
+                },
+                K::FaultInjected { site, seq: seq + 1 },
+            ],
+            K::Recovery { action } => vec![K::Recovery {
+                action: next(&action).into(),
+            }],
+        };
+        let with_ctx = contexts.map(|ctx| TraceEvent {
+            ctx,
+            kind: ev.kind.clone(),
+        });
+        let with_kind =
+            kinds.into_iter().map(|kind| TraceEvent { ctx: c, kind });
+        with_ctx.into_iter().chain(with_kind).collect()
+    }
+
+    #[test]
+    fn events_that_differ_anywhere_encode_differently() {
+        // Each field of each variant and of the context (`foreign`
+        // flipped among them), changed by one.
+        for ev in events() {
+            for nudged in nudges(&ev) {
+                assert_ne!(nudged, ev, "the nudge changed nothing");
+                assert_ne!(encoded([&nudged]), encoded([&ev]), "{nudged:?}");
+            }
+        }
+        // Every variant apart from every other, fields alike or not.
+        let distinct: std::collections::BTreeSet<Vec<u8>> = every_kind()
+            .into_iter()
+            .map(|kind| encoded([&TraceEvent { ctx: ctx(0), kind }]))
+            .collect();
+        assert_eq!(distinct.len(), every_kind().len());
+        // An absent translation is not translation to syscall 0.
+        let enter = |translated| TraceEvent {
+            ctx: ctx(0),
+            kind: EventKind::SyscallEnter { nr: 4, translated },
+        };
+        assert_ne!(encoded([&enter(None)]), encoded([&enter(Some(0))]));
+        // Labels that concatenate alike, on two consecutive events.
+        let marks = |a: &'static str, b: &'static str| {
+            [a, b].map(|label| TraceEvent {
+                ctx: ctx(0),
+                kind: EventKind::Mark {
+                    label: label.into(),
+                },
+            })
+        };
+        assert_ne!(encoded(&marks("ab", "c")), encoded(&marks("a", "bc")));
+        // Two streams only the length prefix tells apart. Without it,
+        // the `x` that lengthens the second label would take the place
+        // of the first byte of the next `ts_ns`, and the exit's `nr`
+        // and `ret` those of a mark's tag and label.
+        let at = |ts_ns, foreign| TraceContext {
+            ts_ns,
+            pid: 0,
+            tid: 0,
+            foreign,
+        };
+        let event = |ctx, kind| TraceEvent { ctx, kind };
+        let mark = |label: &'static str| EventKind::Mark {
+            label: label.into(),
+        };
+        let exit = EventKind::SyscallExit {
+            nr: 17,
+            ret: i64::from_le_bytes(*b"collide!"),
+        };
+        let short = [
+            event(ctx(0), mark("ab")),
+            event(at(u64::from(b'x'), false), exit),
+        ];
+        let long = [
+            event(ctx(0), mark("abx")),
+            event(at(0, true), mark("\0\0\0\0\0\0\0collide!")),
+        ];
+        assert_ne!(encoded(&short), encoded(&long));
     }
 
     #[test]

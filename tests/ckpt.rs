@@ -7,21 +7,24 @@
 //! restored. Device level: `restore(checkpoint(d)) ≡ d` — re-booting a
 //! device and deterministically replaying to a checkpoint's cursor
 //! reproduces the checkpointed state image byte-for-byte, and the
-//! resumed device finishes with the same trace fingerprint as one that
-//! never stopped (property-tested across seeds, workloads and
-//! checkpoint positions). Fleet level: a 64-device fleet under
+//! resumed device ends with the same trace, event by event, and the
+//! same trace fingerprint as one that never stopped (property-tested
+//! across seeds, workloads and checkpoint positions). Fleet level: a 64-device fleet under
 //! injected crashes/wedges/checkpoint corruption heals itself — killed
 //! devices restore from their last good frame and replay forward — and
 //! the final report JSON, recovery ledger included, is byte-identical
 //! across repeat runs and host-thread counts.
 
+mod common;
+
 use cider_bench::config::SystemConfig;
 use cider_ckpt::{Checkpoint, CkptError, CkptHeader};
 use cider_fault::{FaultPlan, FaultSite};
 use cider_fleet::{
-    run_device, run_device_healed, DeviceOutcome, DeviceSim, DeviceSpec,
-    FleetReport, FleetSpec, HealConfig, PersonaMix, Workload,
+    run_device_healed, DeviceOutcome, DeviceSim, DeviceSpec, FleetReport,
+    FleetSpec, HealConfig, PersonaMix, Workload,
 };
+use common::{assert_same_trace, trace};
 use proptest::prelude::*;
 
 fn spec(seed: u64, ios: bool, workload: Workload) -> DeviceSpec {
@@ -70,8 +73,11 @@ proptest! {
         let s = spec(seed, ios, Workload::LmbenchMix { ops });
         let cut = at % u64::from(ops);
 
-        // The uninterrupted run.
-        let direct = run_device(&s);
+        // The uninterrupted run, finished only after the comparison.
+        let mut direct = DeviceSim::boot(&s);
+        while !direct.done() {
+            direct.step();
+        }
 
         // Checkpoint at `cut`, then restore: fresh boot + replay.
         let mut live = DeviceSim::boot(&s);
@@ -89,11 +95,14 @@ proptest! {
         prop_assert_eq!(&restored.capture(), &ckpt.image);
         prop_assert_eq!(restored.now_ns(), ckpt.header.virtual_ns);
 
-        // The restored device finishes exactly like the direct one.
+        // The restored device finishes exactly like the direct one:
+        // the same trace, event by event, then the same fingerprint.
         while !restored.done() {
             restored.step();
         }
+        assert_same_trace(&trace(&direct), &trace(&restored), "restored");
         let resumed = restored.finish(DeviceOutcome::Completed, None);
+        let direct = direct.finish(DeviceOutcome::Completed, None);
         prop_assert_eq!(
             resumed.trace_fingerprint,
             direct.trace_fingerprint
@@ -127,7 +136,10 @@ proptest! {
 #[test]
 fn warm_storm_checkpoint_round_trips_with_populated_cache() {
     let s = spec(13, true, Workload::LaunchStormWarm { launches: 6 });
-    let direct = run_device(&s);
+    let mut direct = DeviceSim::boot(&s);
+    while !direct.done() {
+        direct.step();
+    }
 
     let mut live = DeviceSim::boot(&s);
     for _ in 0..3 {
@@ -157,7 +169,9 @@ fn warm_storm_checkpoint_round_trips_with_populated_cache() {
     while !restored.done() {
         restored.step();
     }
+    assert_same_trace(&trace(&direct), &trace(&restored), "restored");
     let resumed = restored.finish(DeviceOutcome::Completed, None);
+    let direct = direct.finish(DeviceOutcome::Completed, None);
     assert_eq!(resumed.trace_fingerprint, direct.trace_fingerprint);
     assert_eq!(resumed.virtual_ns, direct.virtual_ns);
 }

@@ -16,7 +16,9 @@
 //!   still a fresh boot.
 //!
 //! A mismatch prints the record-level `StateImage::diff` and the first
-//! differing trace event, not two opaque blobs.
+//! differing trace event (`tests/common`), not two opaque blobs.
+
+mod common;
 
 use cider_abi::ids::{Pid, Tid};
 use cider_abi::persona::Persona;
@@ -28,7 +30,8 @@ use cider_core::{with_state, CiderState};
 use cider_fault::FaultPlan;
 use cider_fleet::{DeviceSim, DeviceSpec, Workload};
 use cider_gfx::fbdriver::selectors;
-use cider_trace::{EventKind, TraceSnapshot};
+use cider_trace::EventKind;
+use common::{assert_same_image, assert_same_trace, trace};
 
 const WORKLOADS: [Workload; 6] = [
     Workload::LmbenchMix { ops: 3 },
@@ -46,56 +49,8 @@ fn fresh_bed(config: SystemConfig) -> (TestBed, Pid, Tid) {
     (bed, pid, tid)
 }
 
-/// Panics with the record-level delta when two images differ.
-fn assert_same_image(want: &StateImage, got: &StateImage, what: &str) {
-    let deltas = want.diff(got);
-    if !deltas.is_empty() {
-        let report: String = deltas.iter().map(|d| d.to_string()).collect();
-        panic!("{what}: images differ, want (-) vs got (+):\n{report}");
-    }
-}
-
-/// Panics with the first differing event or metric when two traces
-/// differ.
-fn assert_same_trace(want: &TraceSnapshot, got: &TraceSnapshot, what: &str) {
-    let n = want.events.len().max(got.events.len());
-    if let Some(i) = (0..n).find(|&i| {
-        format!("{:?}", want.events.get(i))
-            != format!("{:?}", got.events.get(i))
-    }) {
-        panic!(
-            "{what}: traces diverge at event {i} of {}/{}:\n  want {:?}\n  \
-             got  {:?}",
-            want.events.len(),
-            got.events.len(),
-            want.events.get(i),
-            got.events.get(i)
-        );
-    }
-    assert_eq!(want.dropped, got.dropped, "{what}: dropped events");
-    for (name, v) in &want.metrics.counters {
-        assert_eq!(
-            got.metrics.counters.get(name),
-            Some(v),
-            "{what}: counter {name}"
-        );
-    }
-    for (name, h) in &want.metrics.histograms {
-        assert_eq!(
-            got.metrics.histograms.get(name),
-            Some(h),
-            "{what}: histogram {name}"
-        );
-    }
-    assert_eq!(
-        want.metrics, got.metrics,
-        "{what}: metrics present on one side only"
-    );
-}
-
 fn assert_same_device(want: &DeviceSim, got: &DeviceSim, what: &str) {
     assert_same_image(&want.capture(), &got.capture(), what);
-    let trace = |sim: &DeviceSim| sim.kernel().trace.snapshot().unwrap();
     assert_same_trace(&trace(want), &trace(got), what);
 }
 
