@@ -99,8 +99,8 @@ impl BinaryLoader for MachOLoader {
         .map_err(|_| Errno::ENOMEM)?;
 
         // dyld: map the dependency closure and register image callbacks.
-        let deps: Vec<String> =
-            macho.dylib_deps().iter().map(|s| s.to_string()).collect();
+        let entry_symbol = macho.entry_symbol().map(str::to_string);
+        let deps: Vec<String> = macho.into_dylib_deps().collect();
         let stats = run_dyld(k, tid, &deps)?;
 
         if k.trace.is_enabled() {
@@ -124,7 +124,7 @@ impl BinaryLoader for MachOLoader {
         }
 
         Ok(LoadedProgram {
-            entry_symbol: macho.entry_symbol().map(|s| s.to_string()),
+            entry_symbol,
             mapped_bytes: mapped + stats.mapped_bytes,
             dylib_count: stats.images,
             format: "macho",

@@ -1324,6 +1324,124 @@ mod tests {
             );
         }
 
+        /// What a raw `read` reaches: a file read from offset 1, or the
+        /// read end of a pipe or socket pair.
+        #[derive(Clone, Copy)]
+        enum Readable {
+            FileAtOffset1,
+            Pipe,
+            Socket,
+        }
+
+        /// A traced thread of the XNU or the Linux persona holding a
+        /// descriptor of `kind`, and the bytes it can read. Tracing is
+        /// on, as on fleet devices, so every read also adds its count
+        /// to the `vfs/read/bytes` counter.
+        fn reader(
+            kind: Readable,
+            xnu: bool,
+        ) -> (Kernel, Tid, Fd, &'static [u8]) {
+            let (mut k, xnu_tid) = xnu_kernel();
+            k.trace = cider_trace::TraceSink::enabled_default();
+            let tid = if xnu { xnu_tid } else { k.spawn_process().1 };
+            let (fd, bytes): (Fd, &'static [u8]) = match kind {
+                Readable::FileAtOffset1 => {
+                    k.vfs.mkdir_p("/tmp").unwrap();
+                    k.vfs.write_file("/tmp/f", b"abc".to_vec()).unwrap();
+                    let fd =
+                        k.sys_open(tid, "/tmp/f", OpenFlags::RDONLY).unwrap();
+                    assert_eq!(k.sys_read(tid, fd, 1).unwrap(), b"a");
+                    (fd, b"bc")
+                }
+                Readable::Pipe => {
+                    let (r, w) = k.sys_pipe(tid).unwrap();
+                    k.sys_write(tid, w, b"abc").unwrap();
+                    (r, b"abc")
+                }
+                Readable::Socket => {
+                    let (a, b) = k.sys_socketpair(tid).unwrap();
+                    k.sys_write(tid, a, b"abc").unwrap();
+                    (b, b"abc")
+                }
+            };
+            (k, tid, fd, bytes)
+        }
+
+        /// A raw `read` trap with `count` in the count register.
+        fn raw_read(
+            k: &mut Kernel,
+            tid: Tid,
+            xnu: bool,
+            fd: Fd,
+            count: i64,
+        ) -> cider_kernel::dispatch::UserTrapResult {
+            let nr = if xnu {
+                XnuTrap::Unix(XnuSyscall::Read).encode()
+            } else {
+                LinuxSyscall::Read.number() as i64
+            };
+            let fd = i64::from(fd.as_raw());
+            k.trap(tid, nr, &SyscallArgs::regs([fd, 0, count, 0, 0, 0, 0]))
+        }
+
+        /// A count of −1, `usize::MAX` once decoded, reads exactly what
+        /// a count of the readable bytes reads from the same state, at
+        /// the same virtual cost.
+        fn oversized_read_count_reads_what_is_there(
+            kind: Readable,
+            xnu: bool,
+        ) {
+            let (mut k, tid, fd, bytes) = reader(kind, xnu);
+            let (mut exact, exact_tid, exact_fd, _) = reader(kind, xnu);
+            assert_eq!((tid, fd), (exact_tid, exact_fd));
+            let all = raw_read(&mut k, tid, xnu, fd, -1);
+            let want = raw_read(&mut exact, tid, xnu, fd, bytes.len() as i64);
+            assert_eq!(all, want);
+            assert_eq!(all.out_data, bytes);
+            // Nothing is left: end of file, or EAGAIN with the writer
+            // still open. The counter of requested bytes saturates.
+            let again = raw_read(&mut k, tid, xnu, fd, -1);
+            assert_eq!(again, raw_read(&mut exact, tid, xnu, fd, 1));
+            assert_eq!(k.trace.counter("vfs/read/bytes"), u64::MAX);
+            assert_eq!(k.clock.now_ns(), exact.clock.now_ns());
+        }
+
+        #[test]
+        fn oversized_read_count_on_a_file_at_offset_1_linux() {
+            oversized_read_count_reads_what_is_there(
+                Readable::FileAtOffset1,
+                false,
+            );
+        }
+
+        #[test]
+        fn oversized_read_count_on_a_file_at_offset_1_xnu() {
+            oversized_read_count_reads_what_is_there(
+                Readable::FileAtOffset1,
+                true,
+            );
+        }
+
+        #[test]
+        fn oversized_read_count_on_a_pipe_linux() {
+            oversized_read_count_reads_what_is_there(Readable::Pipe, false);
+        }
+
+        #[test]
+        fn oversized_read_count_on_a_pipe_xnu() {
+            oversized_read_count_reads_what_is_there(Readable::Pipe, true);
+        }
+
+        #[test]
+        fn oversized_read_count_on_a_socket_linux() {
+            oversized_read_count_reads_what_is_there(Readable::Socket, false);
+        }
+
+        #[test]
+        fn oversized_read_count_on_a_socket_xnu() {
+            oversized_read_count_reads_what_is_there(Readable::Socket, true);
+        }
+
         /// Every injected fault class must surface through the XNU
         /// error conventions: Unix-class faults as positive errnos
         /// with the carry flag set, Mach-class faults as kern_return

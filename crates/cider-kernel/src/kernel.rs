@@ -38,7 +38,7 @@ use crate::dispatch::{
     SyscallTableBuilder, TrapResult, UserTrapResult,
 };
 use crate::fdtable::FileObject;
-use crate::ipcobj::IpcObjects;
+use crate::ipcobj::{IpcObjects, PIPE_CAPACITY};
 use crate::memorystatus::MemoryStatus;
 use crate::process::{
     DeliveredSignal, PersonalityId, Process, ProcessState, SigDisposition,
@@ -1029,7 +1029,10 @@ impl Kernel {
                     return Err(Errno::EBADF);
                 }
                 let mut buf = self.take_scratch();
-                buf.resize(len, 0);
+                // A raw trap's count can be anything up to `usize::MAX`.
+                // No pipe or socket queues more than PIPE_CAPACITY bytes,
+                // so the clamped buffer reads exactly what `len` would.
+                buf.resize(len.min(PIPE_CAPACITY), 0);
                 let n = match self.ipc.pipe_read(end.id, &mut buf) {
                     Ok(n) => n,
                     Err(e) => {
@@ -1043,7 +1046,7 @@ impl Kernel {
             }
             FileObject::Socket(end) => {
                 let mut buf = self.take_scratch();
-                buf.resize(len, 0);
+                buf.resize(len.min(PIPE_CAPACITY), 0);
                 let n = match self.ipc.socket_recv(end.id, end.side, &mut buf)
                 {
                     Ok(n) => n,
@@ -1596,7 +1599,7 @@ impl Kernel {
         self.charge_cpu(self.profile.exec_base_ns);
         let r = self.vfs.resolve(path)?;
         self.charge_path(r.components_walked);
-        let bytes = self.vfs.read_file(path)?;
+        let bytes = self.vfs.file_bytes(r.ino)?.to_vec();
         self.charge_copy(bytes.len().min(4096)); // header inspection
 
         let loader = self
@@ -2046,7 +2049,9 @@ impl Kernel {
 
     /// Registers user callbacks on a process, as dyld/libSystem do when
     /// loading images. `images` entries each register one atfork triple
-    /// and one atexit handler.
+    /// and one atexit handler. All four callbacks share the image's
+    /// name (dyld hands in the one its mapping holds), so registering
+    /// and every later `fork` copy reference counts, not strings.
     ///
     /// # Errors
     ///
@@ -2054,7 +2059,7 @@ impl Kernel {
     pub fn register_image_callbacks(
         &mut self,
         pid: Pid,
-        images: &[String],
+        images: &[Arc<str>],
     ) -> Result<(), Errno> {
         let proc = self.process_mut(pid)?;
         for img in images {
@@ -2750,8 +2755,8 @@ mod tests {
     fn atfork_and_atexit_callbacks_charged() {
         let mut k = kernel();
         let (pid, tid) = k.spawn_process();
-        let images: Vec<String> =
-            (0..115).map(|i| format!("lib{i}.dylib")).collect();
+        let images: Vec<Arc<str>> =
+            (0..115).map(|i| format!("lib{i}.dylib").into()).collect();
         k.register_image_callbacks(pid, &images).unwrap();
         let t0 = k.clock.now_ns();
         let (child_pid, child_tid) = k.sys_fork(tid).unwrap();

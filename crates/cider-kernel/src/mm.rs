@@ -8,6 +8,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 use cider_abi::errno::Errno;
 
@@ -84,8 +85,10 @@ pub struct Mapping {
     pub prot: Prot,
     /// Backing kind.
     pub kind: MappingKind,
-    /// Diagnostic name (library path, `[heap]`, ...).
-    pub name: String,
+    /// Diagnostic name (library path, `[heap]`, ...). Shared: a dylib's
+    /// mapping and its four user callbacks hold one name, and `fork`
+    /// copies a reference count rather than the string.
+    pub name: Arc<str>,
 }
 
 impl Mapping {
@@ -140,7 +143,7 @@ impl AddressSpace {
         len: u64,
         prot: Prot,
         kind: MappingKind,
-        name: impl Into<String>,
+        name: impl Into<Arc<str>>,
     ) -> Result<u64, Errno> {
         if len == 0 {
             return Err(Errno::ENOMEM);
@@ -179,7 +182,7 @@ impl AddressSpace {
         len: u64,
         prot: Prot,
         kind: MappingKind,
-        name: impl Into<String>,
+        name: impl Into<Arc<str>>,
     ) -> Result<(), Errno> {
         if !start.is_multiple_of(PAGE_SIZE) || len == 0 {
             return Err(Errno::EINVAL);

@@ -4,6 +4,7 @@
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use cider_abi::ids::{Pid, Tid};
 use cider_abi::signal::Signal;
@@ -134,8 +135,10 @@ pub enum ProcessState {
 /// them is the bulk of the iOS `fork+exit` overhead.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UserCallback {
-    /// Diagnostic name (usually the registering library).
-    pub name: String,
+    /// Diagnostic name (usually the registering library), shared with
+    /// the library's other callbacks and its mapping, so cloning a
+    /// callback table at `fork` copies reference counts only.
+    pub name: Arc<str>,
 }
 
 /// The user-space callback tables dyld and libSystem maintain.
@@ -231,7 +234,7 @@ mod tests {
     fn callbacks_totals() {
         let mut cb = UserCallbacks::default();
         for i in 0..115 {
-            let name = format!("lib{i}");
+            let name: Arc<str> = format!("lib{i}").into();
             cb.atfork_prepare.push(UserCallback { name: name.clone() });
             cb.atfork_parent.push(UserCallback { name: name.clone() });
             cb.atfork_child.push(UserCallback { name: name.clone() });

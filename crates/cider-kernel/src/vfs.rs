@@ -11,6 +11,19 @@
 //! can charge virtual time per component — the cost that makes dyld's
 //! 115-library filesystem walk expensive in the paper's `fork+exec(ios)`
 //! measurement.
+//!
+//! The arena is a dense table indexed by inode number: every path step
+//! looks up two nodes, so a lookup is one bounds-checked index rather
+//! than a tree search. Numbers are handed out in sequence and never
+//! reused, because they are observable (`Stat::ino`, the checkpoint's
+//! `kernel/vfs` records) and a reused number would let a descriptor
+//! opened before an unlink reach an unrelated file instead of failing
+//! with `EIO`. A removed node therefore leaves an empty slot. Holes
+//! come only from [`Vfs::unlink`] (of a file or an empty directory) and
+//! from [`Vfs::write_file_overlay`] over an existing file, which
+//! allocates a node and drops it again; a device running the lmbench,
+//! IPC or launch workloads has none, an app lifecycle cycle leaves
+//! about five.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -158,8 +171,9 @@ fn union<'a>(
 /// ```
 #[derive(Debug, Clone)]
 pub struct Vfs {
-    nodes: BTreeMap<u64, Node>,
-    next_ino: u64,
+    /// Nodes indexed by inode number; `None` marks a removed node (and
+    /// slot 0, which numbers no inode). The next number is the length.
+    nodes: Vec<Option<Node>>,
     root_lower: Ino,
     root_upper: Option<Ino>,
     now_ns: u64,
@@ -175,8 +189,7 @@ impl Vfs {
     /// Creates an empty filesystem with a lower root directory.
     pub fn new() -> Vfs {
         let mut fs = Vfs {
-            nodes: BTreeMap::new(),
-            next_ino: 1,
+            nodes: vec![None],
             root_lower: Ino(0),
             root_upper: None,
             now_ns: 0,
@@ -205,39 +218,54 @@ impl Vfs {
     }
 
     fn alloc(&mut self, kind: NodeKind, mode: u32) -> Ino {
-        let ino = Ino(self.next_ino);
-        self.next_ino += 1;
-        self.nodes.insert(
-            ino.0,
-            Node {
-                kind,
-                mode,
-                nlink: 1,
-                mtime_ns: self.now_ns,
-            },
-        );
+        let ino = Ino(self.nodes.len() as u64);
+        self.nodes.push(Some(Node {
+            kind,
+            mode,
+            nlink: 1,
+            mtime_ns: self.now_ns,
+        }));
         ino
+    }
+
+    /// Drops a node, leaving its number unused for good.
+    fn free(&mut self, ino: Ino) {
+        if let Some(slot) = self.slot_mut(ino) {
+            *slot = None;
+        }
+    }
+
+    /// The table slot of `ino`, or `None` past the end of the table
+    /// (including numbers that do not fit a `usize`).
+    fn slot(&self, ino: Ino) -> Option<&Option<Node>> {
+        self.nodes.get(usize::try_from(ino.0).ok()?)
+    }
+
+    fn slot_mut(&mut self, ino: Ino) -> Option<&mut Option<Node>> {
+        self.nodes.get_mut(usize::try_from(ino.0).ok()?)
     }
 
     /// Infallible lookup for inodes that were just produced by a tree
     /// walk (they cannot dangle while the walk's borrow is fresh).
     fn node(&self, ino: Ino) -> &Node {
-        self.nodes.get(&ino.0).expect("dangling inode")
+        self.try_node(ino).expect("dangling inode")
     }
 
     fn node_mut(&mut self, ino: Ino) -> &mut Node {
-        self.nodes.get_mut(&ino.0).expect("dangling inode")
+        self.try_node_mut(ino).expect("dangling inode")
     }
 
     /// Fallible lookup for inodes held across calls (descriptor
     /// tables): the file may have been unlinked since, which surfaces
     /// as `EIO` instead of a panic — stale-handle semantics.
     fn try_node(&self, ino: Ino) -> Result<&Node, Errno> {
-        self.nodes.get(&ino.0).ok_or(Errno::EIO)
+        self.slot(ino).and_then(Option::as_ref).ok_or(Errno::EIO)
     }
 
     fn try_node_mut(&mut self, ino: Ino) -> Result<&mut Node, Errno> {
-        self.nodes.get_mut(&ino.0).ok_or(Errno::EIO)
+        self.slot_mut(ino)
+            .and_then(Option::as_mut)
+            .ok_or(Errno::EIO)
     }
 
     /// The components of an absolute path, with empty and `.`
@@ -507,7 +535,7 @@ impl Vfs {
                     NodeKind::File(d) => std::mem::take(d),
                     _ => unreachable!(),
                 };
-                self.nodes.remove(&f.0);
+                self.free(f);
                 let node = self.node_mut(ino);
                 match &mut node.kind {
                     NodeKind::File(c) => {
@@ -529,8 +557,19 @@ impl Vfs {
     /// `ENOENT` if absent, `EISDIR` if the path is a directory.
     pub fn read_file(&self, path: &str) -> Result<Vec<u8>, Errno> {
         let r = self.resolve(path)?;
-        match &self.node(r.ino).kind {
-            NodeKind::File(data) => Ok(data.clone()),
+        self.file_bytes(r.ino).map(<[u8]>::to_vec)
+    }
+
+    /// The contents of an already-resolved file, in place: the one
+    /// by-inode read every other read goes through.
+    ///
+    /// # Errors
+    ///
+    /// `EIO` if the inode dangles (unlinked since it was resolved, or
+    /// never handed out), `EISDIR`/`EINVAL` for wrong node kinds.
+    pub fn file_bytes(&self, ino: Ino) -> Result<&[u8], Errno> {
+        match &self.try_node(ino)?.kind {
+            NodeKind::File(data) => Ok(data),
             NodeKind::Dir(_) => Err(Errno::EISDIR),
             _ => Err(Errno::EINVAL),
         }
@@ -560,15 +599,11 @@ impl Vfs {
         offset: u64,
         len: usize,
     ) -> Result<Vec<u8>, Errno> {
-        match &self.try_node(ino)?.kind {
-            NodeKind::File(data) => {
-                let start = (offset as usize).min(data.len());
-                let end = (start + len).min(data.len());
-                Ok(data[start..end].to_vec())
-            }
-            NodeKind::Dir(_) => Err(Errno::EISDIR),
-            _ => Err(Errno::EINVAL),
-        }
+        let data = self.file_bytes(ino)?;
+        let start = (offset as usize).min(data.len());
+        // A raw `read` trap passes any count, up to `usize::MAX`.
+        let end = start.saturating_add(len).min(data.len());
+        Ok(data[start..end].to_vec())
     }
 
     /// Writes bytes at `offset`, extending the file as needed. Returns
@@ -653,7 +688,7 @@ impl Vfs {
                 entries.remove(name);
             }
             self.node_mut(parent).mtime_ns = now;
-            self.nodes.remove(&child.0);
+            self.free(child);
             return Ok(());
         }
         Err(Errno::ENOENT)
@@ -820,9 +855,10 @@ impl Vfs {
         self.resolve(path).is_ok()
     }
 
-    /// Total node count, exposed for leak-style assertions in tests.
+    /// Live node count, exposed for leak-style assertions in tests and
+    /// recorded by checkpoints.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.nodes.iter().flatten().count()
     }
 }
 
@@ -971,11 +1007,48 @@ mod tests {
         fs.mkdir_p("/d").unwrap();
         let ino = fs.write_file("/d/f", vec![1, 2, 3]).unwrap();
         fs.unlink("/d/f").unwrap();
-        // A descriptor opened before the unlink now holds a stale ino.
-        assert_eq!(fs.read_at(ino, 0, 3), Err(Errno::EIO));
-        assert_eq!(fs.write_at(ino, 0, &[9]), Err(Errno::EIO));
-        assert_eq!(fs.truncate(ino, 0), Err(Errno::EIO));
-        assert_eq!(fs.file_len(ino), Err(Errno::EIO));
+        // Writing an overlay file over an existing one allocates a
+        // node and drops it again: the number after the file's is a
+        // hole no path reaches.
+        let kept = fs.write_file_overlay("/d/g", vec![1]).unwrap();
+        assert_eq!(fs.write_file_overlay("/d/g", vec![2]), Ok(kept));
+        let replaced = Ino(kept.0 + 1);
+        // A descriptor opened before the unlink now holds a stale ino;
+        // the other two were never handed out. Past the end of the
+        // table is EIO too, with no truncating cast on the way.
+        for stale in [ino, replaced, Ino(u64::MAX)] {
+            assert_eq!(fs.read_at(stale, 0, 3), Err(Errno::EIO));
+            assert_eq!(fs.write_at(stale, 0, &[9]), Err(Errno::EIO));
+            assert_eq!(fs.truncate(stale, 0), Err(Errno::EIO));
+            assert_eq!(fs.file_len(stale), Err(Errno::EIO));
+            assert_eq!(fs.file_bytes(stale), Err(Errno::EIO));
+        }
+    }
+
+    #[test]
+    fn inode_numbers_are_never_reused() {
+        let mut fs = Vfs::new();
+        fs.mkdir_p("/d").unwrap();
+        let first = fs.write_file("/d/f", vec![]).unwrap();
+        fs.unlink("/d/f").unwrap();
+        let second = fs.write_file("/d/f", vec![]).unwrap();
+        assert!(second > first, "{second:?} after {first:?}");
+        assert_eq!(fs.resolve("/d/f").unwrap().ino, second);
+    }
+
+    #[test]
+    fn node_count_counts_live_nodes_only() {
+        let mut fs = Vfs::new();
+        fs.mkdir_p("/d").unwrap();
+        assert_eq!(fs.node_count(), 2, "the root and /d");
+        fs.write_file("/d/f", vec![]).unwrap();
+        fs.unlink("/d/f").unwrap();
+        assert_eq!(fs.node_count(), 2, "an unlinked file is a hole");
+        // The overlay's root, its /d and its file: three nodes. The
+        // overwrite's transient node does not count.
+        fs.write_file_overlay("/d/g", vec![1]).unwrap();
+        fs.write_file_overlay("/d/g", vec![2]).unwrap();
+        assert_eq!(fs.node_count(), 5);
     }
 
     /// `..` as the name of a new entry would link a node that no path

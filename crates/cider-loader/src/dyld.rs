@@ -14,6 +14,7 @@
 
 use std::collections::BTreeSet;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use cider_abi::errno::Errno;
 use cider_abi::ids::Tid;
@@ -58,7 +59,9 @@ pub fn run_dyld(
     // dyld itself is mapped first (by the kernel loader in reality).
     k.charge_cpu(k.profile.dylib_map_ns);
 
-    let mut images: Vec<String> = Vec::new();
+    // One name per loaded image, shared by its mapping and the four
+    // callbacks `register_image_callbacks` gives it.
+    let mut images: Vec<Arc<str>> = Vec::new();
 
     if shared_cache {
         // One giant prelinked mapping; per-image work is just binding.
@@ -80,18 +83,17 @@ pub fn run_dyld(
         let mut seen = BTreeSet::new();
         let mut work: VecDeque<String> = root_deps.to_vec().into();
         while let Some(path) = work.pop_front() {
-            if !seen.insert(path.clone()) {
+            if seen.contains(&path) {
                 continue;
             }
-            let bytes = k.vfs.read_file(&path)?;
-            let m = MachO::parse(&bytes)?;
+            let ino = k.vfs.resolve(&path)?.ino;
+            let m = MachO::parse(k.vfs.file_bytes(ino)?)?;
             k.charge_cpu(600); // in-cache bind, no I/O
             if root_deps.contains(&path) {
-                images.push(path);
+                images.push(path.as_str().into());
             }
-            for d in m.dylib_deps() {
-                work.push_back(d.to_string());
-            }
+            work.extend(m.into_dylib_deps());
+            seen.insert(path);
             stats.images += 1;
         }
     } else if let Some(cache) = warm_cache_hit(k, root_deps) {
@@ -108,15 +110,16 @@ pub fn run_dyld(
         // callbacks.
         k.charge_cpu(k.profile.dylib_map_ns); // map the prelinked region
         for img in &cache.images {
+            let name: Arc<str> = img.path.as_str().into();
             k.process_mut(pid)?.mm.map(
                 img.vmsize,
                 Prot::RX,
                 MappingKind::Dylib,
-                img.path.clone(),
+                name.clone(),
             )?;
             k.charge_cpu(600); // in-cache bind, no I/O
             if root_deps.contains(&img.path) {
-                images.push(img.path.clone());
+                images.push(name);
             }
             stats.images += 1;
         }
@@ -127,12 +130,21 @@ pub fn run_dyld(
             k.trace.incr("dyld/warm_execs");
         }
     } else {
-        // The Cider prototype path: walk the filesystem per image.
+        // The Cider prototype path: walk the filesystem per image. The
+        // charges below are the virtual cost of that walk, and their
+        // amounts and order are pinned (`tests/trap_allocs.rs`): the
+        // watchdog can expire between any two. The host work is one
+        // resolve and an in-place header read per image.
         let mut seen = BTreeSet::new();
         let mut work: VecDeque<String> = root_deps.to_vec().into();
+        // The first successful cold walk on a warm device bakes the
+        // cache (nothing in the walk changes either condition). A later
+        // roots-mismatch walk keeps the first bake: per-app closures
+        // share one device cache keyed on the roots it was baked for.
+        let bake = k.warm.is_enabled() && k.warm.cache().is_none();
         let mut closure: Vec<BakedImage> = Vec::new();
         while let Some(path) = work.pop_front() {
-            if !seen.insert(path.clone()) {
+            if seen.contains(&path) {
                 continue;
             }
             if k.fault_at(FaultSite::DyldResolve) {
@@ -147,38 +159,41 @@ pub fn run_dyld(
             // open + header read + close.
             k.charge_cpu(k.profile.vfs_op_ns * 2);
             stats.fs_opens += 1;
-            let bytes = k.vfs.read_file(&path)?;
+            // Parse from the file's bytes in place, then charge their
+            // copy: a malformed image fails only after that charge.
+            let (len, parsed) = {
+                let bytes = k.vfs.file_bytes(resolved.ino)?;
+                (bytes.len(), MachO::parse(bytes))
+            };
             k.charge_cpu(
-                (bytes.len().min(4096) as f64 * k.profile.copy_byte_ns) as u64,
+                (len.min(4096) as f64 * k.profile.copy_byte_ns) as u64,
             );
-            let m = MachO::parse(&bytes)?;
+            let m = parsed?;
             if m.filetype != FileType::Dylib {
                 return Err(Errno::ENOEXEC);
             }
             let vmsize = m.total_vmsize();
+            let name: Arc<str> = path.as_str().into();
             k.process_mut(pid)?.mm.map(
                 vmsize,
                 Prot::RX,
                 MappingKind::Dylib,
-                path.clone(),
+                name.clone(),
             )?;
             k.charge_cpu(k.profile.dylib_map_ns);
             stats.mapped_bytes += vmsize;
-            closure.push(BakedImage {
-                path: path.clone(),
-                vmsize,
-            });
-            images.push(path);
-            for d in m.dylib_deps() {
-                work.push_back(d.to_string());
+            if bake {
+                closure.push(BakedImage {
+                    path: path.clone(),
+                    vmsize,
+                });
             }
+            images.push(name);
+            work.extend(m.into_dylib_deps());
+            seen.insert(path);
             stats.images += 1;
         }
-        // First successful cold walk on a warm device bakes the cache.
-        // A later roots-mismatch walk keeps the first bake: per-app
-        // closures share one device cache keyed on the roots it was
-        // baked for.
-        if k.warm.is_enabled() && k.warm.cache().is_none() {
+        if bake {
             k.warm.install(SharedCacheImage::bake(
                 root_deps.to_vec(),
                 closure,
@@ -308,7 +323,7 @@ mod tests {
     }
 
     /// Address-space snapshot: (start, len, name) of every mapping.
-    fn mm_shape(k: &Kernel, tid: Tid) -> Vec<(u64, u64, String)> {
+    fn mm_shape(k: &Kernel, tid: Tid) -> Vec<(u64, u64, Arc<str>)> {
         let pid = k.thread(tid).unwrap().pid;
         k.process(pid)
             .unwrap()

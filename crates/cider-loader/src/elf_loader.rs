@@ -84,8 +84,7 @@ impl BinaryLoader for ElfLoader {
                     * resolved.components_walked as u64,
             );
             k.charge_cpu(k.profile.vfs_op_ns * 2);
-            let bytes = k.vfs.read_file(&path)?;
-            let so = Elf::parse(&bytes)?;
+            let so = Elf::parse(k.vfs.file_bytes(resolved.ino)?)?;
             k.process_mut(pid)?.mm.map(
                 so.total_memsz(),
                 Prot::RX,

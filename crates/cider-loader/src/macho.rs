@@ -102,15 +102,12 @@ impl MachO {
             .sum()
     }
 
-    /// Dependency install paths in order.
-    pub fn dylib_deps(&self) -> Vec<&str> {
-        self.commands
-            .iter()
-            .filter_map(|c| match c {
-                LoadCommand::LoadDylib { path } => Some(path.as_str()),
-                _ => None,
-            })
-            .collect()
+    /// Dependency install paths in order, moved out of the image.
+    pub fn into_dylib_deps(self) -> impl Iterator<Item = String> {
+        self.commands.into_iter().filter_map(|c| match c {
+            LoadCommand::LoadDylib { path } => Some(path),
+            _ => None,
+        })
     }
 
     /// The entry symbol, if an `LC_MAIN` is present.
@@ -379,7 +376,9 @@ mod tests {
         let parsed = MachO::parse(&bytes).unwrap();
         assert_eq!(parsed, m);
         assert_eq!(parsed.entry_symbol(), Some("main"));
-        assert_eq!(parsed.dylib_deps(), vec!["/usr/lib/libSystem.B.dylib"]);
+        assert!(parsed
+            .into_dylib_deps()
+            .eq(["/usr/lib/libSystem.B.dylib".to_string()]));
     }
 
     #[test]

@@ -234,10 +234,13 @@ impl Metrics {
         self.slots[id.0]
     }
 
-    /// Adds to a named monotonic counter, creating it at zero.
+    /// Adds to a named monotonic counter, creating it at zero. The
+    /// counter saturates at `u64::MAX`: a delta can come from a trap
+    /// argument (`vfs/read/bytes` adds the requested count, which a raw
+    /// `read` may set to `usize::MAX`), and no trap may panic.
     pub fn add(&mut self, name: &str, delta: u64) {
         let i = self.slot_for(name);
-        self.slots[i] += delta;
+        self.slots[i] = self.slots[i].saturating_add(delta);
     }
 
     /// Increments a named counter by one.
@@ -446,6 +449,15 @@ mod tests {
         assert_eq!(m.counter("missing"), 0);
         let clock = m.counters_with_prefix("clock/");
         assert_eq!(clock, vec![("clock/charges", 3)]);
+    }
+
+    #[test]
+    fn named_counters_saturate_instead_of_overflowing() {
+        let mut m = Metrics::new();
+        m.add("vfs/read/bytes", 1);
+        m.add("vfs/read/bytes", u64::MAX);
+        m.add("vfs/read/bytes", u64::MAX);
+        assert_eq!(m.counter("vfs/read/bytes"), u64::MAX);
     }
 
     #[test]
