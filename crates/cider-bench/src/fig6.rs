@@ -64,8 +64,8 @@ pub fn run_test(bed: &mut TestBed, tid: Tid, test: Test) -> Option<f64> {
     run_test_with(bed, tid, test, Passmark::new(form).sizes)
 }
 
-/// Like [`run_test`] but with explicit workload sizes (the Criterion
-/// benches use [`cider_apps::workloads::Sizes::quick`]).
+/// Like [`run_test`] but with explicit workload sizes (the
+/// determinism tests use [`cider_apps::workloads::Sizes::quick`]).
 pub fn run_test_with(
     bed: &mut TestBed,
     tid: Tid,

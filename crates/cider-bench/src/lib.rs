@@ -10,14 +10,20 @@
 //!   round trip, realtime audio) built on `cider-frameworks`;
 //! * [`ablations`] — shared-cache, diplomat-aggregation, fence-bug, and
 //!   duct-tape-overhead experiments;
+//! * [`dispatch`] — the virtual trap, IPC v2 and launch costs of
+//!   `BENCH_dispatch.json`;
 //! * [`report`] — the normalized-table formatter.
 //!
-//! The `cider-report` binary prints every table; the Criterion benches
-//! under `benches/` measure the same operations in host time.
+//! The `cider-report` binary prints every table.
+//! `tests/golden_tables.rs` pins Figures 5 and 6, the app table and
+//! `BENCH_dispatch.json` byte for byte. The one bench target,
+//! `benches/dispatch.rs`, times the dense syscall table against a
+//! `BTreeMap` in host time.
 
 pub mod ablations;
 pub mod apps;
 pub mod config;
+pub mod dispatch;
 pub mod fig5;
 pub mod fig6;
 pub mod lmbench;

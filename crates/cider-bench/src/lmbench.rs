@@ -77,7 +77,8 @@ pub fn sigusr1_number(ios: bool) -> i64 {
     }
 }
 
-fn measure<F: FnMut(&mut TestBed)>(
+/// Virtual time per iteration of `f` over `iters` iterations.
+pub(crate) fn measure<F: FnMut(&mut TestBed)>(
     bed: &mut TestBed,
     iters: u64,
     mut f: F,

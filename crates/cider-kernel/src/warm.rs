@@ -23,14 +23,17 @@
 //!   cache dropped, cold walk re-bakes.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use cider_fault::fnv1a;
 
 /// One image of the baked closure, in bind order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BakedImage {
-    /// VFS path the cold walk resolved the install name to.
-    pub path: String,
+    /// VFS path the cold walk resolved the install name to: the name
+    /// the cold walk gave the image's mapping and callbacks, which
+    /// every warm replay shares in turn.
+    pub path: Arc<str>,
     /// Bytes dyld mapped for it (page-rounded by the address space).
     pub vmsize: u64,
 }
@@ -118,10 +121,13 @@ pub struct WarmStats {
 }
 
 /// Device-wide warm-start state owned by the kernel.
+///
+/// The baked cache is immutable once installed, so a warm exec replays
+/// it in place and a forked device shares it.
 #[derive(Debug, Clone, Default)]
 pub struct WarmStart {
     enabled: bool,
-    cache: Option<SharedCacheImage>,
+    cache: Option<Arc<SharedCacheImage>>,
     /// Warm-start counters.
     pub stats: WarmStats,
 }
@@ -145,14 +151,14 @@ impl WarmStart {
     }
 
     /// The baked cache, if any.
-    pub fn cache(&self) -> Option<&SharedCacheImage> {
+    pub fn cache(&self) -> Option<&Arc<SharedCacheImage>> {
         self.cache.as_ref()
     }
 
     /// Installs a freshly baked cache.
     pub fn install(&mut self, image: SharedCacheImage) {
         self.stats.cold_bakes += 1;
-        self.cache = Some(image);
+        self.cache = Some(Arc::new(image));
     }
 
     /// Drops the cache (corruption fault or digest mismatch).

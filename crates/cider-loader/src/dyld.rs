@@ -110,16 +110,15 @@ pub fn run_dyld(
         // callbacks.
         k.charge_cpu(k.profile.dylib_map_ns); // map the prelinked region
         for img in &cache.images {
-            let name: Arc<str> = img.path.as_str().into();
             k.process_mut(pid)?.mm.map(
                 img.vmsize,
                 Prot::RX,
                 MappingKind::Dylib,
-                name.clone(),
+                img.path.clone(),
             )?;
             k.charge_cpu(600); // in-cache bind, no I/O
-            if root_deps.contains(&img.path) {
-                images.push(name);
+            if root_deps.iter().any(|r| **r == *img.path) {
+                images.push(img.path.clone());
             }
             stats.images += 1;
         }
@@ -184,7 +183,7 @@ pub fn run_dyld(
             stats.mapped_bytes += vmsize;
             if bake {
                 closure.push(BakedImage {
-                    path: path.clone(),
+                    path: name.clone(),
                     vmsize,
                 });
             }
@@ -215,11 +214,12 @@ pub fn run_dyld(
 /// the [`FaultSite::SharedCacheCorrupt`] fault does not fire, and the
 /// digest still verifies. Corruption (fault or digest mismatch)
 /// invalidates the cache, so the caller falls back to the cold walk —
-/// which launches anyway and re-bakes.
+/// which launches anyway and re-bakes. The cache is shared, not
+/// copied: the replay reads it in place.
 fn warm_cache_hit(
     k: &mut Kernel,
     root_deps: &[String],
-) -> Option<SharedCacheImage> {
+) -> Option<Arc<SharedCacheImage>> {
     if !k.warm.is_enabled() {
         return None;
     }
@@ -408,8 +408,9 @@ mod tests {
         let deps = FrameworkSet::app_default_deps();
         run_dyld(&mut k, tid, &deps).unwrap();
 
-        // Flip a byte of the baked closure behind the digest's back.
-        let mut cache = k.warm.cache().unwrap().clone();
+        // Flip a byte of a copy of the baked closure behind the
+        // digest's back.
+        let mut cache = SharedCacheImage::clone(k.warm.cache().unwrap());
         cache.images[0].vmsize ^= 1;
         k.warm.install(cache);
         let bakes_before = k.warm.stats.cold_bakes;

@@ -12,10 +12,12 @@
 //!
 //! DESIGN.md §13 describes the host side of a cold `exec(ios)`: one
 //! resolve and an in-place header read per dylib, and one name per
-//! image shared by its mapping and its callbacks. Two bounds hold it:
-//! forking the 115-image measured process copies no names, and a cold
-//! exec allocates fewer than ten blocks per image. A third test pins
-//! the order of the walk's virtual charges, which no golden sees.
+//! image shared by its mapping and its callbacks. Three bounds hold
+//! it: forking the 115-image measured process copies no names, a cold
+//! exec allocates fewer than ten blocks per image, and a warm exec,
+//! which replays the baked shared cache in place, fewer blocks than
+//! images. Another test pins the order of the walk's virtual charges,
+//! which no golden sees.
 //!
 //! The binary has its own global allocator, counting per thread, so
 //! tests running in parallel do not see each other's allocations.
@@ -23,6 +25,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use cider_abi::ids::Tid;
 use cider_bench::config::{SystemConfig, TestBed};
 use cider_bench::fig5::run_micro;
 use cider_fleet::device::{DeviceSim, LMBENCH_MENU};
@@ -133,7 +136,7 @@ fn traced_android_traps_allocate_nothing_extra() {
 
 /// The measured process of a CiderIos bed: the lmbench binary with its
 /// 115 dylibs, each holding an atfork triple and an atexit handler.
-fn ios_bed_with_measured_process() -> (TestBed, cider_abi::ids::Tid) {
+fn ios_bed_with_measured_process() -> (TestBed, Tid) {
     let mut bed = TestBed::builder(SystemConfig::CiderIos).build();
     let (pid, tid) = bed.spawn_measured().expect("bench binary");
     let p = bed.sys.kernel.process(pid).expect("measured process");
@@ -159,12 +162,12 @@ fn forking_the_measured_ios_process_copies_no_image_names() {
     );
 }
 
-#[test]
-fn cold_ios_exec_allocates_under_ten_blocks_per_image() {
-    let (mut bed, tid) = ios_bed_with_measured_process();
+/// Forks the process of `tid` and execs the iOS hello binary in the
+/// child, which must load all `FRAMEWORK_COUNT` images: the
+/// allocations the exec made.
+fn allocs_to_exec_ios_hello(bed: &mut TestBed, tid: Tid) -> u64 {
     let hello = bed.hello_path(true);
     let k = &mut bed.sys.kernel;
-    assert!(!k.warm.is_enabled(), "exec must walk the closure cold");
     let (child, child_tid) = k.sys_fork(tid).expect("fork");
     let mut exec = None;
     let n = allocs_in(|| {
@@ -178,9 +181,36 @@ fn cold_ios_exec_allocates_under_ten_blocks_per_image() {
     exec.unwrap().expect("exec of the iOS hello binary");
     let dylibs = k.process(child).expect("child").program.dylib_count;
     assert_eq!(dylibs as usize, FRAMEWORK_COUNT);
+    n
+}
+
+#[test]
+fn cold_ios_exec_allocates_under_ten_blocks_per_image() {
+    let (mut bed, tid) = ios_bed_with_measured_process();
+    assert!(!bed.sys.kernel.warm.is_enabled(), "exec must walk cold");
+    let n = allocs_to_exec_ios_hello(&mut bed, tid);
     assert!(
         n < 10 * FRAMEWORK_COUNT as u64,
         "cold exec of {FRAMEWORK_COUNT} images: {n} allocations"
+    );
+}
+
+#[test]
+fn warm_ios_exec_allocates_fewer_blocks_than_images() {
+    let (mut bed, tid) = ios_bed_with_measured_process();
+    bed.sys.kernel.warm.set_enabled(true);
+    // The first exec walks the closure cold and bakes the cache.
+    allocs_to_exec_ios_hello(&mut bed, tid);
+    let warm = &bed.sys.kernel.warm;
+    assert_eq!((warm.stats.cold_bakes, warm.stats.warm_execs), (1, 0));
+    let n = allocs_to_exec_ios_hello(&mut bed, tid);
+    assert_eq!(bed.sys.kernel.warm.stats.warm_execs, 1, "exec ran warm");
+    // The replay reads the baked closure in place and shares each
+    // image's baked name with its mapping and callbacks; copying the
+    // closure would cost at least one block per image.
+    assert!(
+        n < FRAMEWORK_COUNT as u64,
+        "warm exec of {FRAMEWORK_COUNT} images: {n} allocations"
     );
 }
 
