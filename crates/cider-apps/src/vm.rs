@@ -159,11 +159,6 @@ impl Vm {
         &self.array
     }
 
-    /// Reads an integer register.
-    pub fn ireg(&self, i: usize) -> i64 {
-        self.iregs[i]
-    }
-
     /// Reads a float register.
     pub fn freg(&self, i: usize) -> f64 {
         self.fregs[i]

@@ -134,7 +134,6 @@ fn macho_with_frameworks(entry: &str) -> Vec<u8> {
 pub struct TestBedBuilder {
     config: SystemConfig,
     traced: bool,
-    fault_plan: Option<cider_fault::FaultPlan>,
     warm_start: bool,
     ipc_v2: bool,
 }
@@ -145,7 +144,6 @@ impl TestBedBuilder {
         TestBedBuilder {
             config,
             traced: false,
-            fault_plan: None,
             warm_start: false,
             ipc_v2: false,
         }
@@ -157,15 +155,6 @@ impl TestBedBuilder {
     #[must_use]
     pub fn traced(mut self) -> TestBedBuilder {
         self.traced = true;
-        self
-    }
-
-    /// Arms a fault plan. Faults are installed after boot, so the bed
-    /// itself always comes up clean; only workload activity sees
-    /// injected faults.
-    #[must_use]
-    pub fn fault_plan(mut self, plan: cider_fault::FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
         self
     }
 
@@ -197,9 +186,6 @@ impl TestBedBuilder {
         let mut bed = boot_bed(self.config);
         if self.traced {
             bed.enable_tracing();
-        }
-        if let Some(plan) = self.fault_plan {
-            bed.enable_faults(plan);
         }
         if self.warm_start {
             bed.sys.kernel.warm.set_enabled(true);

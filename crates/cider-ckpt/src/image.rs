@@ -54,11 +54,6 @@ impl StateImage {
         self.sections.iter().find(|s| s.name == name)
     }
 
-    /// Total records across all sections.
-    pub fn record_count(&self) -> usize {
-        self.sections.iter().map(|s| s.records.len()).sum()
-    }
-
     /// Encodes the image with the crate wire format.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();

@@ -72,11 +72,6 @@ impl Matrix {
     pub fn total_comparisons(&self) -> u64 {
         self.cells.values().map(|&(c, _)| c).sum()
     }
-
-    /// Total divergences across all cells.
-    pub fn total_divergences(&self) -> u64 {
-        self.cells.values().map(|&(_, d)| d).sum()
-    }
 }
 
 impl fmt::Display for Matrix {

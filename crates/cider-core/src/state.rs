@@ -210,26 +210,6 @@ impl CiderState {
         self.msg_receive_in_space(k, tid, space, name)
     }
 
-    /// `mach_port_deallocate` in an explicit space (used by daemons
-    /// operating on behalf of other tasks).
-    ///
-    /// # Errors
-    ///
-    /// Mach codes from the IPC subsystem.
-    pub fn port_deallocate_in_space(
-        &mut self,
-        k: &mut Kernel,
-        tid: Tid,
-        space: SpaceId,
-        name: PortName,
-    ) -> KernResult<()> {
-        let CiderState {
-            ducttape, machipc, ..
-        } = self;
-        let mut api = DuctTape::new(k, ducttape, tid);
-        machipc.port_deallocate(&mut api, space, name)
-    }
-
     /// `mach_msg` send from an explicit space.
     ///
     /// # Errors

@@ -8,10 +8,21 @@
 //!
 //! [`XnuPersonality`] owns two dispatch tables (Unix-class and
 //! Mach-class) plus inline handling for the machdep and diag trap paths
-//! — the four ways an iOS binary traps into XNU. Every Unix-class
-//! wrapper maps XNU argument conventions (open flags, signal numbers,
-//! `stat64` layout) onto the domestic implementations, and the exit path
+//! — the four ways an iOS binary traps into XNU. The Unix-class table
+//! holds the [`LinuxPersonality`] table's own handlers for every call
+//! whose XNU arguments and results mean what the Linux ones do (getpid,
+//! read, write, fork, pipe, ...), found through
+//! [`xnu_to_linux_syscall`]. Seven named adapters translate one XNU
+//! convention each and then call the same `Kernel::sys_*`
+//! implementation: open (BSD flags), exit (Mach task teardown), kill and
+//! sigaction (BSD signal numbers), select (fd_set conversion), stat64
+//! (struct layout) and execve (persona fixup). The remaining entries
+//! (posix_spawn, psynch) have no Linux counterpart. The exit path
 //! encodes errors in the carry flag with BSD errno numbering.
+//!
+//! Both XNU personalities trap through one `XnuPersonality::dispatch`:
+//! Cider's translated trap charges its entry translation first, and the
+//! iPad's native kernel ([`crate::xnu_native`]) calls it directly.
 
 use cider_abi::convention::{CpuFlags, SyscallOutcome};
 use cider_abi::errno::Errno;
@@ -22,14 +33,14 @@ use cider_abi::sched::{
 };
 use cider_abi::signal::{sigframe, Signal, XnuSignal};
 use cider_abi::syscall::{
-    LinuxSyscall, MachTrap, SyscallName, TrapClass, XnuSyscall, XnuTrap,
+    LinuxSyscall, MachTrap, SyscallName, XnuSyscall, XnuTrap,
 };
 use cider_abi::types::{OpenFlags, XnuStat64};
 use cider_kernel::dispatch::{
     DispatchError, Personality, SyscallArgs, SyscallData, SyscallTable,
     SyscallTableBuilder, TrapResult, UserTrapResult,
 };
-use cider_kernel::kernel::Kernel;
+use cider_kernel::kernel::{Kernel, LinuxPersonality};
 use cider_kernel::mm::{MappingKind, Prot};
 use cider_kernel::process::SigDisposition;
 use cider_xnu::kern_return::KernReturn;
@@ -40,9 +51,9 @@ use crate::state::with_state;
 use crate::wire;
 
 /// Fixed cost of the XNU→Linux entry-path translation per trap, ns.
-const TRANSLATE_ENTRY_NS: u64 = 90;
+pub(crate) const TRANSLATE_ENTRY_NS: u64 = 90;
 /// Per-argument register translation cost, ns.
-const TRANSLATE_ARG_NS: u64 = 5;
+pub(crate) const TRANSLATE_ARG_NS: u64 = 5;
 /// Cost of one structure conversion (stat64 and friends), ns.
 const STRUCT_CONVERT_NS: u64 = 45;
 /// Extra cost of translating signal info and numbering per delivery, ns.
@@ -136,7 +147,7 @@ impl XnuPersonality {
     ///
     /// [`DispatchError::Collision`] if two handlers claim one number.
     pub fn try_new() -> Result<XnuPersonality, DispatchError> {
-        let unix = build_unix_table()?;
+        let unix = build_unix_table(LinuxPersonality::try_new()?.table())?;
         let mach = build_mach_table()?;
         let xlate = build_translation_cache(&unix);
         Ok(XnuPersonality { unix, mach, xlate })
@@ -150,6 +161,46 @@ impl XnuPersonality {
     /// The Mach-class dispatch table.
     pub fn mach_table(&self) -> &SyscallTable {
         &self.mach
+    }
+
+    /// Decodes an XNU trap number and runs it: Unix-class calls through
+    /// the Unix table with BSD errno and carry-flag encoding, Mach traps
+    /// through the Mach table with `kern_return` encoding, and machdep
+    /// traps as no-ops. A diag trap returns `diag`.
+    pub(crate) fn dispatch(
+        &self,
+        k: &mut Kernel,
+        tid: Tid,
+        number: i64,
+        args: &SyscallArgs,
+        diag: KernReturn,
+    ) -> UserTrapResult {
+        match XnuTrap::decode(number) {
+            None => encode_unix_result(TrapResult::err(Errno::ENOSYS)),
+            Some(XnuTrap::Unix(call)) => {
+                encode_unix_result(match self.unix.handler(call.number()) {
+                    Some(handler) => handler(k, tid, args),
+                    None => TrapResult::err(Errno::ENOSYS),
+                })
+            }
+            Some(XnuTrap::Mach(call)) => {
+                // Mach traps enter the kernel like any other trap; the
+                // Unix-class handlers charge this inside the Linux
+                // implementations they invoke.
+                k.charge_cpu(k.profile.syscall_entry_exit_ns);
+                let r = match self.mach.handler(call.number()) {
+                    Some(handler) => handler(k, tid, args),
+                    None => TrapResult::ok(KernReturn::MigBadId.as_raw()),
+                };
+                let reg = r.outcome.unwrap_or(KernReturn::Failure.as_raw());
+                mach_result(reg, r.out_data)
+            }
+            // The only machdep call iOS user space issues regularly is
+            // the TLS-pointer read/write pair; the simulator keeps TLS
+            // in the persona extension, so these are no-ops.
+            Some(XnuTrap::MachDep(_)) => mach_result(0, Vec::new()),
+            Some(XnuTrap::Diag(_)) => mach_result(diag.as_raw(), Vec::new()),
+        }
     }
 }
 
@@ -170,56 +221,7 @@ impl Personality for XnuPersonality {
         k.charge_cpu(
             TRANSLATE_ENTRY_NS + TRANSLATE_ARG_NS * args.regs.len() as u64,
         );
-        let Some(trap) = XnuTrap::decode(number) else {
-            return encode_unix_result(TrapResult::err(Errno::ENOSYS));
-        };
-        match trap.class() {
-            TrapClass::Unix => {
-                let XnuTrap::Unix(call) = trap else {
-                    unreachable!()
-                };
-                let Some(handler) = self.unix.handler(call.number()) else {
-                    return encode_unix_result(TrapResult::err(Errno::ENOSYS));
-                };
-                encode_unix_result(handler(k, tid, args))
-            }
-            TrapClass::Mach => {
-                let XnuTrap::Mach(call) = trap else {
-                    unreachable!()
-                };
-                // Mach traps enter the kernel like any other trap; the
-                // Unix-class wrappers charge this inside the Linux
-                // implementations they invoke.
-                k.charge_cpu(k.profile.syscall_entry_exit_ns);
-                let Some(handler) = self.mach.handler(call.number()) else {
-                    return mach_result(KernReturn::MigBadId, Vec::new());
-                };
-                let r = handler(k, tid, args);
-                UserTrapResult {
-                    reg: match r.outcome {
-                        Ok(v) => v,
-                        Err(_) => KernReturn::Failure.as_raw(),
-                    },
-                    flags: CpuFlags::default(),
-                    out_data: r.out_data,
-                }
-            }
-            TrapClass::MachDep => {
-                // The only machdep call iOS user space issues regularly
-                // is the TLS-pointer read/write pair; the simulator keeps
-                // TLS in the persona extension, so these are no-ops.
-                UserTrapResult {
-                    reg: 0,
-                    flags: CpuFlags::default(),
-                    out_data: Vec::new(),
-                }
-            }
-            TrapClass::Diag => UserTrapResult {
-                reg: KernReturn::InvalidArgument.as_raw(),
-                flags: CpuFlags::default(),
-                out_data: Vec::new(),
-            },
-        }
+        self.dispatch(k, tid, number, args, KernReturn::InvalidArgument)
     }
 
     fn sigframe_bytes(&self) -> usize {
@@ -330,9 +332,9 @@ fn encode_unix_result(r: TrapResult) -> UserTrapResult {
     }
 }
 
-fn mach_result(kr: KernReturn, out_data: Vec<u8>) -> UserTrapResult {
+fn mach_result(reg: i64, out_data: Vec<u8>) -> UserTrapResult {
     UserTrapResult {
-        reg: kr.as_raw(),
+        reg,
         flags: CpuFlags::default(),
         out_data,
     }
@@ -342,37 +344,39 @@ fn mach_result(kr: KernReturn, out_data: Vec<u8>) -> UserTrapResult {
 // Unix-class wrappers.
 // ----------------------------------------------------------------------
 
-fn build_unix_table() -> Result<SyscallTable, DispatchError> {
+fn build_unix_table(
+    linux: &SyscallTable,
+) -> Result<SyscallTable, DispatchError> {
     use XnuSyscall as X;
     let mut t = SyscallTableBuilder::new();
 
-    t.install(X::Getpid.number(), "getpid", |k, tid, _| {
-        match k.sys_getpid(tid) {
-            Ok(pid) => TrapResult::ok(pid.as_raw() as i64),
-            Err(e) => TrapResult::err(e),
-        }
-    })?;
+    // Calls whose XNU arguments and results mean what the Linux ones do
+    // run the Linux handler itself, under its own name.
+    for call in [
+        X::Getpid,
+        X::Read,
+        X::Write,
+        X::Close,
+        X::Fork,
+        X::Waitpid,
+        X::Unlink,
+        X::Mkdir,
+        X::Chdir,
+        X::Dup,
+        X::Pipe,
+        X::Socketpair,
+    ] {
+        let nr = xnu_to_linux_syscall(call)
+            .expect("a shared call has a Linux number")
+            .number();
+        let (name, handler) = linux
+            .lookup(nr)
+            .expect("the Linux table installs every shared call");
+        t.install(call.number(), name, handler)?;
+    }
 
-    t.install(X::Read.number(), "read", |k, tid, args| {
-        let fd = Fd(args.regs[0] as i32);
-        let len = args.regs[2] as usize;
-        match k.sys_read(tid, fd, len) {
-            Ok(data) => TrapResult::with_data(data),
-            Err(e) => TrapResult::err(e),
-        }
-    })?;
-
-    t.install(X::Write.number(), "write", |k, tid, args| {
-        let fd = Fd(args.regs[0] as i32);
-        let SyscallData::Bytes(data) = &args.data else {
-            return TrapResult::err(Errno::EFAULT);
-        };
-        match k.sys_write(tid, fd, data) {
-            Ok(n) => TrapResult::ok(n as i64),
-            Err(e) => TrapResult::err(e),
-        }
-    })?;
-
+    // The adapters: each translates one XNU convention, then calls the
+    // same `Kernel::sys_*` implementation the Linux handler calls.
     t.install(X::Open.number(), "open", |k, tid, args| {
         let SyscallData::Path(path) = &args.data else {
             return TrapResult::err(Errno::EFAULT);
@@ -381,20 +385,6 @@ fn build_unix_table() -> Result<SyscallTable, DispatchError> {
         let flags = translate_open_flags(args.regs[1] as u32);
         match k.sys_open(tid, path, flags) {
             Ok(fd) => TrapResult::ok(fd.as_raw() as i64),
-            Err(e) => TrapResult::err(e),
-        }
-    })?;
-
-    t.install(X::Close.number(), "close", |k, tid, args| {
-        match k.sys_close(tid, Fd(args.regs[0] as i32)) {
-            Ok(()) => TrapResult::ok(0),
-            Err(e) => TrapResult::err(e),
-        }
-    })?;
-
-    t.install(X::Fork.number(), "fork", |k, tid, _| {
-        match k.sys_fork(tid) {
-            Ok((pid, _)) => TrapResult::ok(pid.as_raw() as i64),
             Err(e) => TrapResult::err(e),
         }
     })?;
@@ -409,68 +399,6 @@ fn build_unix_table() -> Result<SyscallTable, DispatchError> {
         with_state(k, |k2, st| st.destroy_task_space(k2, tid, pid));
         match k.sys_exit(tid, code) {
             Ok(()) => TrapResult::ok(0),
-            Err(e) => TrapResult::err(e),
-        }
-    })?;
-
-    t.install(X::Waitpid.number(), "waitpid", |k, tid, args| {
-        match k.sys_waitpid(tid, Pid(args.regs[0] as u32)) {
-            Ok(code) => TrapResult::ok(code as i64),
-            Err(e) => TrapResult::err(e),
-        }
-    })?;
-
-    t.install(X::Unlink.number(), "unlink", |k, tid, args| {
-        let SyscallData::Path(path) = &args.data else {
-            return TrapResult::err(Errno::EFAULT);
-        };
-        match k.sys_unlink(tid, path) {
-            Ok(()) => TrapResult::ok(0),
-            Err(e) => TrapResult::err(e),
-        }
-    })?;
-
-    t.install(X::Mkdir.number(), "mkdir", |k, tid, args| {
-        let SyscallData::Path(path) = &args.data else {
-            return TrapResult::err(Errno::EFAULT);
-        };
-        match k.sys_mkdir(tid, path) {
-            Ok(()) => TrapResult::ok(0),
-            Err(e) => TrapResult::err(e),
-        }
-    })?;
-
-    t.install(X::Chdir.number(), "chdir", |k, tid, args| {
-        let SyscallData::Path(path) = &args.data else {
-            return TrapResult::err(Errno::EFAULT);
-        };
-        match k.sys_chdir(tid, path) {
-            Ok(()) => TrapResult::ok(0),
-            Err(e) => TrapResult::err(e),
-        }
-    })?;
-
-    t.install(X::Dup.number(), "dup", |k, tid, args| {
-        match k.sys_dup(tid, Fd(args.regs[0] as i32)) {
-            Ok(fd) => TrapResult::ok(fd.as_raw() as i64),
-            Err(e) => TrapResult::err(e),
-        }
-    })?;
-
-    t.install(X::Pipe.number(), "pipe", |k, tid, _| {
-        match k.sys_pipe(tid) {
-            Ok((r, w)) => TrapResult::ok(
-                (r.as_raw() as i64) | ((w.as_raw() as i64) << 32),
-            ),
-            Err(e) => TrapResult::err(e),
-        }
-    })?;
-
-    t.install(X::Socketpair.number(), "socketpair", |k, tid, _| {
-        match k.sys_socketpair(tid) {
-            Ok((a, b)) => TrapResult::ok(
-                (a.as_raw() as i64) | ((b.as_raw() as i64) << 32),
-            ),
             Err(e) => TrapResult::err(e),
         }
     })?;
@@ -550,6 +478,7 @@ fn build_unix_table() -> Result<SyscallTable, DispatchError> {
         }
     })?;
 
+    // XNU-only calls: no Linux handler implements them.
     t.install(X::PosixSpawn.number(), "posix_spawn", |k, tid, args| {
         // "Cider implements the posix_spawn syscall ... by leveraging
         // the Linux clone and exec syscall implementations" (§4.1).
@@ -1048,6 +977,43 @@ mod tests {
             .is_some());
         assert!(p.unix_table().len() >= 20);
         assert!(p.mach_table().len() >= 10);
+    }
+
+    /// Every Unix-class entry with a Linux counterpart is the Linux
+    /// table's own handler, except the seven calls that translate an
+    /// XNU convention first.
+    #[test]
+    fn shared_unix_calls_run_the_linux_handlers() {
+        use XnuSyscall as X;
+        let xnu = XnuPersonality::new();
+        let linux = LinuxPersonality::new();
+        let mut adapted = Vec::new();
+        for (nr, _) in xnu.unix_table().entries() {
+            let call = XnuSyscall::from_number(nr).expect("installed");
+            let Some(domestic) = xnu_to_linux_syscall(call) else {
+                continue;
+            };
+            let ours = xnu.unix_table().handler(nr).expect("installed");
+            let theirs = linux
+                .table()
+                .handler(domestic.number())
+                .expect("Linux installs every translated call");
+            if !std::ptr::fn_addr_eq(ours, theirs) {
+                adapted.push(call);
+            }
+        }
+        assert_eq!(
+            adapted,
+            [
+                X::Exit,
+                X::Open,
+                X::Kill,
+                X::Sigaction,
+                X::Execve,
+                X::Select,
+                X::Stat64
+            ]
+        );
     }
 
     #[test]

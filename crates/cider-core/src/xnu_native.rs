@@ -2,18 +2,16 @@
 //!
 //! The paper's fourth measurement configuration runs iOS binaries on a
 //! real iOS device. This personality models that kernel: the same trap
-//! surface as [`XnuPersonality`] but with
+//! surface and dispatch as [`XnuPersonality`] but with
 //! **no translation layer** — traps land directly on native
 //! implementations, signals are delivered in XNU numbering without
 //! conversion work, and no persona machinery exists.
 
-use cider_abi::convention::CpuFlags;
-use cider_abi::errno::Errno;
 use cider_abi::ids::Tid;
 use cider_abi::signal::{sigframe, Signal};
-use cider_abi::syscall::{TrapClass, XnuTrap};
+use cider_abi::syscall::SyscallName;
 use cider_kernel::dispatch::{
-    DispatchError, Personality, SyscallArgs, TrapResult, UserTrapResult,
+    DispatchError, Personality, SyscallArgs, UserTrapResult,
 };
 use cider_kernel::kernel::Kernel;
 use cider_xnu::kern_return::KernReturn;
@@ -50,12 +48,6 @@ impl XnuNativePersonality {
             inner: XnuPersonality::try_new()?,
         })
     }
-
-    /// The underlying XNU dispatch surface (introspection for the
-    /// conformance engine and tests).
-    pub fn inner(&self) -> &XnuPersonality {
-        &self.inner
-    }
 }
 
 impl Personality for XnuNativePersonality {
@@ -70,59 +62,9 @@ impl Personality for XnuNativePersonality {
         number: i64,
         args: &SyscallArgs,
     ) -> UserTrapResult {
-        // Native path: decode and dispatch with no translation charges.
-        let Some(trap) = XnuTrap::decode(number) else {
-            let (reg, flags) =
-                cider_abi::convention::SyscallOutcome::Err(Errno::ENOSYS)
-                    .encode_xnu();
-            return UserTrapResult {
-                reg,
-                flags,
-                out_data: Vec::new(),
-            };
-        };
-        match trap.class() {
-            TrapClass::Unix => {
-                let XnuTrap::Unix(call) = trap else {
-                    unreachable!()
-                };
-                let r = match self.inner.unix_table().handler(call.number()) {
-                    Some(handler) => handler(k, tid, args),
-                    None => TrapResult::err(Errno::ENOSYS),
-                };
-                let (reg, flags) =
-                    cider_abi::convention::SyscallOutcome::from(r.outcome)
-                        .encode_xnu();
-                UserTrapResult {
-                    reg,
-                    flags,
-                    out_data: r.out_data,
-                }
-            }
-            TrapClass::Mach => {
-                let XnuTrap::Mach(call) = trap else {
-                    unreachable!()
-                };
-                k.charge_cpu(k.profile.syscall_entry_exit_ns);
-                let r = match self.inner.mach_table().handler(call.number()) {
-                    Some(handler) => handler(k, tid, args),
-                    None => TrapResult::ok(KernReturn::MigBadId.as_raw()),
-                };
-                UserTrapResult {
-                    reg: match r.outcome {
-                        Ok(v) => v,
-                        Err(_) => KernReturn::Failure.as_raw(),
-                    },
-                    flags: CpuFlags::default(),
-                    out_data: r.out_data,
-                }
-            }
-            TrapClass::MachDep | TrapClass::Diag => UserTrapResult {
-                reg: 0,
-                flags: CpuFlags::default(),
-                out_data: Vec::new(),
-            },
-        }
+        // Native path: no translation charge, and diag traps succeed.
+        self.inner
+            .dispatch(k, tid, number, args, KernReturn::Success)
     }
 
     fn sigframe_bytes(&self) -> usize {
@@ -138,45 +80,80 @@ impl Personality for XnuNativePersonality {
     fn signal_translation_ns(&self) -> u64 {
         0
     }
+
+    fn syscall_name(&self, number: i64) -> Option<SyscallName> {
+        self.inner.syscall_name(number)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::state::CiderState;
-    use cider_abi::syscall::XnuSyscall;
+    use crate::xnu_abi::{TRANSLATE_ARG_NS, TRANSLATE_ENTRY_NS};
+    use cider_abi::syscall::{MachTrap, XnuSyscall, XnuTrap};
+    use cider_kernel::dispatch::PersonalityRef;
     use cider_kernel::profile::DeviceProfile;
+    use std::sync::Arc;
+
+    /// A nexus7 kernel with one process whose thread traps through
+    /// `personality`; `cider` also turns on the persona check.
+    fn kernel_with(personality: PersonalityRef, cider: bool) -> (Kernel, Tid) {
+        let mut k = Kernel::boot(DeviceProfile::nexus7());
+        k.extensions.insert(CiderState::new());
+        let id = k.register_personality(personality);
+        if cider {
+            k.enable_cider();
+        }
+        let (_, tid) = k.spawn_process();
+        k.thread_mut(tid).unwrap().personality = id;
+        (k, tid)
+    }
+
+    /// Virtual nanoseconds one trap takes.
+    fn trap_ns(k: &mut Kernel, tid: Tid, nr: i64) -> u64 {
+        let t0 = k.clock.now_ns();
+        let r = k.trap(tid, nr, &SyscallArgs::none());
+        assert!(!r.flags.carry, "trap {nr} failed");
+        k.clock.now_ns() - t0
+    }
+
+    /// The paper's null-syscall split (§6.2): a translated trap costs
+    /// the native one plus the persona check, the entry translation
+    /// and one register translation per argument register — nothing
+    /// else, on a Unix-class and on a Mach-class trap alike.
+    #[test]
+    fn translated_trap_costs_native_plus_translation() {
+        let (mut native, ntid) =
+            kernel_with(Arc::new(XnuNativePersonality::new()), false);
+        let (mut cider, ctid) =
+            kernel_with(Arc::new(XnuPersonality::new()), true);
+        let overhead = TRANSLATE_ENTRY_NS
+            + TRANSLATE_ARG_NS * 7
+            + cider.profile.persona_check_ns;
+        assert_eq!(overhead, 159, "nexus7");
+        for trap in [
+            XnuTrap::Unix(XnuSyscall::Getpid),
+            XnuTrap::Mach(MachTrap::MachReplyPort),
+        ] {
+            let nr = trap.encode();
+            let native_cost = trap_ns(&mut native, ntid, nr);
+            let cider_cost = trap_ns(&mut cider, ctid, nr);
+            assert_eq!(cider_cost, native_cost + overhead, "{trap:?}");
+        }
+    }
 
     #[test]
-    fn native_trap_cheaper_than_translated() {
-        let mut k_native = Kernel::boot(DeviceProfile::nexus7());
-        k_native.extensions.insert(CiderState::new());
-        let native = std::sync::Arc::new(XnuNativePersonality::new());
-        let nid = k_native.register_personality(native);
-        let (_, tid) = k_native.spawn_process();
-        k_native.thread_mut(tid).unwrap().personality = nid;
-
-        let mut k_cider = Kernel::boot(DeviceProfile::nexus7());
-        k_cider.extensions.insert(CiderState::new());
-        let xnu = std::sync::Arc::new(crate::xnu_abi::XnuPersonality::new());
-        let xid = k_cider.register_personality(xnu);
-        k_cider.enable_cider();
-        let (_, tid2) = k_cider.spawn_process();
-        k_cider.thread_mut(tid2).unwrap().personality = xid;
-
-        let nr = XnuTrap::Unix(XnuSyscall::Getpid).encode();
-        let t0 = k_native.clock.now_ns();
-        let r = k_native.trap(tid, nr, &SyscallArgs::none());
-        assert!(!r.flags.carry);
-        let native_cost = k_native.clock.now_ns() - t0;
-
-        let t0 = k_cider.clock.now_ns();
-        k_cider.trap(tid2, nr, &SyscallArgs::none());
-        let cider_cost = k_cider.clock.now_ns() - t0;
-
+    fn native_traps_are_named_in_traces() {
+        let (mut k, tid) =
+            kernel_with(Arc::new(XnuNativePersonality::new()), false);
+        k.trace = cider_trace::TraceSink::enabled_default();
+        trap_ns(&mut k, tid, XnuTrap::Unix(XnuSyscall::Getpid).encode());
+        let latencies = k.trace.snapshot().unwrap().metrics.histograms;
         assert!(
-            cider_cost > native_cost,
-            "translated {cider_cost} native {native_cost}"
+            latencies.contains_key("syscall/foreign/getpid"),
+            "{:?}",
+            latencies.keys()
         );
     }
 

@@ -61,19 +61,6 @@ impl FileManager {
         let _ = k.sys_close(self.tid, fd);
         r
     }
-
-    /// `contentsOfDirectoryAtPath:` — sorted entry names.
-    ///
-    /// # Errors
-    ///
-    /// `ENOENT`/`ENOTDIR` from the VFS.
-    pub fn directory_contents(
-        &self,
-        k: &mut Kernel,
-        path: &str,
-    ) -> Result<Vec<String>, Errno> {
-        k.vfs.readdir(path)
-    }
 }
 
 /// `NSBundle`: an opened app bundle with parsed Info.plist metadata.

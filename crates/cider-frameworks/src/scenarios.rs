@@ -219,14 +219,6 @@ pub fn realtime_audio(
     ))
 }
 
-/// Reaps every zombie the scenarios left behind on a system the
-/// caller keeps using (fleet units run many scenario cycles on one
-/// device). Walks the kernel's process table via the supervisor pid
-/// namespace — here simply: nothing, because jetsam victims have no
-/// waiting parent and stay as zombies; the fleet's fingerprint
-/// captures them deterministically.
-pub fn quiesce(_sys: &mut CiderSystem) {}
-
 /// Convenience for tests and the fleet: one full lifecycle cycle
 /// (launch → foreground → background → suspend → jetsam → relaunch)
 /// plus a short audio burst, returning total virtual ns.

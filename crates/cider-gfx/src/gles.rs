@@ -155,11 +155,6 @@ impl Egl {
         flinger.composite(k, gpu, gralloc);
         Ok(())
     }
-
-    /// Number of contexts.
-    pub fn context_count(&self) -> usize {
-        self.contexts.len()
-    }
 }
 
 /// GL entry-point implementations, shared by the domestic export table

@@ -22,7 +22,6 @@ use std::sync::Arc;
 use cider_abi::convention::CpuFlags;
 use cider_abi::errno::Errno;
 use cider_abi::ids::{Fd, Pid, Tid};
-use cider_abi::memorystatus::PressureLevel;
 use cider_abi::persona::Persona;
 use cider_abi::signal::Signal;
 use cider_abi::types::{OpenFlags, Stat};
@@ -364,13 +363,6 @@ impl Kernel {
     /// 3 % (signal delivery) on a Cider kernel.
     pub fn enable_cider(&mut self) {
         self.cider_enabled = true;
-    }
-
-    /// Turns the persona machinery back off (used when modelling a
-    /// native single-persona kernel that still registers extra
-    /// personalities for its own trap tables).
-    pub fn disable_cider(&mut self) {
-        self.cider_enabled = false;
     }
 
     /// The id of the built-in Linux personality.
@@ -1771,21 +1763,6 @@ impl Kernel {
         Ok(band)
     }
 
-    /// `memorystatus_control(GET_LEVEL)`: the current memory-pressure
-    /// level derived from the device watermarks.
-    ///
-    /// # Errors
-    ///
-    /// `ESRCH` if the calling thread is unknown.
-    pub fn sys_memorystatus_get_level(
-        &mut self,
-        tid: Tid,
-    ) -> Result<PressureLevel, Errno> {
-        self.enter_syscall();
-        let _ = self.thread(tid)?;
-        Ok(self.memorystatus.level())
-    }
-
     /// One pass of the memorystatus thread: while the pressure level
     /// leaves a kill window open, jetsam the lowest-band (then
     /// largest-footprint) victim; then consult the
@@ -2070,14 +2047,6 @@ impl Kernel {
             proc.callbacks.atexit.push(cb);
         }
         Ok(())
-    }
-
-    /// Number of live (non-zombie) processes.
-    pub fn live_processes(&self) -> usize {
-        self.procs
-            .values()
-            .filter(|p| p.state == ProcessState::Running)
-            .count()
     }
 
     /// Exports every kernel-owned piece of device state as named,

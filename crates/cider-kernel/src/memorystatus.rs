@@ -102,11 +102,6 @@ impl MemoryStatus {
         self.entries.remove(&pid.0);
     }
 
-    /// Whether the process is tracked.
-    pub fn is_tracked(&self, pid: Pid) -> bool {
-        self.entries.contains_key(&pid.0)
-    }
-
     /// The process's current band, if tracked.
     pub fn band(&self, pid: Pid) -> Option<u8> {
         self.entries.get(&pid.0).map(|e| e.band)

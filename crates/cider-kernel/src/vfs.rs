@@ -207,11 +207,6 @@ impl Vfs {
         }
     }
 
-    /// Whether the foreign overlay is mounted.
-    pub fn overlay_enabled(&self) -> bool {
-        self.root_upper.is_some()
-    }
-
     /// Sets the timestamp recorded on subsequently modified nodes.
     pub fn set_time(&mut self, now_ns: u64) {
         self.now_ns = now_ns;

@@ -140,11 +140,6 @@ impl OsMetaClass {
     pub fn instantiate(&self, name: &str) -> Option<Box<dyn IoDriver>> {
         self.factories.get(name).map(|f| f())
     }
-
-    /// Registered class names.
-    pub fn class_names(&self) -> Vec<&str> {
-        self.factories.keys().map(|s| s.as_str()).collect()
-    }
 }
 
 #[derive(Clone)]
@@ -412,11 +407,6 @@ impl IoKit {
             .remove(&client.0)
             .map(|_| ())
             .ok_or(KernReturn::InvalidArgument)
-    }
-
-    /// Number of registry entries.
-    pub fn entry_count(&self) -> usize {
-        self.entries.len()
     }
 
     /// Number of open user clients.
