@@ -12,11 +12,10 @@
 //! the expensive way to find that point: `O(n)` captures per side. The
 //! bisection does it in two phases:
 //!
-//! 1. **Checkpoint scan** — one forward pass per configuration,
-//!    capturing checksummed [`Checkpoint`] frames only every
-//!    `interval` ops. Comparing stored frame digests (cheap: the
-//!    frames are already serialized) pins the divergence to one
-//!    interval without re-executing anything.
+//! 1. **Interval scan** — one forward pass per configuration,
+//!    capturing and comparing the pair's normalized images only every
+//!    `interval` ops. The first disagreeing capture pins the
+//!    divergence to one interval without re-executing anything.
 //! 2. **Binary search** — inside that interval, probe the midpoint:
 //!    deterministic replay to the probe cursor (ops are cheap;
 //!    capture is what's expensive), one capture, one compare. Each
@@ -24,8 +23,7 @@
 //!    `O(log interval)` captures instead of `O(interval)`.
 //!
 //! Total: `n / interval + log₂ interval` captures per side instead of
-//! `n` — the checkpoint frames do for divergence hunting what they do
-//! for fleet healing: bound how far anything has to look back.
+//! `n`.
 //!
 //! States are compared *normalized* (the [`FinalState`] dimensions
 //! plus the cumulative op-outcome transcript), mirroring the diff
@@ -37,7 +35,7 @@
 //! [`FinalState`]: crate::exec::FinalState
 //! [`OpObs::Skip`]: crate::exec::OpObs::Skip
 
-use cider_ckpt::{Checkpoint, CkptHeader, SectionDelta, StateImage};
+use cider_ckpt::{SectionDelta, StateImage};
 use cider_fault::FaultPlan;
 
 use crate::exec::{ConfigId, Driver};
@@ -63,8 +61,6 @@ pub struct Bisection {
     pub captures: u64,
     /// Captures a per-op scan of both runs would have needed.
     pub captures_naive: u64,
-    /// Checkpoint frames written during the forward scan.
-    pub checkpoints: u64,
     /// Ops re-executed by binary-search probes (not counting the one
     /// forward pass).
     pub replayed_ops: u64,
@@ -180,24 +176,7 @@ fn pair_images(
     (ia, ib)
 }
 
-/// Wraps a normalized image in a checksummed frame, tagged with the
-/// replay's position in virtual time.
-fn frame(r: &Replay<'_>, seed: u64, image: StateImage) -> Vec<u8> {
-    Checkpoint::new(
-        CkptHeader {
-            device_id: 0,
-            seed,
-            config: r.cfg.label().to_string(),
-            workload: "conform_bisect".to_string(),
-            cursor: r.cursor as u64,
-            virtual_ns: r.driver.now_ns(),
-        },
-        image,
-    )
-    .to_bytes()
-}
-
-/// Bisects one configuration pair over `program`, checkpointing every
+/// Bisects one configuration pair over `program`, capturing every
 /// `interval` ops during the single forward pass. Deterministic: the
 /// same inputs always locate the same op and delta.
 pub fn bisect(
@@ -209,26 +188,20 @@ pub fn bisect(
     let interval = interval.max(1);
     let n = program.ops.len();
     let mut captures = 0u64;
-    let mut checkpoints = 0u64;
     let mut replayed_ops = 0u64;
 
-    // Phase 1: forward checkpoint scan. Frames are kept as serialized
-    // checksummed bytes; agreement is a digest comparison on those.
+    // Phase 1: forward interval scan.
     let mut left = Replay::boot(pair.0, program, plan);
     let mut right = Replay::boot(pair.1, program, plan);
-    let mut frames: Vec<(usize, Vec<u8>, Vec<u8>)> = Vec::new();
     let mut lo = 0usize; // last cursor seen in agreement
-    let mut hi = None::<usize>; // first checkpointed cursor diverged
+    let mut hi = None::<usize>; // first captured cursor diverged
     let mut cursor = 0usize;
     loop {
         left.to(cursor);
         right.to(cursor);
         let (ia, ib) = pair_images(&mut left, &mut right);
         captures += 2;
-        let agree = ia == ib;
-        frames.push((cursor, frame(&left, 0, ia), frame(&right, 0, ib)));
-        checkpoints += 2;
-        if agree {
+        if ia == ib {
             lo = cursor;
         } else {
             hi = Some(cursor);
@@ -242,7 +215,7 @@ pub fn bisect(
 
     let naive = 2 * (n as u64 + 1);
     let Some(mut hi) = hi else {
-        // No frame ever disagreed, and the last frame sits at cursor n:
+        // No capture ever disagreed, and the last one sits at cursor n:
         // the pair never diverges.
         return Bisection {
             pair,
@@ -252,14 +225,12 @@ pub fn bisect(
             delta: Vec::new(),
             captures,
             captures_naive: naive,
-            checkpoints,
             replayed_ops,
         };
     };
 
     // Phase 2: binary search inside (lo, hi]. Probes replay forward
-    // from boot — deterministically equivalent to restoring the
-    // nearest earlier frame — and pay exactly one capture each.
+    // from boot and pay exactly one capture each.
     while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;
         let mut a = left.reboot();
@@ -275,23 +246,12 @@ pub fn bisect(
     }
 
     // The divergence point: replay both sides to `hi` once more for
-    // the delta and timestamps, and cross-check the agreeing side of
-    // the search against the stored frames (a corrupt or non-replayable
-    // frame would make the whole hunt untrustworthy).
+    // the delta and timestamps.
     let mut a = left.reboot();
     let mut b = right.reboot();
     replayed_ops += a.to(hi) + b.to(hi);
     let (ia, ib) = pair_images(&mut a, &mut b);
     captures += 2;
-    for (cursor, fa, fb) in &frames {
-        if *cursor > lo {
-            break;
-        }
-        let ca = Checkpoint::from_bytes(fa).expect("frame intact");
-        let cb = Checkpoint::from_bytes(fb).expect("frame intact");
-        debug_assert_eq!(ca.header.cursor, *cursor as u64);
-        debug_assert_eq!(cb.header.cursor, *cursor as u64);
-    }
 
     Bisection {
         pair,
@@ -301,7 +261,6 @@ pub fn bisect(
         delta: ia.diff(&ib).into_iter().filter(|d| !d.is_empty()).collect(),
         captures,
         captures_naive: naive,
-        checkpoints,
         replayed_ops,
     }
 }

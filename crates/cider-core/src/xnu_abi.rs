@@ -410,8 +410,11 @@ fn build_unix_table(
             return TrapResult::err(Errno::EINVAL);
         };
         let Some(sig) = xsig.to_linux() else {
-            // No domestic equivalent (SIGEMT/SIGINFO): dropped.
-            return TrapResult::ok(0);
+            // No domestic equivalent (SIGEMT/SIGINFO): dropped, but only
+            // where a signal could have been queued.
+            return k
+                .signal_target(target)
+                .map_or_else(TrapResult::err, |_| TrapResult::ok(0));
         };
         match k.sys_kill(tid, target, sig) {
             Ok(()) => TrapResult::ok(0),
@@ -1133,6 +1136,51 @@ mod tests {
             );
             assert!(!w.flags.carry);
             assert_eq!(w.reg, 42);
+        }
+
+        #[test]
+        fn kill_checks_its_target_before_dropping_a_signal() {
+            use XnuSignal::{SIGEMT, SIGINFO, SIGUSR1};
+            let (mut k, tid) = xnu_kernel();
+            let kill = |k: &mut Kernel, pid: u32, sig: XnuSignal| {
+                let regs =
+                    [i64::from(pid), i64::from(sig.as_raw()), 0, 0, 0, 0, 0];
+                unix_trap(k, tid, XnuSyscall::Kill, SyscallArgs::regs(regs))
+            };
+            let charged = |k: &mut Kernel, pid: u32, sig: XnuSignal| {
+                let t0 = k.clock.now_ns();
+                let r = kill(k, pid, sig);
+                (r, k.clock.now_ns() - t0)
+            };
+            // What every trap of seven registers pays before its handler
+            // runs: the persona check and the XNU entry translation.
+            let entry = k.profile.cpu_ns(k.profile.persona_check_ns)
+                + k.profile.cpu_ns(TRANSLATE_ENTRY_NS + 7 * TRANSLATE_ARG_NS);
+            let esrch = cider_abi::errno::XnuErrno::ESRCH.as_raw() as i64;
+            let f =
+                unix_trap(&mut k, tid, XnuSyscall::Fork, SyscallArgs::none());
+            let zombie = Pid(f.reg as u32);
+            let child_tid = k.process(zombie).unwrap().threads[0];
+            k.sys_exit(child_tid, 0).unwrap();
+            for (pid, sig) in
+                [(9999, SIGINFO), (9999, SIGEMT), (zombie.0, SIGINFO)]
+            {
+                let (r, ns) = charged(&mut k, pid, sig);
+                assert!(r.flags.carry, "kill({pid}, {sig:?})");
+                assert_eq!(r.reg, esrch, "kill({pid}, {sig:?})");
+                assert_eq!(ns, entry, "kill({pid}, {sig:?})");
+            }
+            // A translatable signal enters the Linux syscall, which
+            // charges its own entry before it finds no target.
+            let (r, ns) = charged(&mut k, 9999, SIGUSR1);
+            assert!(r.flags.carry);
+            assert_eq!(r.reg, esrch);
+            assert!(ns > entry, "{ns} vs {entry}");
+            let own = k.thread(tid).unwrap().pid;
+            let (r, ns) = charged(&mut k, own.0, SIGINFO);
+            assert!(!r.flags.carry);
+            assert_eq!(r.reg, 0);
+            assert_eq!(ns, entry);
         }
 
         #[test]

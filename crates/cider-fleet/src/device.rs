@@ -35,7 +35,7 @@ use cider_fault::{FaultLayer, Fnv1a, SplitMix64};
 use cider_frameworks::scenarios;
 use cider_kernel::clock::WatchdogExpired;
 use cider_kernel::Kernel;
-use cider_trace::{Metrics, MetricsSnapshot};
+use cider_trace::Metrics;
 use cider_xnu::ipc::UserMessage;
 use cider_xnu::KernReturn;
 
@@ -88,10 +88,10 @@ pub struct DeviceResult {
     pub launches_per_vsec: Option<f64>,
     /// The device kernel's own trace metrics (syscall histograms,
     /// mechanism counters).
-    pub kernel_metrics: MetricsSnapshot,
+    pub kernel_metrics: Metrics,
     /// Fleet-side workload metrics: per-operation virtual latency
     /// histograms under `op/` and `launch/`.
-    pub workload_metrics: MetricsSnapshot,
+    pub workload_metrics: Metrics,
     /// Faults the device's plan actually injected.
     pub faults_injected: u64,
     /// Recovery actions its supervisors took.
@@ -110,11 +110,11 @@ pub struct DeviceResult {
 }
 
 fn fingerprint_metrics(h: &mut Fnv1a, metrics: &Metrics) {
-    for (name, v) in metrics.counters() {
+    for (name, &v) in &metrics.counters {
         h.write_str(name);
         h.write_u64(v);
     }
-    for (name, hist) in metrics.histograms() {
+    for (name, hist) in &metrics.histograms {
         h.write_str(name);
         h.write_u64(hist.count());
         h.write_u64(hist.sum());
@@ -401,12 +401,11 @@ impl DeviceSim {
     }
 
     fn workload_records(&self) -> Vec<(String, String)> {
-        let snap = self.workload.snapshot();
         let mut out = Vec::new();
-        for (name, v) in &snap.counters {
+        for (name, v) in &self.workload.counters {
             out.push((format!("counter:{name}"), v.to_string()));
         }
-        for (name, hist) in &snap.histograms {
+        for (name, hist) in &self.workload.histograms {
             let mut digest = Fnv1a::new();
             for &b in hist.buckets() {
                 digest.write_u64(b);
@@ -471,19 +470,13 @@ impl DeviceSim {
         h.write_u64(self.spec.seed);
         h.write_str(self.spec.config.slug());
         h.write_u64(self.now_ns());
-        let (kernel_metrics, events_retained) = self
-            .bed
-            .sys
-            .kernel
-            .trace
-            .read(|ring, metrics| {
-                fingerprint_metrics(&mut h, metrics);
-                fingerprint_metrics(&mut h, &self.workload);
-                h.write_u64(ring.dropped());
-                ring.encode(&mut h);
-                (metrics.snapshot(), ring.len() as u64)
-            })
-            .expect("bed was built traced");
+        let trace = &self.bed.sys.kernel.trace;
+        let ring = trace.ring().expect("bed was built traced");
+        let kernel_metrics = trace.metrics().expect("bed was built traced");
+        fingerprint_metrics(&mut h, kernel_metrics);
+        fingerprint_metrics(&mut h, &self.workload);
+        h.write_u64(ring.dropped());
+        ring.encode(&mut h);
         for rec in faults.ledger() {
             h.write_debug(rec);
         }
@@ -510,11 +503,11 @@ impl DeviceSim {
             virtual_ns: self.now_ns(),
             units_completed: self.units,
             launches_per_vsec,
-            kernel_metrics,
-            workload_metrics: self.workload.snapshot(),
+            kernel_metrics: kernel_metrics.clone(),
+            workload_metrics: self.workload.clone(),
             faults_injected: faults.injected_total(),
             recoveries: faults.recoveries().len() as u64 + harness_recoveries,
-            events_retained,
+            events_retained: ring.len() as u64,
             outcome,
             heal,
             trace_fingerprint: h.0,
@@ -765,7 +758,7 @@ mod tests {
         outcome: DeviceOutcome,
         heal: Option<&HealStats>,
     ) -> (u64, cider_trace::TraceSnapshot) {
-        fn metrics(h: &mut Fnv1a, snap: &MetricsSnapshot) {
+        fn metrics(h: &mut Fnv1a, snap: &Metrics) {
             for (name, v) in &snap.counters {
                 h.write_str(name);
                 h.write_u64(*v);
@@ -790,7 +783,7 @@ mod tests {
         h.write_str(sim.spec.config.slug());
         h.write_u64(sim.bed.sys.kernel.clock.now_ns());
         metrics(&mut h, &snap.metrics);
-        metrics(&mut h, &sim.workload.snapshot());
+        metrics(&mut h, &sim.workload);
         h.write_u64(snap.dropped);
         let events: Vec<u8> = snap
             .events

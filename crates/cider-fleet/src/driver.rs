@@ -11,7 +11,10 @@
 //!
 //! Host wall-clock time is observability, not data: it goes only to
 //! the optional [`TraceSink`] ([`run_fleet_with_sink`]), never into
-//! [`FleetRun`] or the JSON report.
+//! [`FleetRun`] or the JSON report. Workers hand each device's wall
+//! time back with its result, and the driver records both into the
+//! sink in device-id order once the pool drains, so the sink sees the
+//! same events whatever the thread count.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -48,24 +51,28 @@ impl FleetRun {
 
 /// Runs the fleet described by `spec` with no host-side tracing.
 pub fn run_fleet(spec: &FleetSpec) -> FleetRun {
-    run_fleet_with_sink(spec, &TraceSink::disabled())
+    run_fleet_with_sink(spec, &mut TraceSink::disabled())
 }
 
 /// Runs the fleet, reporting host-side progress to `sink`:
 /// a `fleet/devices_completed` counter, a `fleet/device_wall_ns`
 /// histogram of per-device host wall-clock, and one `Mark` event per
-/// finished device (visible through the Chrome-trace exporter).
+/// finished device (visible through the Chrome-trace exporter), all in
+/// device-id order.
 ///
 /// The sink sees *host* observability only — nothing recorded here
 /// feeds back into any device or into the aggregated report.
-pub fn run_fleet_with_sink(spec: &FleetSpec, sink: &TraceSink) -> FleetRun {
+pub fn run_fleet_with_sink(
+    spec: &FleetSpec,
+    sink: &mut TraceSink,
+) -> FleetRun {
     let specs = spec.device_specs();
     let threads = spec.host_threads.max(1).min(specs.len().max(1));
 
     // One pre-sized slot per device: workers write their own slots,
     // so collection below reads device-id order directly and the
     // completion order is discarded.
-    let slots: Vec<Mutex<Option<DeviceResult>>> =
+    let slots: Vec<Mutex<Option<(DeviceResult, u64)>>> =
         specs.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
 
@@ -82,24 +89,8 @@ pub fn run_fleet_with_sink(spec: &FleetSpec, sink: &TraceSink) -> FleetRun {
                     None => run_device_with(device, spec.watchdog_budget_ns),
                 };
                 let wall_ns = started.elapsed().as_nanos() as u64;
-                sink.incr("fleet/devices_completed");
-                sink.observe("fleet/device_wall_ns", wall_ns);
-                sink.record(
-                    TraceContext {
-                        ts_ns: result.virtual_ns,
-                        pid: 0,
-                        tid: device.device_id,
-                        foreign: result.config.runs_ios_binary(),
-                    },
-                    EventKind::Mark {
-                        label: format!(
-                            "fleet/device_{}_done",
-                            device.device_id
-                        )
-                        .into(),
-                    },
-                );
-                *slots[idx].lock().unwrap() = Some(result);
+                *slots[idx].lock().expect("no worker panics holding a slot") =
+                    Some((result, wall_ns));
             });
         }
     });
@@ -107,9 +98,25 @@ pub fn run_fleet_with_sink(spec: &FleetSpec, sink: &TraceSink) -> FleetRun {
     let results = slots
         .into_iter()
         .map(|slot| {
-            slot.into_inner()
-                .unwrap()
-                .expect("every device index was claimed and run")
+            let (result, wall_ns) = slot
+                .into_inner()
+                .expect("no worker panics holding a slot")
+                .expect("every device index was claimed and run");
+            sink.incr("fleet/devices_completed");
+            sink.observe("fleet/device_wall_ns", wall_ns);
+            sink.record(
+                TraceContext {
+                    ts_ns: result.virtual_ns,
+                    pid: 0,
+                    tid: result.device_id,
+                    foreign: result.config.runs_ios_binary(),
+                },
+                EventKind::Mark {
+                    label: format!("fleet/device_{}_done", result.device_id)
+                        .into(),
+                },
+            );
+            result
         })
         .collect();
 
@@ -176,20 +183,35 @@ mod tests {
 
     #[test]
     fn sink_sees_fleet_progress() {
-        let sink = TraceSink::enabled_default();
-        let spec = FleetSpec::new(3, 5, Workload::LaunchStorm { launches: 2 })
-            .host_threads(2);
-        let run = run_fleet_with_sink(&spec, &sink);
-        assert_eq!(run.results.len(), 3);
-        assert_eq!(sink.counter("fleet/devices_completed"), 3);
-        let snap = sink.snapshot().unwrap();
-        assert_eq!(
-            snap.metrics
-                .histograms_with_prefix("fleet/")
+        let spec = FleetSpec::new(3, 5, Workload::LaunchStorm { launches: 2 });
+        let progress = |threads| {
+            let mut sink = TraceSink::enabled_default();
+            let spec = spec.clone().host_threads(threads);
+            assert_eq!(run_fleet_with_sink(&spec, &mut sink).results.len(), 3);
+            let snap = sink.snapshot().unwrap();
+            let walls: Vec<(&str, u64)> = (snap.metrics.histograms.iter())
+                .map(|(name, h)| (name.as_str(), h.count()))
+                .collect();
+            assert_eq!(walls, [("fleet/device_wall_ns", 3)]);
+            let marks: Vec<(String, u64)> = snap
+                .events
                 .iter()
-                .map(|(name, h)| (name.to_string(), h.count()))
-                .collect::<Vec<_>>(),
-            vec![("fleet/device_wall_ns".to_string(), 3)]
+                .map(|e| (e.kind.name().into_owned(), e.ctx.ts_ns))
+                .collect();
+            (marks, snap.metrics.counters)
+        };
+        let one = progress(1);
+        assert_eq!(one, progress(4));
+        let labels: Vec<&str> =
+            one.0.iter().map(|(l, _)| l.as_str()).collect();
+        assert_eq!(
+            labels,
+            [
+                "fleet/device_0_done",
+                "fleet/device_1_done",
+                "fleet/device_2_done"
+            ]
         );
+        assert_eq!(one.1["fleet/devices_completed"], 3);
     }
 }

@@ -9,28 +9,16 @@
 
 use std::fmt;
 
-use cider_trace::{CounterId, Metrics};
-
-/// Name of the counter tracking individual clock charges.
-pub const CHARGES_COUNTER: &str = "clock/charges";
-/// Name of the counter accumulating total charged nanoseconds.
-pub const ADVANCED_NS_COUNTER: &str = "clock/advanced_ns";
-
 /// A monotonically increasing virtual clock, in nanoseconds.
 ///
-/// The clock keeps its own [`Metrics`] registry so tests and reports can
-/// ask *how* time accrued (`clock/charges`, `clock/advanced_ns`) by
-/// name, the same way every other subsystem's counters are read. The
-/// two counters are registered once at construction; every
-/// [`VirtualClock::advance`] — the single hottest operation in the
-/// simulator — updates them through [`CounterId`]s, with no by-name
-/// map walk on the charge path.
+/// Besides the time, the clock counts its charges: how many
+/// [`VirtualClock::advance`] calls brought it to `now_ns`. Advancing is
+/// the single hottest operation in the simulator, so both are plain
+/// fields.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VirtualClock {
     now_ns: u64,
-    metrics: Metrics,
-    charges: CounterId,
-    advanced_ns: CounterId,
+    charges: u64,
     /// Virtual instant past which [`VirtualClock::advance`] trips the
     /// watchdog. `u64::MAX` (the default) means disarmed; the hot-path
     /// cost of the bound is one always-predicted compare.
@@ -59,14 +47,9 @@ impl Default for VirtualClock {
 impl VirtualClock {
     /// A clock starting at zero.
     pub fn new() -> VirtualClock {
-        let mut metrics = Metrics::new();
-        let charges = metrics.register_counter(CHARGES_COUNTER);
-        let advanced_ns = metrics.register_counter(ADVANCED_NS_COUNTER);
         VirtualClock {
             now_ns: 0,
-            metrics,
-            charges,
-            advanced_ns,
+            charges: 0,
             watchdog_limit_ns: u64::MAX,
         }
     }
@@ -74,6 +57,11 @@ impl VirtualClock {
     /// Current virtual time in nanoseconds since boot.
     pub fn now_ns(&self) -> u64 {
         self.now_ns
+    }
+
+    /// How many times [`VirtualClock::advance`] has charged the clock.
+    pub fn charges(&self) -> u64 {
+        self.charges
     }
 
     /// Arms the virtual-time watchdog: any [`VirtualClock::advance`]
@@ -101,20 +89,13 @@ impl VirtualClock {
     #[inline]
     pub fn advance(&mut self, ns: u64) {
         self.now_ns += ns;
-        self.metrics.incr_fast(self.charges);
-        self.metrics.add_fast(self.advanced_ns, ns);
+        self.charges += 1;
         if self.now_ns > self.watchdog_limit_ns {
             std::panic::panic_any(WatchdogExpired {
                 now_ns: self.now_ns,
                 limit_ns: self.watchdog_limit_ns,
             });
         }
-    }
-
-    /// The clock's own metric counters ([`CHARGES_COUNTER`],
-    /// [`ADVANCED_NS_COUNTER`]).
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
     }
 }
 
@@ -220,12 +201,13 @@ mod tests {
     #[test]
     fn clock_advances_and_counts_charges() {
         let mut c = VirtualClock::new();
-        assert_eq!(c.now_ns(), 0);
-        c.advance(100);
-        c.advance(50);
-        assert_eq!(c.now_ns(), 150);
-        assert_eq!(c.metrics().counter(CHARGES_COUNTER), 2);
-        assert_eq!(c.metrics().counter(ADVANCED_NS_COUNTER), 150);
+        assert_eq!((c.now_ns(), c.charges()), (0, 0));
+        let steps = [100, 50, 0, 7];
+        for ns in steps {
+            c.advance(ns);
+        }
+        assert_eq!(c.charges(), steps.len() as u64);
+        assert_eq!(c.now_ns(), steps.iter().sum::<u64>());
     }
 
     #[test]
@@ -255,13 +237,11 @@ mod tests {
     }
 
     #[test]
-    fn arming_does_not_perturb_time_or_metrics() {
+    fn arming_does_not_perturb_time_or_charges() {
         let mut c = VirtualClock::new();
         c.advance(50);
         c.arm_watchdog(u64::MAX / 2);
-        assert_eq!(c.now_ns(), 50);
-        assert_eq!(c.metrics().counter(CHARGES_COUNTER), 1);
-        assert_eq!(c.metrics().counter(ADVANCED_NS_COUNTER), 50);
+        assert_eq!((c.now_ns(), c.charges()), (50, 1));
     }
 
     #[test]

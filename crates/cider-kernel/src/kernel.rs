@@ -16,7 +16,7 @@
 //! `cider_enabled`, which adds the per-trap persona check the paper
 //! measured at 8.5 % of a null syscall.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use cider_abi::convention::CpuFlags;
@@ -63,7 +63,10 @@ pub type ProgramBehavior = Arc<dyn Fn(&mut Kernel, Tid) -> i32 + Send + Sync>;
 /// `dyn Any`.
 #[derive(Default)]
 pub struct Extensions {
-    map: HashMap<std::any::TypeId, Extension>,
+    // Ordered, like `Kernel::programs`: a fork clones and a drop frees
+    // entries in map order, and a `HashMap`'s per-process random order
+    // would vary the host heap's layout, and its peak RSS, run to run.
+    map: BTreeMap<std::any::TypeId, Extension>,
 }
 
 struct Extension {
@@ -223,7 +226,7 @@ pub struct Kernel {
     personalities: Vec<PersonalityRef>,
     binfmts: Vec<BinaryLoaderRef>,
     fork_hooks: Vec<Arc<dyn ForkHook>>,
-    programs: HashMap<String, ProgramBehavior>,
+    programs: BTreeMap<String, ProgramBehavior>,
     current: Option<Tid>,
     cider_enabled: bool,
     linux_personality: PersonalityId,
@@ -279,7 +282,7 @@ impl Kernel {
             personalities: Vec::new(),
             binfmts: Vec::new(),
             fork_hooks: Vec::new(),
-            programs: HashMap::new(),
+            programs: BTreeMap::new(),
             current: None,
             cider_enabled: false,
             linux_personality: 0,
@@ -302,9 +305,8 @@ impl Kernel {
     /// personalities, binary-format loaders, fork hooks and program
     /// behaviours. Everything else is copied — processes, threads (with
     /// their extension state), the VFS, the clock, the scheduler, the
-    /// fault streams, and every extension through the clone function it
-    /// was inserted with. The trace sink is a [`TraceSink::fork`]: the
-    /// ring and metrics are copied, not shared as `clone` would.
+    /// fault streams, the trace sink, and every extension through the
+    /// clone function it was inserted with.
     pub fn fork_device(&self) -> Kernel {
         Kernel {
             clock: self.clock.clone(),
@@ -314,7 +316,7 @@ impl Kernel {
             devices: self.devices.clone(),
             counters: self.counters,
             extensions: self.extensions.fork(),
-            trace: self.trace.fork(),
+            trace: self.trace.clone(),
             faults: self.faults.clone(),
             sched: self.sched.clone(),
             warm: self.warm.clone(),
@@ -463,7 +465,7 @@ impl Kernel {
         }
     }
 
-    fn trace_vfs(&self, tid: Tid, op: &'static str, bytes: u64) {
+    fn trace_vfs(&mut self, tid: Tid, op: &'static str, bytes: u64) {
         if self.trace.is_enabled() {
             self.trace
                 .record(self.trace_ctx(tid), EventKind::VfsOp { op, bytes });
@@ -1888,10 +1890,20 @@ impl Kernel {
         target: Pid,
         sig: Signal,
     ) -> Result<(), Errno> {
-        let tids = self.process(target)?.threads.clone();
-        for t in tids {
+        let t = self.signal_target(target)?;
+        self.post_signal_thread(t, sig)
+    }
+
+    /// The thread a signal sent to `target` is queued on: the process's
+    /// first live thread.
+    ///
+    /// # Errors
+    ///
+    /// `ESRCH` for an unknown process or one with no live thread.
+    pub fn signal_target(&self, target: Pid) -> Result<Tid, Errno> {
+        for &t in &self.process(target)?.threads {
             if self.thread(t)?.state != ThreadState::Exited {
-                return self.post_signal_thread(t, sig);
+                return Ok(t);
             }
         }
         Err(Errno::ESRCH)
@@ -2089,18 +2101,15 @@ impl Kernel {
         vec![("warm".to_string(), self.warm.ckpt_record())]
     }
 
+    /// `advanced_ns` is the sum of every charge, which is `now_ns`:
+    /// the clock starts at zero and only [`VirtualClock::advance`]
+    /// moves it.
     fn ckpt_clock(&self) -> Vec<(String, String)> {
-        let m = self.clock.metrics();
+        let now_ns = self.clock.now_ns().to_string();
         vec![
-            ("now_ns".to_string(), self.clock.now_ns().to_string()),
-            (
-                "charges".to_string(),
-                m.counter(crate::clock::CHARGES_COUNTER).to_string(),
-            ),
-            (
-                "advanced_ns".to_string(),
-                m.counter(crate::clock::ADVANCED_NS_COUNTER).to_string(),
-            ),
+            ("now_ns".to_string(), now_ns.clone()),
+            ("charges".to_string(), self.clock.charges().to_string()),
+            ("advanced_ns".to_string(), now_ns),
             (
                 "watchdog_limit_ns".to_string(),
                 self.clock.watchdog_limit_ns().to_string(),

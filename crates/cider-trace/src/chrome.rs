@@ -1,10 +1,10 @@
 //! Chrome `trace_event` JSON export.
 //!
 //! Produces the JSON Array Format understood by `chrome://tracing`,
-//! Perfetto, and Speedscope: span begin/end pairs become `"B"`/`"E"`
-//! events, everything else becomes an instant (`"i"`) event. Timestamps
-//! are virtual microseconds (the format's unit), so the viewer's
-//! timeline *is* the virtual clock.
+//! Perfetto, and Speedscope: syscall and diplomat enter/exit pairs
+//! become `"B"`/`"E"` events, everything else becomes an instant
+//! (`"i"`) event. Timestamps are virtual microseconds (the format's
+//! unit), so the viewer's timeline *is* the virtual clock.
 //!
 //! JSON is emitted by hand — the workspace is offline and needs no serde
 //! for a format this small.
@@ -37,12 +37,10 @@ fn ts_us(ts_ns: u64) -> f64 {
 
 fn phase(kind: &EventKind) -> &'static str {
     match kind {
-        EventKind::SpanBegin { .. }
-        | EventKind::SyscallEnter { .. }
-        | EventKind::DiplomatEnter { .. } => "B",
-        EventKind::SpanEnd { .. }
-        | EventKind::SyscallExit { .. }
-        | EventKind::DiplomatExit { .. } => "E",
+        EventKind::SyscallEnter { .. } | EventKind::DiplomatEnter { .. } => {
+            "B"
+        }
+        EventKind::SyscallExit { .. } | EventKind::DiplomatExit { .. } => "E",
         _ => "i",
     }
 }
@@ -112,8 +110,6 @@ fn args_json(kind: &EventKind) -> String {
             field(&mut out, "seq", seq.to_string());
         }
         EventKind::DiplomatEnter { .. }
-        | EventKind::SpanBegin { .. }
-        | EventKind::SpanEnd { .. }
         | EventKind::Mark { .. }
         | EventKind::Recovery { .. } => {}
     }
@@ -171,7 +167,7 @@ mod tests {
     use crate::sink::TraceSink;
 
     fn sample() -> TraceSnapshot {
-        let sink = TraceSink::enabled(64);
+        let mut sink = TraceSink::enabled(64);
         let ctx = TraceContext {
             ts_ns: 1500,
             pid: 1,

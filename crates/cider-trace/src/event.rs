@@ -158,16 +158,6 @@ pub enum EventKind {
         /// Whether the buggy (missed-wakeup) path was taken.
         buggy: bool,
     },
-    /// A span opened (see [`crate::span::Span`]).
-    SpanBegin {
-        /// Span label.
-        label: Cow<'static, str>,
-    },
-    /// A span closed.
-    SpanEnd {
-        /// Span label.
-        label: Cow<'static, str>,
-    },
     /// A free-form marker.
     Mark {
         /// Marker label.
@@ -208,7 +198,6 @@ impl EventKind {
             }
             EventKind::ContextSwitch { .. } => "sched",
             EventKind::GpuFenceWait { .. } => "gpu",
-            EventKind::SpanBegin { .. } | EventKind::SpanEnd { .. } => "span",
             EventKind::Mark { .. } => "mark",
             EventKind::FaultInjected { .. } => "fault",
             EventKind::Recovery { .. } => "recovery",
@@ -255,9 +244,7 @@ impl EventKind {
                 Cow::Owned(format!("ctx_switch({from}->{to})"))
             }
             EventKind::GpuFenceWait { .. } => Cow::Borrowed("fence_wait"),
-            EventKind::SpanBegin { label }
-            | EventKind::SpanEnd { label }
-            | EventKind::Mark { label } => label.clone(),
+            EventKind::Mark { label } => label.clone(),
             EventKind::FaultInjected { site, .. } => {
                 Cow::Owned(format!("fault({site})"))
             }
@@ -280,8 +267,9 @@ impl TraceEvent {
     ///
     /// * the context: `ts_ns` as 8 bytes, `pid` and `tid` as 4 each,
     ///   `foreign` as 1;
-    /// * a one-byte variant tag, numbering the variants of
-    ///   [`EventKind`] in declaration order from 0;
+    /// * a one-byte variant tag, a fixed number per variant of
+    ///   [`EventKind`]: 0 to 14 in declaration order, then 17 to 19
+    ///   (15 and 16, the retired span events, are never reused);
     /// * the variant's fields in declaration order.
     ///
     /// Integers are little-endian at their declared width and a `bool`
@@ -387,14 +375,6 @@ impl TraceEvent {
                 out.write(&[14]);
                 out.write(&fence.to_le_bytes());
                 out.write(&[u8::from(*buggy)]);
-            }
-            EventKind::SpanBegin { label } => {
-                out.write(&[15]);
-                string(out, label);
-            }
-            EventKind::SpanEnd { label } => {
-                out.write(&[16]);
-                string(out, label);
             }
             EventKind::Mark { label } => {
                 out.write(&[17]);

@@ -1,6 +1,6 @@
 //! Flamegraph folded-stack export.
 //!
-//! Folds the begin/end events in a trace into the `a;b;c <count>` line
+//! Folds the enter/exit events in a trace into the `a;b;c <count>` line
 //! format consumed by `flamegraph.pl` and Speedscope. The "count" is
 //! **virtual nanoseconds of self time**: each frame's duration minus the
 //! time spent in its children, so the flamegraph's widths sum exactly to
@@ -18,7 +18,6 @@ use crate::sink::TraceSnapshot;
 /// Whether an event opens a frame, and under what label.
 fn open_label(kind: &EventKind) -> Option<String> {
     match kind {
-        EventKind::SpanBegin { label } => Some(label.to_string()),
         EventKind::SyscallEnter { nr, .. } => Some(format!("syscall_{nr}")),
         EventKind::DiplomatEnter { symbol } => {
             Some(format!("diplomat:{symbol}"))
@@ -30,7 +29,6 @@ fn open_label(kind: &EventKind) -> Option<String> {
 /// Whether an event closes a frame, and under what label.
 fn close_label(kind: &EventKind) -> Option<String> {
     match kind {
-        EventKind::SpanEnd { label } => Some(label.to_string()),
         EventKind::SyscallExit { nr, .. } => Some(format!("syscall_{nr}")),
         EventKind::DiplomatExit { symbol, .. } => {
             Some(format!("diplomat:{symbol}"))
@@ -129,45 +127,65 @@ mod tests {
         }
     }
 
+    fn enter(sink: &mut TraceSink, ts: u64, nr: i64) {
+        let kind = EventKind::SyscallEnter {
+            nr,
+            translated: None,
+        };
+        sink.record(ctx(ts), kind);
+    }
+
+    fn exit(sink: &mut TraceSink, ts: u64, nr: i64) {
+        sink.record(ctx(ts), EventKind::SyscallExit { nr, ret: 0 });
+    }
+
     #[test]
-    fn nested_spans_split_self_time() {
-        let sink = TraceSink::enabled(64);
-        let outer = sink.span("outer", ctx(0));
-        let inner = sink.span("inner", ctx(100));
-        inner.end(400);
-        outer.end(1000);
+    fn nested_frames_split_self_time() {
+        let mut sink = TraceSink::enabled(64);
+        let symbol = || "glClear".into();
+        sink.record(ctx(0), EventKind::DiplomatEnter { symbol: symbol() });
+        enter(&mut sink, 100, 4);
+        exit(&mut sink, 400, 4);
+        sink.record(
+            ctx(1000),
+            EventKind::DiplomatExit {
+                symbol: symbol(),
+                ok: true,
+            },
+        );
         let folded = export(&sink.snapshot().unwrap());
         assert!(
-            folded.contains("pid7/tid9/foreign;outer;inner 300"),
+            folded
+                .contains("pid7/tid9/foreign;diplomat:glClear;syscall_4 300"),
             "{folded}"
         );
-        // Outer's self time excludes inner's 300ns.
-        assert!(folded.contains("pid7/tid9/foreign;outer 700"), "{folded}");
+        // The diplomat's self time excludes the syscall's 300ns.
+        assert!(
+            folded.contains("pid7/tid9/foreign;diplomat:glClear 700"),
+            "{folded}"
+        );
     }
 
     #[test]
     fn repeated_stacks_accumulate() {
-        let sink = TraceSink::enabled(64);
+        let mut sink = TraceSink::enabled(64);
         for i in 0..3u64 {
-            let s = sink.span("op", ctx(i * 100));
-            s.end(i * 100 + 10);
+            enter(&mut sink, i * 100, 20);
+            exit(&mut sink, i * 100 + 10, 20);
         }
         let folded = export(&sink.snapshot().unwrap());
-        assert!(folded.contains("pid7/tid9/foreign;op 30"), "{folded}");
+        assert!(
+            folded.contains("pid7/tid9/foreign;syscall_20 30"),
+            "{folded}"
+        );
         assert_eq!(folded.lines().count(), 1);
     }
 
     #[test]
     fn syscall_events_fold_too() {
-        let sink = TraceSink::enabled(64);
-        sink.record(
-            ctx(0),
-            EventKind::SyscallEnter {
-                nr: 4,
-                translated: None,
-            },
-        );
-        sink.record(ctx(950), EventKind::SyscallExit { nr: 4, ret: 0 });
+        let mut sink = TraceSink::enabled(64);
+        enter(&mut sink, 0, 4);
+        exit(&mut sink, 950, 4);
         let folded = export(&sink.snapshot().unwrap());
         assert!(
             folded.contains("pid7/tid9/foreign;syscall_4 950"),
@@ -177,11 +195,11 @@ mod tests {
 
     #[test]
     fn unmatched_ends_are_ignored() {
-        let sink = TraceSink::enabled(64);
-        sink.record(ctx(10), EventKind::SyscallExit { nr: 4, ret: 0 });
-        let span = sink.span("never_closed", ctx(20));
+        let mut sink = TraceSink::enabled(64);
+        exit(&mut sink, 10, 4);
+        enter(&mut sink, 20, 3);
+        exit(&mut sink, 25, 4);
         let folded = export(&sink.snapshot().unwrap());
         assert!(folded.is_empty(), "{folded}");
-        span.end(30);
     }
 }

@@ -12,15 +12,16 @@
 //! The design invariant is **zero virtual cost**: recording an event
 //! never advances the virtual clock, never blocks a thread, and never
 //! changes scheduling, so every benchmark figure is bit-identical with
-//! tracing on or off. A [`TraceSink`] is a cheap handle that is inert
-//! when disabled; instrumentation sites call it unconditionally.
+//! tracing on or off. Each device's kernel owns one [`TraceSink`], which
+//! is inert when disabled; instrumentation sites call it
+//! unconditionally.
 //!
 //! # Example
 //!
 //! ```
 //! use cider_trace::{EventKind, TraceContext, TraceSink};
 //!
-//! let sink = TraceSink::enabled(1024);
+//! let mut sink = TraceSink::enabled(1024);
 //! let ctx = TraceContext { ts_ns: 500, pid: 1, tid: 1, foreign: true };
 //! sink.record(ctx, EventKind::SyscallEnter { nr: 4, translated: Some(397) });
 //! sink.record(
@@ -37,10 +38,8 @@ pub mod flame;
 pub mod metrics;
 pub mod ring;
 pub mod sink;
-pub mod span;
 
 pub use event::{EventKind, TraceContext, TraceEvent};
-pub use metrics::{CounterId, Histogram, Metrics, MetricsSnapshot};
+pub use metrics::{Histogram, Metrics};
 pub use ring::TraceBuffer;
 pub use sink::{TraceSink, TraceSnapshot};
-pub use span::Span;

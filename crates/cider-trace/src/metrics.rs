@@ -157,41 +157,14 @@ impl fmt::Display for Histogram {
     }
 }
 
-/// Handle to a pre-registered counter slot.
-///
-/// Hot paths that charge the same counters millions of times (the
-/// virtual clock) register them once with
-/// [`Metrics::register_counter`] and then update through the id —
-/// a direct indexed store, no by-name map walk per update.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct CounterId(usize);
-
-/// The registry: counters and histograms by name.
-///
-/// Counter values live in a dense slot vector; the by-name map holds
-/// only `name → slot`, so by-name reads behave exactly as before while
-/// [`CounterId`]-based updates skip the map entirely.
-#[derive(Debug, Clone, Default)]
+/// The registry: counters and histograms by name, in name order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Metrics {
-    slots: Vec<u64>,
-    index: BTreeMap<String, usize>,
-    histograms: BTreeMap<String, Histogram>,
+    /// Counter values by name.
+    pub counters: BTreeMap<String, u64>,
+    /// Histograms by name.
+    pub histograms: BTreeMap<String, Histogram>,
 }
-
-impl PartialEq for Metrics {
-    fn eq(&self, other: &Metrics) -> bool {
-        // Slot numbering is an artifact of registration order; equality
-        // is by (name, value), like the old by-name registry.
-        self.histograms == other.histograms
-            && self.index.len() == other.index.len()
-            && self.index.iter().all(|(name, &slot)| {
-                other.index.get(name).map(|&s| other.slots[s])
-                    == Some(self.slots[slot])
-            })
-    }
-}
-
-impl Eq for Metrics {}
 
 impl Metrics {
     /// An empty registry.
@@ -199,48 +172,16 @@ impl Metrics {
         Metrics::default()
     }
 
-    fn slot_for(&mut self, name: &str) -> usize {
-        if let Some(&i) = self.index.get(name) {
-            return i;
-        }
-        let i = self.slots.len();
-        self.slots.push(0);
-        self.index.insert(name.to_string(), i);
-        i
-    }
-
-    /// Registers a counter (creating it at zero) and returns a handle
-    /// for map-free updates. Registering the same name twice returns
-    /// the same id. Ids are invalidated by [`Metrics::clear`].
-    pub fn register_counter(&mut self, name: &str) -> CounterId {
-        CounterId(self.slot_for(name))
-    }
-
-    /// Adds to a pre-registered counter — one indexed store.
-    #[inline]
-    pub fn add_fast(&mut self, id: CounterId, delta: u64) {
-        self.slots[id.0] += delta;
-    }
-
-    /// Increments a pre-registered counter by one.
-    #[inline]
-    pub fn incr_fast(&mut self, id: CounterId) {
-        self.slots[id.0] += 1;
-    }
-
-    /// Reads a pre-registered counter.
-    #[inline]
-    pub fn counter_fast(&self, id: CounterId) -> u64 {
-        self.slots[id.0]
-    }
-
     /// Adds to a named monotonic counter, creating it at zero. The
     /// counter saturates at `u64::MAX`: a delta can come from a trap
     /// argument (`vfs/read/bytes` adds the requested count, which a raw
     /// `read` may set to `usize::MAX`), and no trap may panic.
     pub fn add(&mut self, name: &str, delta: u64) {
-        let i = self.slot_for(name);
-        self.slots[i] = self.slots[i].saturating_add(delta);
+        if let Some(v) = self.counters.get_mut(name) {
+            *v = v.saturating_add(delta);
+        } else {
+            self.counters.insert(name.to_string(), delta);
+        }
     }
 
     /// Increments a named counter by one.
@@ -250,7 +191,7 @@ impl Metrics {
 
     /// Reads a counter; missing counters read zero.
     pub fn counter(&self, name: &str) -> u64 {
-        self.index.get(name).map(|&i| self.slots[i]).unwrap_or(0)
+        self.counters.get(name).copied().unwrap_or(0)
     }
 
     /// Records an observation in a named histogram, creating it empty.
@@ -267,68 +208,6 @@ impl Metrics {
     /// Reads a histogram.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)
-    }
-
-    /// Every counter, in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.index.iter().map(|(k, &i)| (k.as_str(), self.slots[i]))
-    }
-
-    /// Every histogram, in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// All counters whose name starts with `prefix`, in name order.
-    pub fn counters_with_prefix(&self, prefix: &str) -> Vec<(&str, u64)> {
-        self.counters()
-            .filter(|(k, _)| k.starts_with(prefix))
-            .collect()
-    }
-
-    /// All histograms whose name starts with `prefix`, in name order.
-    pub fn histograms_with_prefix(
-        &self,
-        prefix: &str,
-    ) -> Vec<(&str, &Histogram)> {
-        self.histograms()
-            .filter(|(k, _)| k.starts_with(prefix))
-            .collect()
-    }
-
-    /// Immutable snapshot for reporting.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: self
-                .counters()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-            histograms: self.histograms.clone(),
-        }
-    }
-
-    /// Drops every counter and histogram. Invalidates any
-    /// [`CounterId`]s handed out before the clear.
-    pub fn clear(&mut self) {
-        self.slots.clear();
-        self.index.clear();
-        self.histograms.clear();
-    }
-}
-
-/// A frozen copy of the registry, detached from the live sink.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    /// Counter values by name.
-    pub counters: BTreeMap<String, u64>,
-    /// Histograms by name.
-    pub histograms: BTreeMap<String, Histogram>,
-}
-
-impl MetricsSnapshot {
-    /// Reads a counter; missing counters read zero.
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
     }
 
     /// All counters whose name starts with `prefix`, in name order.
@@ -353,7 +232,7 @@ impl MetricsSnapshot {
     }
 }
 
-impl fmt::Display for MetricsSnapshot {
+impl fmt::Display for Metrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for (name, v) in &self.counters {
             writeln!(f, "counter   {name:<44} {v}")?;
@@ -461,19 +340,6 @@ mod tests {
     }
 
     #[test]
-    fn registered_counters_share_the_named_slot() {
-        let mut m = Metrics::new();
-        let id = m.register_counter("clock/charges");
-        assert_eq!(m.register_counter("clock/charges"), id);
-        m.incr_fast(id);
-        m.add_fast(id, 4);
-        m.incr("clock/charges");
-        assert_eq!(m.counter_fast(id), 6);
-        assert_eq!(m.counter("clock/charges"), 6);
-        assert_eq!(m.snapshot().counter("clock/charges"), 6);
-    }
-
-    #[test]
     fn equality_ignores_registration_order() {
         let mut a = Metrics::new();
         a.add("x", 1);
@@ -495,7 +361,6 @@ mod tests {
         let h = m.histogram("syscall/foreign/null").unwrap();
         assert_eq!(h.count(), 2);
         assert_eq!(m.histograms_with_prefix("syscall/").len(), 2);
-        let snap = m.snapshot();
-        assert!(snap.to_string().contains("syscall/domestic/null"));
+        assert!(m.to_string().contains("syscall/domestic/null"));
     }
 }

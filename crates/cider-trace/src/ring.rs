@@ -103,13 +103,6 @@ impl TraceBuffer {
     pub fn encode(&self, out: &mut impl Hasher) {
         self.iter().for_each(|ev| ev.encode(out));
     }
-
-    /// Clears all retained events and counters.
-    pub fn clear(&mut self) {
-        self.slots.clear();
-        self.head = 0;
-        self.total = 0;
-    }
 }
 
 #[cfg(test)]
@@ -169,19 +162,6 @@ mod tests {
         assert_eq!(timestamps(&b), vec![11, 12]);
     }
 
-    #[test]
-    fn clear_resets_everything() {
-        let mut b = TraceBuffer::new(2);
-        b.push(mark(1));
-        b.push(mark(2));
-        b.push(mark(3));
-        b.clear();
-        assert!(b.is_empty());
-        assert_eq!(b.dropped(), 0);
-        b.push(mark(9));
-        assert_eq!(timestamps(&b), vec![9]);
-    }
-
     /// Every event kind, with labels full of quotes, backslashes,
     /// control characters and multi-byte characters.
     fn every_kind() -> Vec<EventKind> {
@@ -228,12 +208,6 @@ mod tests {
             EventKind::GpuFenceWait {
                 fence: 3,
                 buggy: true,
-            },
-            EventKind::SpanBegin {
-                label: TRICKY.into(),
-            },
-            EventKind::SpanEnd {
-                label: TRICKY.to_string().into(),
             },
             EventKind::Mark {
                 label: "\u{0}\r\'".into(),
@@ -297,7 +271,7 @@ mod tests {
     /// `{tricky}` stands for the length and bytes of the labels that
     /// [`every_kind`] fills with quotes, escapes and multi-byte
     /// characters.
-    const GOLDEN: [&str; 21] = [
+    const GOLDEN: [&str; 19] = [
         "0000000001000000 07000000 02010000 01 00 fcffffffffffffff 01 0100000000000000",
         "0100000001000000 07000000 02010000 00 00 1400000000000000 00",
         "0200000001000000 07000000 02010000 01 01 0400000000000000 f7ffffffffffffff",
@@ -314,11 +288,9 @@ mod tests {
         "0d00000001000000 07000000 02010000 00 0c e600000000000000",
         "0e00000001000000 07000000 02010000 01 0d 00000000 65000000",
         "0f00000001000000 07000000 02010000 00 0e 0300000000000000 01",
-        "1000000001000000 07000000 02010000 01 0f {tricky}",
-        "1100000001000000 07000000 02010000 00 10 {tricky}",
-        "1200000001000000 07000000 02010000 01 11 0300000000000000 000d27",
-        "1300000001000000 07000000 02010000 00 12 {tricky} 0100000000000000",
-        "1400000001000000 07000000 02010000 01 13 {tricky}",
+        "1000000001000000 07000000 02010000 01 11 0300000000000000 000d27",
+        "1100000001000000 07000000 02010000 00 12 {tricky} 0100000000000000",
+        "1200000001000000 07000000 02010000 01 13 {tricky}",
     ];
 
     const TRICKY_HEX: &str =
@@ -482,12 +454,6 @@ mod tests {
                     buggy: !buggy,
                 },
             ],
-            K::SpanBegin { label } => vec![K::SpanBegin {
-                label: next(&label).into(),
-            }],
-            K::SpanEnd { label } => vec![K::SpanEnd {
-                label: next(&label).into(),
-            }],
             K::Mark { label } => vec![K::Mark {
                 label: next(&label).into(),
             }],

@@ -6,7 +6,7 @@
 //! the retain/release discipline of that subset is modelled explicitly so
 //! leaks and over-releases are detectable in tests.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Handle to an object in the [`OsArena`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -32,7 +32,10 @@ pub enum OsValue {
 /// The object arena with retain counts.
 #[derive(Debug, Clone, Default)]
 pub struct OsArena {
-    objects: HashMap<u64, (OsValue, u32)>,
+    // Ordered: a fork clones the arena in map order, and a `HashMap`'s
+    // per-process random order would vary the host heap layout run to
+    // run.
+    objects: BTreeMap<u64, (OsValue, u32)>,
     next: u64,
 }
 

@@ -159,7 +159,7 @@ fn print_fleet(dir: &Path) {
     use cider_fleet::{
         driver::run_fleet_with_sink, FleetReport, FleetSpec, Workload,
     };
-    let sink = cider_trace::TraceSink::enabled_default();
+    let mut sink = cider_trace::TraceSink::enabled_default();
     for workload in [
         Workload::LmbenchMix { ops: 16 },
         Workload::LaunchStorm { launches: 8 },
@@ -169,7 +169,7 @@ fn print_fleet(dir: &Path) {
                 .map(|n| n.get())
                 .unwrap_or(1),
         );
-        let run = run_fleet_with_sink(&spec, &sink);
+        let run = run_fleet_with_sink(&spec, &mut sink);
         let report = FleetReport::from_run(&run);
         println!(
             "### fleet: {} x{} devices (mix {}), fingerprint {:016x}",
