@@ -121,21 +121,22 @@ fn macho_with_frameworks(entry: &str) -> Vec<u8> {
 }
 
 /// Step-wise construction of a [`TestBed`]: start from
-/// [`TestBed::builder`], toggle the optional subsystems, and
-/// [`TestBedBuilder::build`]:
+/// [`TestBed::builder`], optionally turn on tracing, and
+/// [`TestBedBuilder::build`]. Run-time policies such as warm start and
+/// IPC v2 are set on the built bed:
 ///
 /// ```
 /// use cider_bench::config::{SystemConfig, TestBed};
 ///
-/// let bed = TestBed::builder(SystemConfig::CiderIos).traced().build();
+/// let mut bed = TestBed::builder(SystemConfig::CiderIos).traced().build();
+/// bed.sys.kernel.warm.set_enabled(true);
+/// bed.sys.enable_ipc_v2();
 /// assert!(bed.trace_snapshot().is_some());
 /// ```
 #[derive(Debug)]
 pub struct TestBedBuilder {
     config: SystemConfig,
     traced: bool,
-    warm_start: bool,
-    ipc_v2: bool,
 }
 
 impl TestBedBuilder {
@@ -144,8 +145,6 @@ impl TestBedBuilder {
         TestBedBuilder {
             config,
             traced: false,
-            warm_start: false,
-            ipc_v2: false,
         }
     }
 
@@ -158,40 +157,13 @@ impl TestBedBuilder {
         self
     }
 
-    /// Boots with zygote-style warm start enabled: the first
-    /// `exec(ios)` bakes the prelinked shared cache, later launches
-    /// replay it, and `fork` goes copy-on-write. Off by default — the
-    /// pinned fig5 ratios and golden tables describe the cold machine.
-    #[must_use]
-    pub fn warm_start(mut self) -> TestBedBuilder {
-        self.warm_start = true;
-        self
-    }
-
-    /// Boots with Mach IPC v2 enabled: typed rights over lock-free
-    /// queues, OOL page remap instead of copy, and the batched
-    /// submission ring. Off by default — the pinned v1 `mach_msg`
-    /// rows and all non-IPC goldens describe the mutex-and-copy path.
-    #[must_use]
-    pub fn ipc_v2(mut self) -> TestBedBuilder {
-        self.ipc_v2 = true;
-        self
-    }
-
     /// Boots the bed: the right kernel flavour, the graphics stack
     /// (with the fence bug only on Cider), the benchmark binaries, the
-    /// registered program behaviours, and whatever optional subsystems
-    /// this builder enabled.
+    /// registered program behaviours, and tracing if enabled.
     pub fn build(self) -> TestBed {
         let mut bed = boot_bed(self.config);
         if self.traced {
             bed.enable_tracing();
-        }
-        if self.warm_start {
-            bed.sys.kernel.warm.set_enabled(true);
-        }
-        if self.ipc_v2 {
-            bed.sys.enable_ipc_v2();
         }
         bed
     }

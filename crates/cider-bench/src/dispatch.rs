@@ -151,7 +151,8 @@ fn trap_costs(config: SystemConfig) -> TrapCosts {
 }
 
 fn ipc_v2_costs(config: SystemConfig, v1_mach_msg_ns: u64) -> IpcV2Costs {
-    let mut bed = TestBed::builder(config).ipc_v2().build();
+    let mut bed = TestBed::builder(config).build();
+    bed.sys.enable_ipc_v2();
     let (_, tid) = bed.spawn_measured().expect("bench binaries installed");
     let port = bed.sys.mach_port_allocate(tid).expect("ports zone");
     let send = bed.sys.mach_make_send(tid, port).expect("send right");

@@ -2,6 +2,7 @@
 //! system configurations.
 
 use cider_kernel::profile::BasicOp;
+use cider_trace::TraceSink;
 
 use crate::config::{SystemConfig, TestBed};
 use crate::lmbench;
@@ -192,16 +193,15 @@ pub fn run() -> Table {
 
 /// Runs Figure 5 with tracing enabled on every bed, returning the table
 /// (identical to [`run`]: tracing never charges the virtual clock) plus
-/// one trace snapshot per configuration.
-pub fn run_traced() -> (Table, Vec<(SystemConfig, cider_trace::TraceSnapshot)>)
-{
-    let (table, snaps) = run_inner(true);
-    (table, snaps.expect("tracing was enabled"))
+/// each configuration's trace sink, moved out of its bed.
+pub fn run_traced() -> (Table, Vec<(SystemConfig, TraceSink)>) {
+    let (table, sinks) = run_inner(true);
+    (table, sinks.expect("tracing was enabled"))
 }
 
-type Snapshots = Vec<(SystemConfig, cider_trace::TraceSnapshot)>;
+type Sinks = Vec<(SystemConfig, TraceSink)>;
 
-fn run_inner(traced: bool) -> (Table, Option<Snapshots>) {
+fn run_inner(traced: bool) -> (Table, Option<Sinks>) {
     let mut table = Table::new(
         "Figure 5: microbenchmark latency (lmbench 3.0)",
         "ns",
@@ -209,7 +209,7 @@ fn run_inner(traced: bool) -> (Table, Option<Snapshots>) {
     );
     let micros = Micro::all();
     let mut columns: Vec<Vec<Option<f64>>> = Vec::new();
-    let mut snapshots: Snapshots = Vec::new();
+    let mut sinks: Sinks = Vec::new();
     for config in SystemConfig::ALL {
         let mut bed = if traced {
             TestBed::builder(config).traced().build()
@@ -222,8 +222,8 @@ fn run_inner(traced: bool) -> (Table, Option<Snapshots>) {
             .map(|&m| run_micro(&mut bed, pid, tid, m))
             .collect();
         columns.push(col);
-        if let Some(snap) = bed.trace_snapshot() {
-            snapshots.push((config, snap));
+        if traced {
+            sinks.push((config, std::mem::take(&mut bed.sys.kernel.trace)));
         }
     }
     for (i, micro) in micros.iter().enumerate() {
@@ -244,7 +244,7 @@ fn run_inner(traced: bool) -> (Table, Option<Snapshots>) {
     // The iPad's android-binary rows don't exist; its iOS rows normalise
     // against the same fallbacks.
     table.fallback("fork+exec(android)", "fork+exec(android)");
-    (table, traced.then_some(snapshots))
+    (table, traced.then_some(sinks))
 }
 
 #[cfg(test)]

@@ -128,8 +128,10 @@ impl<'a> Replay<'a> {
         ran
     }
 
-    /// A fresh boot of the same configuration — the only way backward
-    /// in time; state is closure-resident and cannot be transplanted.
+    /// A fresh boot of the same configuration, for a probe that goes
+    /// backward in time. Ops are cheap to replay, so probes replay from
+    /// boot instead of keeping a deep copy of each side
+    /// (`Kernel::fork_device`) at every capture that agreed.
     fn reboot(&self) -> Replay<'a> {
         Replay::boot(self.cfg, self.program, self.plan)
     }

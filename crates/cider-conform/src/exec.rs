@@ -1195,13 +1195,11 @@ impl Driver {
     /// Dispatch sites the run exercised, derived from the per-syscall
     /// latency metrics the kernel records for foreign traps.
     fn covered_sites(&self) -> Vec<String> {
-        let Some(snap) = self.k.trace.snapshot() else {
+        let Some(metrics) = self.k.trace.metrics() else {
             return Vec::new();
         };
         let mut sites = Vec::new();
-        for (name, _) in
-            snap.metrics.histograms_with_prefix("syscall/foreign/")
-        {
+        for (name, _) in metrics.histograms_with_prefix("syscall/foreign/") {
             let op = &name["syscall/foreign/".len()..];
             sites.push(op.to_string());
         }

@@ -1810,18 +1810,19 @@ impl Kernel {
         victim: Pid,
         why: &'static str,
     ) -> Result<(), Errno> {
-        let vtid =
-            self.process(victim)?.threads.clone().into_iter().find(|t| {
-                self.thread(*t)
-                    .map(|th| th.state != ThreadState::Exited)
-                    .unwrap_or(false)
-            });
-        match vtid {
-            Some(vtid) => {
+        // Every thread a process lists exists: threads leave the table
+        // only with their process, in `sys_waitpid`. So `signal_target`
+        // fails on a known victim only when it has no live thread: a
+        // zombie that an app lifecycle re-tracked after `sys_exit`
+        // untracked it. Drop that bookkeeping entry directly.
+        match self.signal_target(victim) {
+            Ok(vtid) => {
                 self.sys_exit(vtid, 128 + Signal::SIGKILL.as_raw())?;
             }
-            // No live thread: drop the bookkeeping entry directly.
-            None => self.memorystatus.untrack(victim),
+            Err(_) => {
+                self.process(victim)?;
+                self.memorystatus.untrack(victim);
+            }
         }
         if self.trace.is_enabled() {
             self.trace.incr("app/jetsam_kill");
@@ -3046,5 +3047,22 @@ mod tests {
         k.sys_write(tid, fd, &data).unwrap();
         let cached_cost = k.clock.now_ns() - t1;
         assert!(direct_cost > cached_cost * 10);
+    }
+
+    #[test]
+    fn jetsam_drops_a_victim_without_a_live_thread() {
+        let mut k = kernel();
+        let (_, tid) = k.spawn_process();
+        let (zombie, ztid) = k.spawn_process();
+        k.sys_exit(ztid, 0).unwrap();
+        // Re-tracked after exit (an app lifecycle re-bands its pid): the
+        // pass drops the entry without exiting the process again.
+        k.memorystatus.track(zombie, 0);
+        k.memorystatus.set_watermarks(0, 0);
+        assert_eq!(k.sys_jetsam_tick(tid), Ok(vec![zombie]));
+        assert_eq!((k.memorystatus.tracked(), k.counters.exits), (0, 1));
+        // A pid that names no process is ESRCH.
+        k.memorystatus.track(Pid(999), 0);
+        assert_eq!(k.sys_jetsam_tick(tid), Err(Errno::ESRCH));
     }
 }

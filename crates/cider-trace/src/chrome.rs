@@ -12,7 +12,7 @@
 use std::fmt::Write as _;
 
 use crate::event::{EventKind, TraceEvent};
-use crate::sink::TraceSnapshot;
+use crate::ring::TraceBuffer;
 
 fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
@@ -140,16 +140,17 @@ fn event_json(out: &mut String, e: &TraceEvent) {
     out.push('}');
 }
 
-/// Renders a snapshot as a Chrome trace_event JSON array document.
-pub fn export(snapshot: &TraceSnapshot) -> String {
+/// Renders a ring's retained events as a Chrome trace_event JSON array
+/// document.
+pub fn export(ring: &TraceBuffer) -> String {
     let mut out = String::from("{\"displayTimeUnit\":\"ns\",");
     let _ = write!(
         out,
         "\"otherData\":{{\"dropped_events\":\"{}\"}},",
-        snapshot.dropped,
+        ring.dropped(),
     );
     out.push_str("\"traceEvents\":[");
-    for (i, e) in snapshot.events.iter().enumerate() {
+    for (i, e) in ring.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -166,7 +167,7 @@ mod tests {
     use crate::event::TraceContext;
     use crate::sink::TraceSink;
 
-    fn sample() -> TraceSnapshot {
+    fn sample() -> TraceSink {
         let mut sink = TraceSink::enabled(64);
         let ctx = TraceContext {
             ts_ns: 1500,
@@ -191,12 +192,12 @@ mod tests {
                 label: "odd \"label\"\n".into(),
             },
         );
-        sink.snapshot().unwrap()
+        sink
     }
 
     #[test]
     fn exports_begin_end_pairs_with_args() {
-        let json = export(&sample());
+        let json = export(sample().ring().unwrap());
         assert!(json.contains("\"ph\":\"B\""), "{json}");
         assert!(json.contains("\"ph\":\"E\""), "{json}");
         assert!(json.contains("\"translated\":397"), "{json}");
@@ -206,13 +207,13 @@ mod tests {
 
     #[test]
     fn escapes_quotes_and_newlines() {
-        let json = export(&sample());
+        let json = export(sample().ring().unwrap());
         assert!(json.contains("odd \\\"label\\\"\\n"), "{json}");
     }
 
     #[test]
     fn instants_carry_scope() {
-        let json = export(&sample());
+        let json = export(sample().ring().unwrap());
         assert!(json.contains("\"s\":\"t\""), "{json}");
     }
 
@@ -220,7 +221,7 @@ mod tests {
     fn structure_is_balanced() {
         // Cheap well-formedness proxy without a JSON parser: balanced
         // braces/brackets outside strings.
-        let json = export(&sample());
+        let json = export(sample().ring().unwrap());
         let (mut depth, mut in_str, mut esc) = (0i64, false, false);
         for c in json.chars() {
             if esc {

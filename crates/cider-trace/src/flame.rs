@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 
 use crate::event::{EventKind, TraceEvent};
-use crate::sink::TraceSnapshot;
+use crate::ring::TraceBuffer;
 
 /// Whether an event opens a frame, and under what label.
 fn open_label(kind: &EventKind) -> Option<String> {
@@ -49,16 +49,16 @@ struct ThreadStack {
     frames: Vec<Frame>,
 }
 
-/// Folds a snapshot's events into flamegraph folded-stack lines.
+/// Folds a ring's retained events into flamegraph folded-stack lines.
 ///
 /// Unclosed frames at the end of the trace are dropped (their time is
 /// unknowable); unmatched ends are ignored. Lines are emitted in sorted
 /// order so output is deterministic.
-pub fn export(snapshot: &TraceSnapshot) -> String {
+pub fn export(ring: &TraceBuffer) -> String {
     let mut stacks: BTreeMap<(u32, u32), ThreadStack> = BTreeMap::new();
     let mut folded: BTreeMap<String, u64> = BTreeMap::new();
 
-    for event in &snapshot.events {
+    for event in ring.iter() {
         let TraceEvent { ctx, kind } = event;
         let key = (ctx.pid, ctx.tid);
         if let Some(label) = open_label(kind) {
@@ -153,7 +153,7 @@ mod tests {
                 ok: true,
             },
         );
-        let folded = export(&sink.snapshot().unwrap());
+        let folded = export(sink.ring().unwrap());
         assert!(
             folded
                 .contains("pid7/tid9/foreign;diplomat:glClear;syscall_4 300"),
@@ -173,7 +173,7 @@ mod tests {
             enter(&mut sink, i * 100, 20);
             exit(&mut sink, i * 100 + 10, 20);
         }
-        let folded = export(&sink.snapshot().unwrap());
+        let folded = export(sink.ring().unwrap());
         assert!(
             folded.contains("pid7/tid9/foreign;syscall_20 30"),
             "{folded}"
@@ -186,7 +186,7 @@ mod tests {
         let mut sink = TraceSink::enabled(64);
         enter(&mut sink, 0, 4);
         exit(&mut sink, 950, 4);
-        let folded = export(&sink.snapshot().unwrap());
+        let folded = export(sink.ring().unwrap());
         assert!(
             folded.contains("pid7/tid9/foreign;syscall_4 950"),
             "{folded}"
@@ -199,7 +199,7 @@ mod tests {
         exit(&mut sink, 10, 4);
         enter(&mut sink, 20, 3);
         exit(&mut sink, 25, 4);
-        let folded = export(&sink.snapshot().unwrap());
+        let folded = export(sink.ring().unwrap());
         assert!(folded.is_empty(), "{folded}");
     }
 }

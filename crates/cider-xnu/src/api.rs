@@ -16,10 +16,6 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LckMtx(pub u64);
 
-/// Opaque handle to a spin lock (`lck_spin_t *`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct LckSpin(pub u64);
-
 /// Handle to an allocation zone (`zone_t`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ZoneHandle(pub u32);

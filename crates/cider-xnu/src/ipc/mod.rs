@@ -2,20 +2,18 @@
 //!
 //! The module layout mirrors `osfmk/ipc`: [`port`] holds ports and
 //! rights, [`space`] the per-task name tables, [`message`] the message
-//! and descriptor formats, [`lockfree`] the v2 virtual-time-ordered
-//! queue, and [`subsystem`] the transfer engine.
+//! and descriptor formats, and [`subsystem`] the transfer engine. Each
+//! port queues its messages in an [`XnuQueue`](crate::queue::XnuQueue).
 
-pub mod lockfree;
 pub mod message;
 pub mod port;
 pub mod space;
 pub mod subsystem;
 
-pub use lockfree::LockFreeQueue;
 pub use message::{
     Message, PortDescriptor, PortDisposition, ReceivedMessage, UserMessage,
     OOL_INLINE_THRESHOLD, OOL_PAGE_BYTES,
 };
-pub use port::{KernelObject, Port, PortId, RightCount, RightType, SpaceId};
+pub use port::{KernelObject, Port, PortId, RightType, SpaceId};
 pub use space::IpcSpace;
 pub use subsystem::{IpcStats, MachIpc};

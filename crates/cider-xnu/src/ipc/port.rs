@@ -1,9 +1,11 @@
 //! Mach ports and port rights.
+//!
+//! A port's right counts are plain integers and its messages wait in an
+//! [`XnuQueue`]: a simulated device runs one trap at a time, and what
+//! the foreign code observes is delivery order and right counts.
 
-use std::sync::atomic::{AtomicU32, Ordering};
-
-use crate::ipc::lockfree::LockFreeQueue;
 use crate::ipc::message::Message;
+use crate::queue::XnuQueue;
 
 /// Global identifier of a port object (kernel-internal, not a name).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -55,67 +57,6 @@ pub const QLIMIT_DEFAULT: usize = 5;
 /// Maximum configurable queue limit (`MACH_PORT_QLIMIT_MAX`).
 pub const QLIMIT_MAX: usize = 16;
 
-/// An atomically maintained right reference count.
-///
-/// mach_r keeps send/send-once rights as plain refcounts bumped with
-/// atomic RMW instructions instead of under the port lock; this wrapper
-/// is the simulator's equivalent. Equality and ordering compare the
-/// loaded value, so counts keep working in assertions and diagnostics.
-#[derive(Debug, Default)]
-pub struct RightCount(AtomicU32);
-
-impl RightCount {
-    /// A zero count.
-    pub const fn new(v: u32) -> RightCount {
-        RightCount(AtomicU32::new(v))
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u32 {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    /// Atomically adds one reference.
-    pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Atomically drops one reference; saturates at zero (a dead port's
-    /// rights may be released after the count was force-cleared).
-    pub fn dec(&self) {
-        let _ =
-            self.0
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                    v.checked_sub(1)
-                });
-    }
-
-    /// Overwrites the count (port teardown).
-    pub fn set(&self, v: u32) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-}
-
-impl Clone for RightCount {
-    fn clone(&self) -> RightCount {
-        RightCount::new(self.get())
-    }
-}
-
-impl PartialEq<u32> for RightCount {
-    fn eq(&self, other: &u32) -> bool {
-        self.get() == *other
-    }
-}
-
-impl PartialEq for RightCount {
-    fn eq(&self, other: &RightCount) -> bool {
-        self.get() == other.get()
-    }
-}
-
-impl Eq for RightCount {}
-
 /// A Mach port: one receive right, counted send rights, a message queue.
 #[derive(Debug, Clone)]
 pub struct Port {
@@ -125,14 +66,14 @@ pub struct Port {
     pub receiver: Option<SpaceId>,
     /// Outstanding send rights, system-wide (space entries' user refs
     /// plus rights in transit inside queued messages).
-    pub srights: RightCount,
+    pub srights: u32,
     /// Outstanding send-once rights, system-wide.
-    pub sorights: RightCount,
+    pub sorights: u32,
     /// Times a send right was made from the receive right
     /// (`mscount` — consulted by no-senders notifications).
     pub make_send_count: u32,
-    /// Queued messages, delivered in `(stamp, seq)` order.
-    pub msgs: LockFreeQueue<Message>,
+    /// Queued messages, delivered in send order.
+    pub msgs: XnuQueue<Message>,
     /// Queue limit.
     pub qlimit: usize,
     /// Kernel object binding.
@@ -148,10 +89,10 @@ impl Port {
         Port {
             id,
             receiver: Some(receiver),
-            srights: RightCount::new(0),
-            sorights: RightCount::new(0),
+            srights: 0,
+            sorights: 0,
             make_send_count: 0,
-            msgs: LockFreeQueue::new(),
+            msgs: XnuQueue::new(),
             qlimit: QLIMIT_DEFAULT,
             kobject: KernelObject::None,
             ns_notify: None,
@@ -180,18 +121,5 @@ mod tests {
     #[test]
     fn qlimits_ordered() {
         const { assert!(QLIMIT_DEFAULT < QLIMIT_MAX) };
-    }
-
-    #[test]
-    fn right_counts_are_saturating() {
-        let c = RightCount::new(1);
-        c.inc();
-        assert_eq!(c.get(), 2);
-        c.dec();
-        c.dec();
-        c.dec(); // already zero: saturates instead of wrapping
-        assert_eq!(c.get(), 0);
-        c.set(7);
-        assert_eq!(c, 7);
     }
 }

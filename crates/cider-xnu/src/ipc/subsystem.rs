@@ -9,23 +9,21 @@
 //!
 //! # IPC v2
 //!
-//! Every port holds one message queue, the
-//! [`LockFreeQueue`](crate::ipc::lockfree::LockFreeQueue), and both
-//! personalities enqueue into it identically: stamped with
-//! `mach_absolute_time` and delivered in `(stamp, seq)` order, which is
-//! FIFO because virtual time never runs backwards. [`MachIpc::set_v2`]
-//! selects only a cost policy:
+//! A simulated device runs one trap at a time, so a port is plain data:
+//! its send and send-once rights are integer counts, and its messages
+//! wait in a FIFO [`XnuQueue`](crate::queue::XnuQueue) that delivers
+//! them in send order under both policies. [`MachIpc::set_v2`] selects
+//! only a cost policy:
 //!
 //! * **v1** (default): every message operation takes the subsystem mutex
 //!   through the duct tape (two `lck_mtx` crossings per op) and charges
-//!   no copyin or remap. This is the original lock-coarse model and its
-//!   virtual-time charging is bit-for-bit unchanged.
-//! * **v2**: rights are atomic refcounts
-//!   ([`RightCount`](crate::ipc::port::RightCount)) and the mutex is
-//!   skipped; inline payload is charged through `copyin`, and
-//!   out-of-line regions at or above [`OOL_INLINE_THRESHOLD`] move by
-//!   page-table remap (`vm_remap_pages`) instead of byte copy, falling
-//!   back to an inline copy when the host refuses the remap.
+//!   no copyin or remap. This is the original lock-coarse model.
+//! * **v2**: the multi-core port layout of mach_r, modelled by what it
+//!   costs: the mutex is skipped; inline payload is charged through
+//!   `copyin`, and out-of-line regions at or above
+//!   [`OOL_INLINE_THRESHOLD`] move by page-table remap
+//!   (`vm_remap_pages`) instead of byte copy, falling back to an inline
+//!   copy when the host refuses the remap.
 //!
 //! The typed API ([`MachIpc::alloc_receive`], [`MachIpc::insert_send`],
 //! [`MachIpc::send`], [`MachIpc::receive`], ...) is the whole surface.
@@ -335,7 +333,7 @@ impl MachIpc {
             return Err(KernReturn::InvalidRight);
         }
         let port = self.port_mut(entry.port)?;
-        port.srights.inc();
+        port.srights += 1;
         port.make_send_count += 1;
         Ok(SendRight::from_name(
             self.space_mut(space)?.add_send_right(entry.port),
@@ -357,7 +355,7 @@ impl MachIpc {
         if entry.right != RightType::Receive {
             return Err(KernReturn::InvalidRight);
         }
-        self.port_mut(entry.port)?.sorights.inc();
+        self.port_mut(entry.port)?.sorights += 1;
         Ok(SendOnceRight::from_name(
             self.space_mut(space)?.add_send_once_right(entry.port),
         ))
@@ -383,7 +381,7 @@ impl MachIpc {
         if self.port(entry.port)?.is_dead() {
             return Err(KernReturn::InvalidCapability);
         }
-        self.port_mut(entry.port)?.srights.inc();
+        self.port_mut(entry.port)?.srights += 1;
         Ok(SendRight::from_name(
             self.space_mut(to)?.add_send_right(entry.port),
         ))
@@ -408,7 +406,7 @@ impl MachIpc {
                 {
                     let port = self.port_mut(pid)?;
                     if !port.is_dead() {
-                        port.srights.dec();
+                        port.srights = port.srights.saturating_sub(1);
                     }
                 }
                 self.maybe_fire_no_senders(api, pid);
@@ -416,7 +414,7 @@ impl MachIpc {
             RightType::SendOnce => {
                 let port = self.port_mut(before.port)?;
                 if !port.is_dead() {
-                    port.sorights.dec();
+                    port.sorights = port.sorights.saturating_sub(1);
                 }
             }
             RightType::DeadName => {}
@@ -449,12 +447,12 @@ impl MachIpc {
 
     fn kill_port(&mut self, api: &mut dyn ForeignKernelApi, pid: PortId) {
         // Drain the queue, destroying carried rights (may cascade).
-        let msgs = {
+        let mut msgs = {
             let Ok(port) = self.port_mut(pid) else { return };
             port.receiver = None;
-            port.msgs.drain().collect::<Vec<_>>()
+            std::mem::take(&mut port.msgs)
         };
-        for m in msgs {
+        while let Some(m) = msgs.dequeue_head() {
             self.destroy_message_rights(api, m);
         }
         // Convert all rights across spaces into dead names.
@@ -465,8 +463,8 @@ impl MachIpc {
             }
         }
         if let Ok(port) = self.port_mut(pid) {
-            port.srights.set(0);
-            port.sorights.set(0);
+            port.srights = 0;
+            port.sorights = 0;
             port.ns_notify = None;
         }
         api.kprintf("mach_ipc: port died");
@@ -487,7 +485,7 @@ impl MachIpc {
                     let fire = {
                         if let Ok(p) = self.port_mut(r.port) {
                             if !p.is_dead() {
-                                p.srights.dec();
+                                p.srights = p.srights.saturating_sub(1);
                             }
                             true
                         } else {
@@ -501,7 +499,7 @@ impl MachIpc {
                 TransitKind::SendOnce => {
                     if let Ok(p) = self.port_mut(r.port) {
                         if !p.is_dead() {
-                            p.sorights.dec();
+                            p.sorights = p.sorights.saturating_sub(1);
                         }
                     }
                 }
@@ -546,9 +544,7 @@ impl MachIpc {
     ) {
         let fire = {
             let Ok(port) = self.port(pid) else { return };
-            port.srights.get() == 0
-                && !port.is_dead()
-                && port.ns_notify.is_some()
+            port.srights == 0 && !port.is_dead() && port.ns_notify.is_some()
         };
         if !fire {
             return;
@@ -588,7 +584,7 @@ impl MachIpc {
                 if entry.right != RightType::Send {
                     return Err(KernReturn::InvalidRight);
                 }
-                self.port_mut(entry.port)?.srights.inc();
+                self.port_mut(entry.port)?.srights += 1;
                 Ok(TransitRight {
                     port: entry.port,
                     kind: TransitKind::Send,
@@ -611,7 +607,7 @@ impl MachIpc {
                     return Err(KernReturn::InvalidRight);
                 }
                 let port = self.port_mut(entry.port)?;
-                port.srights.inc();
+                port.srights += 1;
                 port.make_send_count += 1;
                 Ok(TransitRight {
                     port: entry.port,
@@ -622,7 +618,7 @@ impl MachIpc {
                 if entry.right != RightType::Receive {
                     return Err(KernReturn::InvalidRight);
                 }
-                self.port_mut(entry.port)?.sorights.inc();
+                self.port_mut(entry.port)?.sorights += 1;
                 Ok(TransitRight {
                     port: entry.port,
                     kind: TransitKind::SendOnce,
@@ -655,9 +651,8 @@ impl MachIpc {
     /// `mach_msg(MACH_SEND_MSG)`: validates the destination right,
     /// processes dispositions, and queues the message.
     ///
-    /// Under v2 the subsystem mutex is skipped (the queue is lock-free
-    /// and rights are atomic), inline payload is charged through
-    /// `copyin`, and out-of-line regions at or above
+    /// Under v2 the subsystem mutex is skipped, inline payload is
+    /// charged through `copyin`, and out-of-line regions at or above
     /// [`OOL_INLINE_THRESHOLD`] move by page remap with inline-copy
     /// fallback.
     ///
@@ -731,20 +726,23 @@ impl MachIpc {
         match msg.remote_disposition {
             PortDisposition::MoveSend => {
                 self.space_mut(space)?.release(msg.remote_port)?;
-                self.port_mut(dest_port)?.srights.dec();
+                let port = self.port_mut(dest_port)?;
+                port.srights = port.srights.saturating_sub(1);
             }
             PortDisposition::MoveSendOnce => {
                 if dest.right != RightType::SendOnce {
                     return Err(KernReturn::InvalidRight);
                 }
                 self.space_mut(space)?.release(msg.remote_port)?;
-                self.port_mut(dest_port)?.sorights.dec();
+                let port = self.port_mut(dest_port)?;
+                port.sorights = port.sorights.saturating_sub(1);
             }
             _ => {
                 if dest.right == RightType::SendOnce {
                     // Send-once rights are always consumed.
                     self.space_mut(space)?.release(msg.remote_port)?;
-                    self.port_mut(dest_port)?.sorights.dec();
+                    let port = self.port_mut(dest_port)?;
+                    port.sorights = port.sorights.saturating_sub(1);
                 }
             }
         }
@@ -777,11 +775,9 @@ impl MachIpc {
         };
         self.stats.bytes_moved += queued.size() as u64;
         self.stats.msgs_sent += 1;
-        // One enqueue for both policies: the producer's claim is stamped
-        // with its virtual-time instant and delivery follows (stamp, seq)
-        // order, which is FIFO because virtual time never runs backwards.
-        let stamp = api.mach_absolute_time();
-        self.port_mut(dest_port)?.msgs.enqueue(stamp, queued);
+        // One enqueue for both policies: the device runs one trap at a
+        // time, so send order is delivery order.
+        self.port_mut(dest_port)?.msgs.enqueue_tail(queued);
         api.thread_wakeup(Event(0x1000_0000 + dest_port.0));
         // A moved send right may have been the last one.
         if msg.remote_disposition == PortDisposition::MoveSend {
@@ -954,14 +950,12 @@ impl MachIpc {
                 }
             }
             assert_eq!(
-                port.srights.get(),
-                send,
+                port.srights, send,
                 "send-right count mismatch on {:?}",
                 port.id
             );
             assert_eq!(
-                port.sorights.get(),
-                sonce,
+                port.sorights, sonce,
                 "send-once count mismatch on {:?}",
                 port.id
             );
@@ -1234,6 +1228,100 @@ mod tests {
         );
         assert!(ipc.receive_right(s, recv.name()).is_ok());
         assert!(ipc.send_right(s, send.name()).is_ok());
+    }
+
+    #[test]
+    fn one_instant_sends_deliver_in_send_order_under_both_policies() {
+        for v2 in [false, true] {
+            let (mut ipc, mut api) = setup();
+            ipc.set_v2(v2);
+            // The mock clock never moves: every send shares one instant.
+            let srv = ipc.create_space();
+            let recv = ipc.alloc_receive(&mut api, srv).unwrap();
+            ipc.set_qlimit(srv, recv.name(), crate::ipc::port::QLIMIT_MAX)
+                .unwrap();
+            let own = ipc.insert_send(srv, recv).unwrap();
+            let senders: Vec<_> = (0..2)
+                .map(|_| {
+                    let cli = ipc.create_space();
+                    (cli, ipc.copy_send(srv, own, cli).unwrap())
+                })
+                .collect();
+            let (mut next, mut got) = (0, Vec::new());
+            for burst in [3, 1, 4, 1, 5, 9, 2, 6] {
+                for _ in 0..burst {
+                    let (cli, send) = senders[next as usize % 2];
+                    let msg = UserMessage::simple(send.name(), next, &b""[..]);
+                    ipc.send(&mut api, cli, msg).unwrap();
+                    next += 1;
+                }
+                for _ in 0..3 {
+                    if let Ok(m) = ipc.receive(&mut api, srv, recv) {
+                        got.push(m.msg_id);
+                    }
+                }
+            }
+            while let Ok(m) = ipc.receive(&mut api, srv, recv) {
+                got.push(m.msg_id);
+            }
+            assert_eq!(got, (0..next).collect::<Vec<_>>(), "v2 = {v2}");
+            ipc.check_invariants();
+        }
+    }
+
+    #[test]
+    fn killed_port_counts_stay_zero_as_its_rights_are_released() {
+        let (mut ipc, mut api) = setup();
+        let srv = ipc.create_space();
+        let cli = ipc.create_space();
+        let relay = ipc.create_space();
+        let recv = ipc.alloc_receive(&mut api, srv).unwrap();
+        let pid = ipc.space(srv).unwrap().lookup(recv.name()).unwrap().port;
+        let send = ipc.insert_send(srv, recv).unwrap();
+        let sonce = ipc.insert_send_once(srv, recv).unwrap();
+        let cli_send = ipc.copy_send(srv, send, cli).unwrap();
+        // A message queued on the port itself carries a send right to it.
+        let mut own = UserMessage::simple(cli_send.name(), 1, &b""[..]);
+        own.ports.push(PortDescriptor {
+            name: cli_send.name(),
+            disposition: PortDisposition::CopySend,
+        });
+        ipc.send(&mut api, cli, own).unwrap();
+        // A message queued on another port carries one right of each kind.
+        let relay_recv = ipc.alloc_receive(&mut api, relay).unwrap();
+        let to_relay = {
+            let s = ipc.insert_send(relay, relay_recv).unwrap();
+            ipc.copy_send(relay, s, srv).unwrap()
+        };
+        let mut carried = UserMessage::simple(to_relay.name(), 2, &b""[..]);
+        carried.ports.push(PortDescriptor {
+            name: send.name(),
+            disposition: PortDisposition::CopySend,
+        });
+        carried.ports.push(PortDescriptor {
+            name: recv.name(),
+            disposition: PortDisposition::MakeSendOnce,
+        });
+        ipc.send(&mut api, srv, carried).unwrap();
+        let counts =
+            |ipc: &MachIpc| ipc.port(pid).map(|p| (p.srights, p.sorights));
+        assert_eq!(counts(&ipc), Ok((4, 2)));
+        ipc.check_invariants();
+
+        ipc.port_destroy(&mut api, srv, recv.name()).unwrap();
+        assert_eq!(counts(&ipc), Ok((0, 0)));
+        for (space, name) in [
+            (srv, send.name()),
+            (srv, sonce.name()),
+            (cli, cli_send.name()),
+        ] {
+            ipc.port_deallocate(&mut api, space, name).unwrap();
+            assert_eq!(counts(&ipc), Ok((0, 0)));
+        }
+        // Killing the relay destroys the carried rights.
+        ipc.destroy_space(&mut api, relay).unwrap();
+        assert_eq!(counts(&ipc), Ok((0, 0)));
+        ipc.check_invariants();
     }
 
     #[test]

@@ -1,12 +1,9 @@
 //! XNU `queue.h`-style queues.
 //!
-//! Mach IPC threads its message and waiter lists through these. The
-//! original XNU code uses *recursive* queue chains (queues containing
-//! queue heads); the paper notes that this "was rewritten to better fit
-//! within Linux" (§4.2) — [`XnuQueue`] keeps the XNU-flavoured API while
-//! the duct-taped build uses the flat representation, and
-//! [`RecursiveQueue`] preserves the original recursive shape so the
-//! ablation benchmark can compare the two.
+//! Mach IPC threads its message queues and psynch its waiter lists
+//! through [`XnuQueue`]. XNU chains these recursively (queues holding
+//! queue heads); [`XnuQueue`] is the flat form that §4.2 says the code
+//! "was rewritten" into "to better fit within Linux".
 
 use std::collections::VecDeque;
 
@@ -80,103 +77,6 @@ impl<T> FromIterator<T> for XnuQueue<T> {
     }
 }
 
-/// The original recursive queue shape: a node is either a payload or a
-/// nested queue head, and traversal recurses through nested heads. XNU's
-/// IPC "pset" queues look like this; the Linux port flattens them.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum QueueNode<T> {
-    /// A payload element.
-    Item(T),
-    /// A nested queue, traversed in place.
-    SubQueue(RecursiveQueue<T>),
-}
-
-/// A queue whose elements may themselves be queues.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecursiveQueue<T> {
-    nodes: Vec<QueueNode<T>>,
-}
-
-impl<T> Default for RecursiveQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> RecursiveQueue<T> {
-    /// Empty recursive queue.
-    pub fn new() -> RecursiveQueue<T> {
-        RecursiveQueue { nodes: Vec::new() }
-    }
-
-    /// Appends a payload element.
-    pub fn push_item(&mut self, item: T) {
-        self.nodes.push(QueueNode::Item(item));
-    }
-
-    /// Appends a nested queue head.
-    pub fn push_subqueue(&mut self, q: RecursiveQueue<T>) {
-        self.nodes.push(QueueNode::SubQueue(q));
-    }
-
-    /// Total payload elements, recursing through sub-queues.
-    pub fn total_items(&self) -> usize {
-        self.nodes
-            .iter()
-            .map(|n| match n {
-                QueueNode::Item(_) => 1,
-                QueueNode::SubQueue(q) => q.total_items(),
-            })
-            .sum()
-    }
-
-    /// Maximum nesting depth (1 for a flat queue).
-    pub fn depth(&self) -> usize {
-        1 + self
-            .nodes
-            .iter()
-            .map(|n| match n {
-                QueueNode::Item(_) => 0,
-                QueueNode::SubQueue(q) => q.depth(),
-            })
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Removes and returns the first payload element in traversal order
-    /// (depth-first), recursing through nested heads.
-    pub fn pop_first(&mut self) -> Option<T> {
-        while !self.nodes.is_empty() {
-            match &mut self.nodes[0] {
-                QueueNode::Item(_) => {
-                    let QueueNode::Item(item) = self.nodes.remove(0) else {
-                        unreachable!()
-                    };
-                    return Some(item);
-                }
-                QueueNode::SubQueue(q) => {
-                    if let Some(item) = q.pop_first() {
-                        return Some(item);
-                    }
-                    // Empty sub-queue: drop the head.
-                    self.nodes.remove(0);
-                }
-            }
-        }
-        None
-    }
-
-    /// Flattens into an [`XnuQueue`] — the "rewritten to better fit
-    /// within Linux" transformation.
-    pub fn flatten(mut self) -> XnuQueue<T> {
-        let mut out = XnuQueue::new();
-        while let Some(item) = self.pop_first() {
-            out.enqueue_tail(item);
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,46 +100,5 @@ mod tests {
         assert_eq!(q.remqueue(|&x| x == 3), Some(3));
         assert_eq!(q.remqueue(|&x| x == 3), None);
         assert_eq!(q.len(), 3);
-    }
-
-    #[test]
-    fn recursive_queue_counts_and_depth() {
-        let mut inner = RecursiveQueue::new();
-        inner.push_item("a");
-        inner.push_item("b");
-        let mut outer = RecursiveQueue::new();
-        outer.push_item("x");
-        outer.push_subqueue(inner);
-        outer.push_item("y");
-        assert_eq!(outer.total_items(), 4);
-        assert_eq!(outer.depth(), 2);
-    }
-
-    #[test]
-    fn recursive_pop_is_depth_first_order() {
-        let mut inner = RecursiveQueue::new();
-        inner.push_item(2);
-        let mut outer = RecursiveQueue::new();
-        outer.push_item(1);
-        outer.push_subqueue(inner);
-        outer.push_item(3);
-        assert_eq!(outer.pop_first(), Some(1));
-        assert_eq!(outer.pop_first(), Some(2));
-        assert_eq!(outer.pop_first(), Some(3));
-        assert_eq!(outer.pop_first(), None);
-    }
-
-    #[test]
-    fn flatten_preserves_order() {
-        let mut inner = RecursiveQueue::new();
-        inner.push_item(2);
-        inner.push_item(3);
-        let mut outer = RecursiveQueue::new();
-        outer.push_item(1);
-        outer.push_subqueue(inner);
-        outer.push_item(4);
-        let flat = outer.flatten();
-        let items: Vec<i32> = flat.iter().copied().collect();
-        assert_eq!(items, vec![1, 2, 3, 4]);
     }
 }

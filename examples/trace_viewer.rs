@@ -26,7 +26,7 @@ use cider_bench::config::{SystemConfig, TestBed};
 use cider_bench::fig5::{run_micro, Micro};
 use cider_core::RingOp;
 use cider_frameworks::scenarios;
-use cider_trace::{chrome, flame, TraceSnapshot};
+use cider_trace::{chrome, flame, TraceSink};
 use cider_xnu::ipc::UserMessage;
 
 /// A short Mach IPC v2 burst so the `ipc/` counters have something to
@@ -50,7 +50,7 @@ fn ipc_burst(bed: &mut TestBed, tid: cider_abi::ids::Tid) {
     bed.sys.ring_flush(tid).expect("flush");
 }
 
-fn drive(config: SystemConfig) -> TraceSnapshot {
+fn drive(config: SystemConfig) -> TraceSink {
     let mut bed = TestBed::builder(config).traced().build();
     let (pid, tid) = bed.spawn_measured().expect("bench binary installed");
     for micro in [
@@ -68,7 +68,7 @@ fn drive(config: SystemConfig) -> TraceSnapshot {
         ipc_burst(&mut bed, tid);
         app_lane(&mut bed);
     }
-    bed.trace_snapshot().expect("tracing enabled")
+    std::mem::take(&mut bed.sys.kernel.trace)
 }
 
 /// Populates the app-lifecycle lane: one full launch → background →
@@ -87,21 +87,26 @@ fn app_lane(bed: &mut TestBed) {
 fn main() {
     let vanilla = drive(SystemConfig::VanillaAndroid);
     let cider_ios = drive(SystemConfig::CiderIos);
+    let traced = "tracing enabled";
+    let vanilla_metrics = vanilla.metrics().expect(traced);
+    let events = cider_ios.ring().expect(traced);
+    let metrics = cider_ios.metrics().expect(traced);
 
-    println!("== event stream (Cider iOS, last 12 of {}) ==", {
-        cider_ios.events.len()
-    });
-    for e in cider_ios.events.iter().rev().take(12).rev() {
+    println!(
+        "== event stream (Cider iOS, last 12 of {}) ==",
+        events.len()
+    );
+    for e in events.iter().skip(events.len().saturating_sub(12)) {
         println!("{e}");
     }
 
     println!("\n== per-persona syscall latency (log2 histograms) ==");
     println!("vanilla Android (domestic persona):");
-    for (name, h) in vanilla.metrics.histograms_with_prefix("syscall/") {
+    for (name, h) in vanilla_metrics.histograms_with_prefix("syscall/") {
         println!("  {name:<36} {h}");
     }
     println!("Cider running the iOS binary (foreign persona):");
-    for (name, h) in cider_ios.metrics.histograms_with_prefix("syscall/") {
+    for (name, h) in metrics.histograms_with_prefix("syscall/") {
         println!("  {name:<36} {h}");
     }
 
@@ -109,20 +114,18 @@ fn main() {
     for prefix in [
         "kernel/", "signal/", "dyld/", "mach/", "ipc/", "persona/", "sched/",
     ] {
-        for (name, v) in cider_ios.metrics.counters_with_prefix(prefix) {
+        for (name, v) in metrics.counters_with_prefix(prefix) {
             println!("  {name:<36} {v}");
         }
     }
 
     println!("\n== app lifecycle lane (Cider iOS) ==");
-    for (name, v) in cider_ios.metrics.counters_with_prefix("app/") {
+    for (name, v) in metrics.counters_with_prefix("app/") {
         println!("  {name:<36} {v}");
     }
     print!("  transition order                    ");
     for ev in LifecycleEvent::ALL {
-        let n = cider_ios
-            .metrics
-            .counter(&format!("app/lifecycle/{}", ev.name()));
+        let n = metrics.counter(&format!("app/lifecycle/{}", ev.name()));
         if n > 0 {
             print!(" {}x{n}", ev.name());
         }
@@ -130,11 +133,10 @@ fn main() {
     println!();
 
     println!("\n== scheduler (Cider iOS, lat_ctx 4p) ==");
-    for (name, h) in cider_ios.metrics.histograms_with_prefix("sched/") {
+    for (name, h) in metrics.histograms_with_prefix("sched/") {
         println!("  {name:<36} {h}");
     }
-    let switches = cider_ios
-        .events
+    let switches = events
         .iter()
         .filter(|e| e.kind.category() == "sched")
         .count();
@@ -144,8 +146,8 @@ fn main() {
     fs::create_dir_all(&dir).expect("create target/trace");
     let json = dir.join("trace_viewer.trace.json");
     let folded = dir.join("trace_viewer.folded");
-    fs::write(&json, chrome::export(&cider_ios)).expect("write json");
-    fs::write(&folded, flame::export(&cider_ios)).expect("write folded");
+    fs::write(&json, chrome::export(events)).expect("write json");
+    fs::write(&folded, flame::export(events)).expect("write folded");
     println!("\nwrote {}", json.display());
     println!("wrote {}  (pipe into flamegraph.pl)", folded.display());
 }

@@ -44,7 +44,7 @@ use std::process::ExitCode;
 
 use cider_bench::config::SystemConfig;
 use cider_bench::report::Table;
-use cider_trace::{chrome, flame, TraceSnapshot};
+use cider_trace::{chrome, flame, TraceSink};
 
 fn print_raw(table: &Table) {
     println!("### raw values ({})", table.unit);
@@ -67,14 +67,13 @@ fn print_raw(table: &Table) {
     println!();
 }
 
-fn dump_trace(config: SystemConfig, snap: &TraceSnapshot, dir: &Path) {
+fn dump_trace(config: SystemConfig, sink: &TraceSink, dir: &Path) {
+    let traced = "fig5::run_traced traces every bed";
+    let (ring, metrics) =
+        (sink.ring().expect(traced), sink.metrics().expect(traced));
     println!("### trace: {}", config.label());
-    println!(
-        "{} events retained, {} dropped",
-        snap.events.len(),
-        snap.dropped
-    );
-    let syscalls = snap.metrics.histograms.iter().filter(|(name, _)| {
+    println!("{} events retained, {} dropped", ring.len(), ring.dropped());
+    let syscalls = metrics.histograms.iter().filter(|(name, _)| {
         name.starts_with("syscall/") || name.starts_with("diplomat/")
     });
     for (name, h) in syscalls {
@@ -90,14 +89,13 @@ fn dump_trace(config: SystemConfig, snap: &TraceSnapshot, dir: &Path) {
         "fault/",
         "recovery/",
     ] {
-        for (name, v) in &snap.metrics.counters {
+        for (name, v) in &metrics.counters {
             if name.starts_with(prefix) {
                 println!("  {name:<40} {v}");
             }
         }
     }
-    let ledger: Vec<_> = snap
-        .events
+    let ledger: Vec<_> = ring
         .iter()
         .filter(|e| matches!(e.kind.category(), "fault" | "recovery"))
         .collect();
@@ -116,11 +114,11 @@ fn dump_trace(config: SystemConfig, snap: &TraceSnapshot, dir: &Path) {
     let base = dir.join(format!("fig5_{}", config.slug()));
     let json = base.with_extension("trace.json");
     let folded = base.with_extension("folded");
-    match fs::write(&json, chrome::export(snap)) {
+    match fs::write(&json, chrome::export(ring)) {
         Ok(()) => println!("  wrote {}", json.display()),
         Err(e) => println!("  write {} failed: {e}", json.display()),
     }
-    match fs::write(&folded, flame::export(snap)) {
+    match fs::write(&folded, flame::export(ring)) {
         Ok(()) => println!("  wrote {}", folded.display()),
         Err(e) => println!("  write {} failed: {e}", folded.display()),
     }
@@ -183,13 +181,13 @@ fn print_fleet(dir: &Path) {
         }
         println!();
     }
-    if let Some(snap) = sink.snapshot() {
+    if let Some(ring) = sink.ring() {
         println!(
             "fleet host progress: {} devices completed",
-            snap.metrics.counter("fleet/devices_completed")
+            sink.counter("fleet/devices_completed")
         );
         let path = dir.join("fleet.trace.json");
-        match fs::write(&path, chrome::export(&snap)) {
+        match fs::write(&path, chrome::export(ring)) {
             Ok(()) => println!("wrote {}", path.display()),
             Err(e) => println!("write {} failed: {e}", path.display()),
         }
@@ -217,14 +215,14 @@ fn main() -> ExitCode {
     }
     println!("Cider reproduction — full evaluation (virtual time)\n");
     let fig5 = if trace {
-        let (fig5, snapshots) = cider_bench::fig5::run_traced();
+        let (fig5, sinks) = cider_bench::fig5::run_traced();
         println!("{fig5}");
         let dir = Path::new("target").join("trace");
         if let Err(e) = fs::create_dir_all(&dir) {
             println!("cannot create {}: {e}", dir.display());
         }
-        for (config, snap) in &snapshots {
-            dump_trace(*config, snap, &dir);
+        for (config, sink) in &sinks {
+            dump_trace(*config, sink, &dir);
         }
         fig5
     } else {

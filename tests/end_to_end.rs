@@ -561,10 +561,8 @@ use cider_bench::lmbench;
 
 #[test]
 fn corrupt_shared_cache_falls_back_to_cold_walk_and_still_launches() {
-    let mut bed = TestBed::builder(SystemConfig::CiderIos)
-        .traced()
-        .warm_start()
-        .build();
+    let mut bed = TestBed::builder(SystemConfig::CiderIos).traced().build();
+    bed.sys.kernel.warm.set_enabled(true);
     let (_pid, tid) = bed.spawn_measured().unwrap();
     // Every consult of the cache from here on reports corruption.
     bed.enable_faults(
@@ -594,10 +592,9 @@ fn corrupt_shared_cache_falls_back_to_cold_walk_and_still_launches() {
 fn fault_matrix_auto_covers_the_warm_start_machinery() {
     let mut invalidations = 0;
     for seed in [11u64, 23, 47] {
-        let mut bed = TestBed::builder(SystemConfig::CiderIos)
-            .traced()
-            .warm_start()
-            .build();
+        let mut bed =
+            TestBed::builder(SystemConfig::CiderIos).traced().build();
+        bed.sys.kernel.warm.set_enabled(true);
         let (_pid, tid) = bed.spawn_measured().unwrap();
         bed.enable_faults(FaultPlan::matrix(seed));
         for _ in 0..8 {

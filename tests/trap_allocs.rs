@@ -84,7 +84,8 @@ fn allocs_in(f: impl FnOnce()) -> u64 {
 }
 
 fn ring_full(bed: &TestBed) -> bool {
-    bed.trace_snapshot().expect("bed is traced").dropped > 0
+    let ring = bed.sys.kernel.trace.ring().expect("bed is traced");
+    ring.dropped() > 0
 }
 
 fn traced_traps_allocate_nothing_extra(config: SystemConfig) {
