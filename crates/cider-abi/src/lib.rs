@@ -8,6 +8,10 @@
 //! and the low-level calling/error conventions that differ between the two
 //! kernels.
 //!
+//! It also holds [`codec`], the one little-endian byte codec every
+//! binary format (Mach messages, Mach-O, ELF, IPA, dex, input events,
+//! `stat64`, checkpoint frames) reads and writes through.
+//!
 //! Nothing in this crate performs any work; it is pure data and conversion
 //! logic, exhaustively unit-tested, on which the kernel simulator
 //! (`cider-kernel`), the foreign kernel corpus (`cider-xnu`) and the Cider
@@ -26,6 +30,7 @@
 //! assert!(Persona::Foreign.is_foreign());
 //! ```
 
+pub mod codec;
 pub mod convention;
 pub mod errno;
 pub mod ids;

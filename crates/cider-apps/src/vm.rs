@@ -9,6 +9,7 @@
 //! virtual-time dispatch cost, while the native path (in
 //! `workloads`) pays only the operation itself.
 
+use cider_abi::codec::{ByteReader, ByteWriter};
 use cider_abi::errno::Errno;
 use cider_kernel::kernel::Kernel;
 
@@ -329,62 +330,61 @@ impl Vm {
     }
 }
 
+/// The leading magic of a "dex" blob.
+const DEX_MAGIC: &[u8; 4] = b"dex\n";
+/// The most instructions a "dex" blob may declare.
+const MAX_INSNS: usize = 10_000_000;
+
 /// Serialises a program into a "dex" blob for `.apk` packages.
 pub fn assemble(program: &[Insn]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(program.len() * 8 + 8);
-    out.extend_from_slice(b"dex\n");
-    out.extend_from_slice(&(program.len() as u32).to_le_bytes());
+    let mut w = ByteWriter::with_capacity(program.len() * 8 + 8);
+    w.put_raw(DEX_MAGIC);
+    w.put_u32(program.len() as u32);
     for insn in program {
         match *insn {
             Insn::ConstI(d, v) => {
-                out.push(0);
-                out.push(d);
-                out.extend_from_slice(&v.to_le_bytes());
+                w.put_raw(&[0, d]);
+                w.put_u64(v as u64);
             }
             Insn::ConstF(d, v) => {
-                out.push(1);
-                out.push(d);
-                out.extend_from_slice(&v.to_bits().to_le_bytes());
+                w.put_raw(&[1, d]);
+                w.put_u64(v.to_bits());
             }
-            Insn::Move(d, s) => {
-                out.extend_from_slice(&[2, d, s]);
-            }
-            Insn::Add(d, a, b) => out.extend_from_slice(&[3, d, a, b]),
-            Insn::Sub(d, a, b) => out.extend_from_slice(&[4, d, a, b]),
-            Insn::Mul(d, a, b) => out.extend_from_slice(&[5, d, a, b]),
-            Insn::Div(d, a, b) => out.extend_from_slice(&[6, d, a, b]),
-            Insn::Rem(d, a, b) => out.extend_from_slice(&[7, d, a, b]),
-            Insn::Xor(d, a, b) => out.extend_from_slice(&[8, d, a, b]),
-            Insn::And(d, a, b) => out.extend_from_slice(&[9, d, a, b]),
-            Insn::Or(d, a, b) => out.extend_from_slice(&[10, d, a, b]),
-            Insn::Shl(d, a, b) => out.extend_from_slice(&[11, d, a, b]),
-            Insn::Shr(d, a, b) => out.extend_from_slice(&[12, d, a, b]),
-            Insn::FAdd(d, a, b) => out.extend_from_slice(&[13, d, a, b]),
-            Insn::FMul(d, a, b) => out.extend_from_slice(&[14, d, a, b]),
-            Insn::FDiv(d, a, b) => out.extend_from_slice(&[15, d, a, b]),
-            Insn::CmpLt(d, a, b) => out.extend_from_slice(&[16, d, a, b]),
-            Insn::CmpEq(d, a, b) => out.extend_from_slice(&[17, d, a, b]),
+            Insn::Move(d, s) => w.put_raw(&[2, d, s]),
+            Insn::Add(d, a, b) => w.put_raw(&[3, d, a, b]),
+            Insn::Sub(d, a, b) => w.put_raw(&[4, d, a, b]),
+            Insn::Mul(d, a, b) => w.put_raw(&[5, d, a, b]),
+            Insn::Div(d, a, b) => w.put_raw(&[6, d, a, b]),
+            Insn::Rem(d, a, b) => w.put_raw(&[7, d, a, b]),
+            Insn::Xor(d, a, b) => w.put_raw(&[8, d, a, b]),
+            Insn::And(d, a, b) => w.put_raw(&[9, d, a, b]),
+            Insn::Or(d, a, b) => w.put_raw(&[10, d, a, b]),
+            Insn::Shl(d, a, b) => w.put_raw(&[11, d, a, b]),
+            Insn::Shr(d, a, b) => w.put_raw(&[12, d, a, b]),
+            Insn::FAdd(d, a, b) => w.put_raw(&[13, d, a, b]),
+            Insn::FMul(d, a, b) => w.put_raw(&[14, d, a, b]),
+            Insn::FDiv(d, a, b) => w.put_raw(&[15, d, a, b]),
+            Insn::CmpLt(d, a, b) => w.put_raw(&[16, d, a, b]),
+            Insn::CmpEq(d, a, b) => w.put_raw(&[17, d, a, b]),
             Insn::Jmp(t) => {
-                out.push(18);
-                out.extend_from_slice(&t.to_le_bytes());
+                w.put_u8(18);
+                w.put_u32(t);
             }
             Insn::Jz(r, t) => {
-                out.push(19);
-                out.push(r);
-                out.extend_from_slice(&t.to_le_bytes());
+                w.put_raw(&[19, r]);
+                w.put_u32(t);
             }
             Insn::Jnz(r, t) => {
-                out.push(20);
-                out.push(r);
-                out.extend_from_slice(&t.to_le_bytes());
+                w.put_raw(&[20, r]);
+                w.put_u32(t);
             }
-            Insn::ArrNew(r) => out.extend_from_slice(&[21, r]),
-            Insn::ALoad(d, i) => out.extend_from_slice(&[22, d, i]),
-            Insn::AStore(i, s) => out.extend_from_slice(&[23, i, s]),
-            Insn::Halt(r) => out.extend_from_slice(&[24, r]),
+            Insn::ArrNew(r) => w.put_raw(&[21, r]),
+            Insn::ALoad(d, i) => w.put_raw(&[22, d, i]),
+            Insn::AStore(i, s) => w.put_raw(&[23, i, s]),
+            Insn::Halt(r) => w.put_raw(&[24, r]),
         }
     }
-    out
+    w.into_bytes()
 }
 
 /// Parses a "dex" blob back into a program.
@@ -393,92 +393,48 @@ pub fn assemble(program: &[Insn]) -> Vec<u8> {
 ///
 /// `ENOEXEC` for anything malformed.
 pub fn disassemble(bytes: &[u8]) -> Result<Vec<Insn>, Errno> {
-    if bytes.len() < 8 || &bytes[..4] != b"dex\n" {
+    let mut r = ByteReader::new(bytes, Errno::ENOEXEC);
+    if r.get_raw(4)? != DEX_MAGIC {
         return Err(Errno::ENOEXEC);
     }
-    let count =
-        u32::from_le_bytes(bytes[4..8].try_into().expect("len")) as usize;
-    if count > 10_000_000 {
+    let count = r.get_u32()? as usize;
+    if count > MAX_INSNS {
         return Err(Errno::ENOEXEC);
     }
-    let mut pos = 8;
     let mut program = Vec::with_capacity(count);
-    let take = |pos: &mut usize, n: usize| -> Result<&[u8], Errno> {
-        if *pos + n > bytes.len() {
-            return Err(Errno::ENOEXEC);
-        }
-        let s = &bytes[*pos..*pos + n];
-        *pos += n;
-        Ok(s)
-    };
     for _ in 0..count {
-        let op = take(&mut pos, 1)?[0];
+        let op = r.get_u8()?;
         let insn = match op {
-            0 => {
-                let b = take(&mut pos, 9)?;
-                Insn::ConstI(
-                    b[0],
-                    i64::from_le_bytes(b[1..9].try_into().expect("len")),
-                )
-            }
-            1 => {
-                let b = take(&mut pos, 9)?;
-                Insn::ConstF(
-                    b[0],
-                    f64::from_bits(u64::from_le_bytes(
-                        b[1..9].try_into().expect("len"),
-                    )),
-                )
-            }
-            2 => {
-                let b = take(&mut pos, 2)?;
-                Insn::Move(b[0], b[1])
-            }
+            0 => Insn::ConstI(r.get_u8()?, r.get_u64()? as i64),
+            1 => Insn::ConstF(r.get_u8()?, f64::from_bits(r.get_u64()?)),
+            2 => Insn::Move(r.get_u8()?, r.get_u8()?),
             3..=17 => {
-                let b = take(&mut pos, 3)?;
-                let (d, a, r) = (b[0], b[1], b[2]);
+                let [d, a, b] = r.get_array()?;
                 match op {
-                    3 => Insn::Add(d, a, r),
-                    4 => Insn::Sub(d, a, r),
-                    5 => Insn::Mul(d, a, r),
-                    6 => Insn::Div(d, a, r),
-                    7 => Insn::Rem(d, a, r),
-                    8 => Insn::Xor(d, a, r),
-                    9 => Insn::And(d, a, r),
-                    10 => Insn::Or(d, a, r),
-                    11 => Insn::Shl(d, a, r),
-                    12 => Insn::Shr(d, a, r),
-                    13 => Insn::FAdd(d, a, r),
-                    14 => Insn::FMul(d, a, r),
-                    15 => Insn::FDiv(d, a, r),
-                    16 => Insn::CmpLt(d, a, r),
-                    _ => Insn::CmpEq(d, a, r),
+                    3 => Insn::Add(d, a, b),
+                    4 => Insn::Sub(d, a, b),
+                    5 => Insn::Mul(d, a, b),
+                    6 => Insn::Div(d, a, b),
+                    7 => Insn::Rem(d, a, b),
+                    8 => Insn::Xor(d, a, b),
+                    9 => Insn::And(d, a, b),
+                    10 => Insn::Or(d, a, b),
+                    11 => Insn::Shl(d, a, b),
+                    12 => Insn::Shr(d, a, b),
+                    13 => Insn::FAdd(d, a, b),
+                    14 => Insn::FMul(d, a, b),
+                    15 => Insn::FDiv(d, a, b),
+                    16 => Insn::CmpLt(d, a, b),
+                    _ => Insn::CmpEq(d, a, b),
                 }
             }
-            18 => {
-                let b = take(&mut pos, 4)?;
-                Insn::Jmp(u32::from_le_bytes(b.try_into().expect("len")))
-            }
-            19 | 20 => {
-                let b = take(&mut pos, 5)?;
-                let r = b[0];
-                let t = u32::from_le_bytes(b[1..5].try_into().expect("len"));
-                if op == 19 {
-                    Insn::Jz(r, t)
-                } else {
-                    Insn::Jnz(r, t)
-                }
-            }
-            21 => Insn::ArrNew(take(&mut pos, 1)?[0]),
-            22 => {
-                let b = take(&mut pos, 2)?;
-                Insn::ALoad(b[0], b[1])
-            }
-            23 => {
-                let b = take(&mut pos, 2)?;
-                Insn::AStore(b[0], b[1])
-            }
-            24 => Insn::Halt(take(&mut pos, 1)?[0]),
+            18 => Insn::Jmp(r.get_u32()?),
+            19 => Insn::Jz(r.get_u8()?, r.get_u32()?),
+            20 => Insn::Jnz(r.get_u8()?, r.get_u32()?),
+            21 => Insn::ArrNew(r.get_u8()?),
+            22 => Insn::ALoad(r.get_u8()?, r.get_u8()?),
+            23 => Insn::AStore(r.get_u8()?, r.get_u8()?),
+            24 => Insn::Halt(r.get_u8()?),
             _ => return Err(Errno::ENOEXEC),
         };
         program.push(insn);

@@ -11,12 +11,13 @@
 //! profile scales every CPU charge.
 
 use cider_abi::ids::Tid;
+use cider_abi::syscall::XnuSyscall;
 use cider_frameworks::scenarios::{self, install_scenario_bundle, AppSpec};
 use cider_kernel::dispatch::SyscallArgs;
 use cider_kernel::kernel::Kernel;
 
 use crate::config::{SystemConfig, TestBed};
-use crate::lmbench::{trap_number, Call};
+use crate::lmbench::trap_number;
 use crate::report::{Table, TableRow};
 
 /// Audio periods the realtime scenario renders (one ~0.74 s session).
@@ -46,7 +47,7 @@ pub fn app_spec(bed: &mut TestBed) -> AppSpec {
 /// the persona-correct null trap (a stand-in for the HAL `mach_msg` /
 /// ioctl a real render callback issues).
 pub fn render_trap(config: SystemConfig) -> impl FnMut(&mut Kernel, Tid) {
-    let nr = trap_number(config.runs_ios_binary(), Call::Getpid);
+    let nr = trap_number(config.runs_ios_binary(), XnuSyscall::Getpid);
     move |k: &mut Kernel, tid: Tid| {
         let r = k.trap(tid, nr, &SyscallArgs::none());
         debug_assert!(r.reg > 0);

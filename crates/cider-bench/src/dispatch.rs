@@ -54,9 +54,9 @@ pub struct TrapCosts {
 /// measured on the same configuration with v2 off.
 ///
 /// `mach_msg_ns` is the combined-option round trip:
-/// `MACH_SEND_MSG|MACH_RCV_MSG` in one trap, rights resolved through
-/// the typed refcounted table and the message queued lock-free, where
-/// v1 pays two crossings and a subsystem mutex on each. `ool_16k_ns`
+/// `MACH_SEND_MSG|MACH_RCV_MSG` in one trap under v2's cost policy
+/// (copyin charges, no subsystem mutex), where v1 pays two crossings
+/// and a subsystem mutex on each. `ool_16k_ns`
 /// round-trips a 16 KiB out-of-line descriptor, which v2 moves by
 /// remapping four pages instead of copying 16384 bytes.
 /// `ring_batch_per_msg_ns` round-trips `RING_BATCH_MSGS` messages as

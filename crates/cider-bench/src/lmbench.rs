@@ -12,58 +12,27 @@ use cider_abi::ids::{Fd, Pid, Tid};
 use cider_abi::signal::{Signal, XnuSignal};
 use cider_abi::syscall::{LinuxSyscall, MachTrap, XnuSyscall, XnuTrap};
 use cider_abi::types::OpenFlags;
+use cider_core::xnu_abi::xnu_to_linux_syscall;
 use cider_kernel::clock::VirtualDuration;
 use cider_kernel::dispatch::{SyscallArgs, SyscallData};
 use cider_kernel::profile::BasicOp;
 
 use crate::config::TestBed;
 
-/// Syscalls the microbenchmarks issue at trap level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Call {
-    /// The null syscall.
-    Getpid,
-    /// One-byte read.
-    Read,
-    /// One-byte write.
-    Write,
-    /// Path open.
-    Open,
-    /// Descriptor close.
-    Close,
-    /// Signal post.
-    Kill,
-    /// Handler installation.
-    Sigaction,
-    /// Descriptor readiness scan.
-    Select,
-}
-
-/// The raw trap number a binary of the given ecosystem issues.
-pub fn trap_number(ios: bool, call: Call) -> i64 {
+/// The raw trap number a binary of the given ecosystem issues for `x`:
+/// the XNU Unix trap on iOS, and on Android the Linux call the XNU
+/// persona translates it to ([`xnu_to_linux_syscall`]).
+///
+/// # Panics
+///
+/// Panics if `x` has no Linux counterpart; every call lmbench issues
+/// has one.
+pub fn trap_number(ios: bool, x: XnuSyscall) -> i64 {
     if ios {
-        let x = match call {
-            Call::Getpid => XnuSyscall::Getpid,
-            Call::Read => XnuSyscall::Read,
-            Call::Write => XnuSyscall::Write,
-            Call::Open => XnuSyscall::Open,
-            Call::Close => XnuSyscall::Close,
-            Call::Kill => XnuSyscall::Kill,
-            Call::Sigaction => XnuSyscall::Sigaction,
-            Call::Select => XnuSyscall::Select,
-        };
         XnuTrap::Unix(x).encode()
     } else {
-        let l = match call {
-            Call::Getpid => LinuxSyscall::Getpid,
-            Call::Read => LinuxSyscall::Read,
-            Call::Write => LinuxSyscall::Write,
-            Call::Open => LinuxSyscall::Open,
-            Call::Close => LinuxSyscall::Close,
-            Call::Kill => LinuxSyscall::Kill,
-            Call::Sigaction => LinuxSyscall::Sigaction,
-            Call::Select => LinuxSyscall::Select,
-        };
+        let l =
+            xnu_to_linux_syscall(x).expect("lmbench call has a Linux twin");
         l.number() as i64
     }
 }
@@ -124,7 +93,7 @@ pub fn basic_op_latency_ns(bed: &TestBed, op: BasicOp) -> f64 {
 /// lmbench `null syscall`.
 pub fn null_syscall(bed: &mut TestBed, tid: Tid) -> VirtualDuration {
     let ios = bed.config.runs_ios_binary();
-    let nr = trap_number(ios, Call::Getpid);
+    let nr = trap_number(ios, XnuSyscall::Getpid);
     measure(bed, 64, |bed| {
         let r = bed.sys.trap(tid, nr, &SyscallArgs::none());
         debug_assert!(r.reg > 0);
@@ -149,16 +118,12 @@ pub fn read_lat(
         .sys
         .kernel
         .sys_open(tid, "/tmp/zero", OpenFlags::RDONLY)?;
-    let nr = trap_number(ios, Call::Read);
+    let nr = trap_number(ios, XnuSyscall::Read);
     let d = measure(bed, 64, |bed| {
         let mut args =
             SyscallArgs::regs([fd.as_raw() as i64, 0, 1, 0, 0, 0, 0]);
         args.data = SyscallData::None;
         bed.sys.trap(tid, nr, &args);
-        // Rewind by reopening offset via typed API is unnecessary: reads
-        // past EOF still charge the syscall path; keep the offset low by
-        // seeking through a fresh descriptor occasionally is not needed
-        // for a 4 KiB file and 64 iterations.
     });
     bed.sys.kernel.sys_close(tid, fd)?;
     Ok(d)
@@ -167,7 +132,7 @@ pub fn read_lat(
 /// lmbench `write`: one byte to the console sink.
 pub fn write_lat(bed: &mut TestBed, tid: Tid) -> VirtualDuration {
     let ios = bed.config.runs_ios_binary();
-    let nr = trap_number(ios, Call::Write);
+    let nr = trap_number(ios, XnuSyscall::Write);
     measure(bed, 64, |bed| {
         let mut args =
             SyscallArgs::regs([Fd::STDOUT.as_raw() as i64, 0, 1, 0, 0, 0, 0]);
@@ -187,8 +152,8 @@ pub fn open_close_lat(
 ) -> Result<VirtualDuration, Errno> {
     let ios = bed.config.runs_ios_binary();
     bed.sys.kernel.vfs.write_file("/tmp/openme", vec![1])?;
-    let nr_open = trap_number(ios, Call::Open);
-    let nr_close = trap_number(ios, Call::Close);
+    let nr_open = trap_number(ios, XnuSyscall::Open);
+    let nr_close = trap_number(ios, XnuSyscall::Close);
     Ok(measure(bed, 32, |bed| {
         let mut args = SyscallArgs::none();
         args.data = SyscallData::Path("/tmp/openme".into());
@@ -216,7 +181,7 @@ pub fn signal_handler_lat(
 ) -> Result<VirtualDuration, Errno> {
     let ios = bed.config.runs_ios_binary();
     // Install the handler through the binary's own sigaction numbering.
-    let nr_sigaction = trap_number(ios, Call::Sigaction);
+    let nr_sigaction = trap_number(ios, XnuSyscall::Sigaction);
     let mut args = SyscallArgs::regs([
         sigusr1_number(ios),
         2, // handler id
@@ -231,7 +196,7 @@ pub fn signal_handler_lat(
     if r.flags.carry || r.reg < 0 {
         return Err(Errno::EINVAL);
     }
-    let nr_kill = trap_number(ios, Call::Kill);
+    let nr_kill = trap_number(ios, XnuSyscall::Kill);
     Ok(measure(bed, 32, |bed| {
         let args = SyscallArgs::regs([
             pid.as_raw() as i64,
@@ -526,7 +491,7 @@ pub fn select_lat(
         all.push(r);
         all.push(w);
     }
-    let nr = trap_number(ios, Call::Select);
+    let nr = trap_number(ios, XnuSyscall::Select);
     let mut failed = false;
     let d = measure(bed, 16, |bed| {
         let mut args = SyscallArgs::none();

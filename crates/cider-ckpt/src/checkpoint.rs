@@ -1,6 +1,6 @@
 //! The checkpoint frame: versioned header + image + checksum.
 //!
-//! Layout (all little-endian, see [`crate::wire`]):
+//! Layout (all little-endian, written with [`crate::ByteWriter`]):
 //!
 //! ```text
 //! "CKPT"            4-byte magic
@@ -23,9 +23,8 @@
 
 use std::fmt;
 
-use crate::fnv1a;
 use crate::image::StateImage;
-use crate::wire::{ByteReader, ByteWriter};
+use crate::{fnv1a, ByteReader, ByteWriter};
 
 /// Frame magic.
 pub const CKPT_MAGIC: &[u8; 4] = b"CKPT";
@@ -61,7 +60,7 @@ pub struct Checkpoint {
 }
 
 /// Everything that can go wrong decoding a checkpoint.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CkptError {
     /// Fewer bytes than the fixed frame needs.
     Truncated,
@@ -129,10 +128,9 @@ impl Checkpoint {
         w.put_u64(self.header.cursor);
         w.put_u64(self.header.virtual_ns);
         self.image.encode_into(&mut w);
-        let mut bytes = w.into_bytes();
-        let sum = fnv1a(&bytes);
-        bytes.extend_from_slice(&sum.to_le_bytes());
-        bytes
+        let sum = fnv1a(w.as_bytes());
+        w.put_u64(sum);
+        w.into_bytes()
     }
 
     /// Decodes and verifies a frame. Every failure mode is a typed
@@ -144,35 +142,34 @@ impl Checkpoint {
             return Err(CkptError::Truncated);
         }
         let (body, sum_bytes) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(sum_bytes.try_into().unwrap());
+        let stored =
+            ByteReader::new(sum_bytes, CkptError::Truncated).get_u64()?;
         let computed = fnv1a(body);
+        // The floor above covers magic and version; past them, bytes
+        // that do not parse are an encoder bug, not truncation.
+        let mut r = ByteReader::new(body, CkptError::Malformed);
         // Magic and version are diagnosed before the checksum so a
         // foreign or future file reports *what* it is, not just that
         // its bytes disagree.
-        if &body[..4] != CKPT_MAGIC {
+        if r.get_raw(4)? != CKPT_MAGIC {
             return Err(CkptError::BadMagic);
         }
-        let version = u32::from_le_bytes(body[4..8].try_into().unwrap());
+        let version = r.get_u32()?;
         if version != CKPT_VERSION {
             return Err(CkptError::UnsupportedVersion(version));
         }
         if computed != stored {
             return Err(CkptError::ChecksumMismatch { computed, stored });
         }
-        let mut r = ByteReader::new(&body[8..]);
-        let header = (|| {
-            Some(CkptHeader {
-                device_id: r.get_u32()?,
-                seed: r.get_u64()?,
-                config: r.get_str()?,
-                workload: r.get_str()?,
-                cursor: r.get_u64()?,
-                virtual_ns: r.get_u64()?,
-            })
-        })()
-        .ok_or(CkptError::Malformed)?;
-        let image =
-            StateImage::decode_from(&mut r).ok_or(CkptError::Malformed)?;
+        let header = CkptHeader {
+            device_id: r.get_u32()?,
+            seed: r.get_u64()?,
+            config: r.get_str()?,
+            workload: r.get_str()?,
+            cursor: r.get_u64()?,
+            virtual_ns: r.get_u64()?,
+        };
+        let image = StateImage::decode_from(&mut r)?;
         if r.remaining() != 0 {
             return Err(CkptError::Malformed);
         }

@@ -12,8 +12,7 @@
 
 use std::fmt;
 
-use crate::fnv1a;
-use crate::wire::{ByteReader, ByteWriter};
+use crate::{fnv1a, ByteReader, ByteWriter, CkptError};
 
 /// One named section of the image.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,7 +53,7 @@ impl StateImage {
         self.sections.iter().find(|s| s.name == name)
     }
 
-    /// Encodes the image with the crate wire format.
+    /// Encodes the image with the crate's byte codec.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         self.encode_into(&mut w);
@@ -74,20 +73,23 @@ impl StateImage {
         }
     }
 
-    /// Decodes an image; `None` on truncation or malformed UTF-8.
-    pub fn decode_from(r: &mut ByteReader<'_>) -> Option<StateImage> {
+    /// Decodes an image; [`CkptError::Malformed`] on truncation,
+    /// malformed UTF-8, or a count the remaining bytes cannot hold.
+    pub fn decode_from(
+        r: &mut ByteReader<'_, CkptError>,
+    ) -> Result<StateImage, CkptError> {
         let n_sections = r.get_u32()? as usize;
         // A section header costs at least 8 bytes; reject counts the
         // remaining bytes cannot possibly hold instead of allocating.
         if n_sections > r.remaining() / 8 + 1 {
-            return None;
+            return Err(CkptError::Malformed);
         }
         let mut sections = Vec::with_capacity(n_sections);
         for _ in 0..n_sections {
             let name = r.get_str()?;
             let n_records = r.get_u32()? as usize;
             if n_records > r.remaining() / 8 + 1 {
-                return None;
+                return Err(CkptError::Malformed);
             }
             let mut records = Vec::with_capacity(n_records);
             for _ in 0..n_records {
@@ -97,13 +99,14 @@ impl StateImage {
             }
             sections.push(Section { name, records });
         }
-        Some(StateImage { sections })
+        Ok(StateImage { sections })
     }
 
-    /// Decodes from a standalone byte buffer.
+    /// Decodes from a standalone byte buffer; `None` unless the buffer
+    /// is exactly one image.
     pub fn from_bytes(bytes: &[u8]) -> Option<StateImage> {
-        let mut r = ByteReader::new(bytes);
-        let img = StateImage::decode_from(&mut r)?;
+        let mut r = ByteReader::new(bytes, CkptError::Malformed);
+        let img = StateImage::decode_from(&mut r).ok()?;
         (r.remaining() == 0).then_some(img)
     }
 

@@ -6,9 +6,11 @@
 //! shards and across crashes. This crate is the data layer that makes
 //! a whole simulated device a *value*:
 //!
-//! * [`wire`] — the little-endian, length-prefixed byte encoding every
-//!   other module builds on. No serde, no external dependencies: the
-//!   format is part of this crate's stable surface.
+//! * The bytes themselves go through [`ByteWriter`] and [`ByteReader`],
+//!   the little-endian, length-prefixed codec in `cider_abi::codec`
+//!   that every binary format of the reproduction shares, reached
+//!   through the kernel. No serde, no external dependencies: the
+//!   encoding is part of this crate's stable surface.
 //! * [`image`] — [`StateImage`]: the full observable device state as
 //!   ordered named sections of `(key, value)` records, byte-stable by
 //!   construction, diffable section-by-section ([`SectionDelta`]).
@@ -44,12 +46,15 @@ pub mod capture;
 pub mod checkpoint;
 pub mod image;
 pub mod store;
-pub mod wire;
 
 pub use capture::capture_kernel;
 pub use checkpoint::{Checkpoint, CkptError, CkptHeader, CKPT_VERSION};
 pub use image::{SectionDelta, StateImage};
 pub use store::{CheckpointStore, SpacingPolicy};
+
+/// The byte codec checkpoint frames and images are written with. Its
+/// one implementation lives in `cider-abi`, reached through the kernel.
+pub use cider_kernel::{ByteReader, ByteWriter};
 
 /// FNV-1a over a byte slice: the checksum and digest primitive of the
 /// checkpoint format. Baked into on-disk bytes, so it is part of this

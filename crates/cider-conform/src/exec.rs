@@ -16,10 +16,12 @@
 //! domestic `open` failing with a negative errno both read `err:ENOENT`.
 //! Divergence then means semantic divergence, not encoding difference.
 
+use cider_abi::codec::ByteWriter;
 use cider_abi::ids::{Pid, PortName, Tid};
 use cider_abi::syscall::{LinuxSyscall, MachTrap, XnuSyscall, XnuTrap};
 use cider_abi::{Persona, Signal, SyscallOutcome};
 use cider_core::kqueue::{EvAction, EvFilter, KQueue, Kevent};
+use cider_core::xnu_abi::xnu_to_linux_syscall;
 use cider_core::{attach_persona_ext, wire, with_state, CiderState, RingOp};
 use cider_core::{XnuNativePersonality, XnuPersonality};
 use cider_fault::{fnv1a, FaultLayer, FaultPlan, Fnv1a};
@@ -335,25 +337,26 @@ impl Driver {
     fn unix(
         &mut self,
         x: XnuSyscall,
-        l: Option<LinuxSyscall>,
         args: SyscallArgs,
         data: DataMode,
     ) -> OpObs {
-        self.unix_on(self.tid, x, l, args, data)
+        self.unix_on(self.tid, x, args, data)
     }
 
+    /// Issues `x` on `tid`: the XNU Unix trap on an XNU persona, and on
+    /// a Linux one the Linux call the XNU persona translates it to; a
+    /// call with no Linux counterpart is skipped there.
     fn unix_on(
         &mut self,
         tid: Tid,
         x: XnuSyscall,
-        l: Option<LinuxSyscall>,
         args: SyscallArgs,
         data: DataMode,
     ) -> OpObs {
         let (nr, is_xnu) = if self.is_xnu() {
             (XnuTrap::Unix(x).encode(), true)
         } else {
-            match l {
+            match xnu_to_linux_syscall(x) {
                 Some(l) => (l.number() as i64, false),
                 None => return OpObs::Skip,
             }
@@ -435,12 +438,9 @@ impl Driver {
         use MachTrap as M;
         use XnuSyscall as X;
         match op {
-            Op::Getpid => self.unix(
-                X::Getpid,
-                Some(L::Getpid),
-                SyscallArgs::none(),
-                DataMode::Ignore,
-            ),
+            Op::Getpid => {
+                self.unix(X::Getpid, SyscallArgs::none(), DataMode::Ignore)
+            }
             Op::Open { path, flags } => {
                 let (bsd, linux) =
                     FLAG_COMBOS[flags as usize % FLAG_COMBOS.len()];
@@ -448,17 +448,15 @@ impl Driver {
                 let mut args =
                     SyscallArgs::regs([0, raw as i64, 0, 0, 0, 0, 0]);
                 args.data = SyscallData::Path(pool_path(path).into());
-                self.unix(X::Open, Some(L::Open), args, DataMode::Ignore)
+                self.unix(X::Open, args, DataMode::Ignore)
             }
             Op::Close { fd } => self.unix(
                 X::Close,
-                Some(L::Close),
                 SyscallArgs::regs([fd_arg(fd), 0, 0, 0, 0, 0, 0]),
                 DataMode::Ignore,
             ),
             Op::Read { fd, len } => self.unix(
                 X::Read,
-                Some(L::Read),
                 SyscallArgs::regs([fd_arg(fd), 0, 1 + len as i64, 0, 0, 0, 0]),
                 DataMode::Hash,
             ),
@@ -469,35 +467,28 @@ impl Driver {
                 let mut args =
                     SyscallArgs::regs([fd_arg(fd), 0, 0, 0, 0, 0, 0]);
                 args.data = SyscallData::Bytes(payload.into());
-                self.unix(X::Write, Some(L::Write), args, DataMode::Ignore)
+                self.unix(X::Write, args, DataMode::Ignore)
             }
             Op::Dup { fd } => self.unix(
                 X::Dup,
-                Some(L::Dup),
                 SyscallArgs::regs([fd_arg(fd), 0, 0, 0, 0, 0, 0]),
                 DataMode::Ignore,
             ),
-            Op::Pipe => self.unix(
-                X::Pipe,
-                Some(L::Pipe),
-                SyscallArgs::none(),
-                DataMode::Ignore,
-            ),
-            Op::Socketpair => self.unix(
-                X::Socketpair,
-                Some(L::Socketpair),
-                SyscallArgs::none(),
-                DataMode::Ignore,
-            ),
+            Op::Pipe => {
+                self.unix(X::Pipe, SyscallArgs::none(), DataMode::Ignore)
+            }
+            Op::Socketpair => {
+                self.unix(X::Socketpair, SyscallArgs::none(), DataMode::Ignore)
+            }
             Op::Mkdir { path } => {
                 let mut args = SyscallArgs::none();
                 args.data = SyscallData::Path(pool_path(path).into());
-                self.unix(X::Mkdir, Some(L::Mkdir), args, DataMode::Ignore)
+                self.unix(X::Mkdir, args, DataMode::Ignore)
             }
             Op::Unlink { path } => {
                 let mut args = SyscallArgs::none();
                 args.data = SyscallData::Path(pool_path(path).into());
-                self.unix(X::Unlink, Some(L::Unlink), args, DataMode::Ignore)
+                self.unix(X::Unlink, args, DataMode::Ignore)
             }
             Op::Stat { path } => {
                 let mut args = SyscallArgs::none();
@@ -505,31 +496,22 @@ impl Driver {
                 // XNU returns `struct stat64`, Linux `struct stat64`
                 // (Linux layout); only the leading 24 bytes — ino,
                 // mode, nlink, size — are layout-identical ABI surface.
-                self.unix(
-                    X::Stat64,
-                    Some(L::Stat64),
-                    args,
-                    DataMode::HashPrefix24,
-                )
+                self.unix(X::Stat64, args, DataMode::HashPrefix24)
             }
             Op::Chdir { path } => {
                 let mut args = SyscallArgs::none();
                 args.data = SyscallData::Path(pool_path(path).into());
-                self.unix(X::Chdir, Some(L::Chdir), args, DataMode::Ignore)
+                self.unix(X::Chdir, args, DataMode::Ignore)
             }
             Op::Select { n } => {
                 let fds: Vec<i32> = (0..=(n as i32 % 5)).collect();
                 let mut args = SyscallArgs::none();
                 args.data = SyscallData::FdSet(fds.into());
-                self.unix(X::Select, Some(L::Select), args, DataMode::Ignore)
+                self.unix(X::Select, args, DataMode::Ignore)
             }
             Op::Fork => {
-                let obs = self.unix(
-                    X::Fork,
-                    Some(L::Fork),
-                    SyscallArgs::none(),
-                    DataMode::Ignore,
-                );
+                let obs =
+                    self.unix(X::Fork, SyscallArgs::none(), DataMode::Ignore);
                 self.track_child(obs)
             }
             Op::ExitChild { code } => {
@@ -542,7 +524,6 @@ impl Driver {
                 self.unix_on(
                     ctid,
                     X::Exit,
-                    Some(L::Exit),
                     SyscallArgs::regs([code as i64 % 4, 0, 0, 0, 0, 0, 0]),
                     DataMode::Ignore,
                 )
@@ -553,7 +534,6 @@ impl Driver {
                 };
                 let obs = self.unix(
                     X::Waitpid,
-                    Some(L::Waitpid),
                     SyscallArgs::regs([
                         child.as_raw() as i64,
                         0,
@@ -579,7 +559,6 @@ impl Driver {
                 let raw = self.sig_raw(sig);
                 self.unix(
                     X::Kill,
-                    Some(L::Kill),
                     SyscallArgs::regs([target, raw, 0, 0, 0, 0, 0]),
                     DataMode::Ignore,
                 )
@@ -593,7 +572,6 @@ impl Driver {
                 };
                 self.unix(
                     X::Sigaction,
-                    Some(L::Sigaction),
                     SyscallArgs::regs([raw, disp, 0, 0, 0, 0, 0]),
                     DataMode::Ignore,
                 )
@@ -617,7 +595,7 @@ impl Driver {
                     path: pool_path(path).into(),
                     argv: vec!["conform".to_string()],
                 };
-                self.unix(X::Execve, Some(L::Execve), args, DataMode::Ignore)
+                self.unix(X::Execve, args, DataMode::Ignore)
             }
             Op::Spawn { path } => {
                 let mut args = SyscallArgs::none();
@@ -625,8 +603,7 @@ impl Driver {
                     path: pool_path(path).into(),
                     argv: vec!["conform".to_string()],
                 };
-                let obs =
-                    self.unix(X::PosixSpawn, None, args, DataMode::Ignore);
+                let obs = self.unix(X::PosixSpawn, args, DataMode::Ignore);
                 self.track_child(obs)
             }
             Op::SchedYield => {
@@ -653,31 +630,26 @@ impl Driver {
             ),
             Op::MutexWait { m } => self.unix(
                 X::PsynchMutexwait,
-                None,
                 SyscallArgs::regs([mutex_addr(m), 0, 0, 0, 0, 0, 0]),
                 DataMode::Ignore,
             ),
             Op::MutexDrop { m } => self.unix(
                 X::PsynchMutexdrop,
-                None,
                 SyscallArgs::regs([mutex_addr(m), 0, 0, 0, 0, 0, 0]),
                 DataMode::Ignore,
             ),
             Op::CvWait { cv, m } => self.unix(
                 X::PsynchCvwait,
-                None,
                 SyscallArgs::regs([cv_addr(cv), mutex_addr(m), 0, 0, 0, 0, 0]),
                 DataMode::Ignore,
             ),
             Op::CvSignal { cv } => self.unix(
                 X::PsynchCvsignal,
-                None,
                 SyscallArgs::regs([cv_addr(cv), 0, 0, 0, 0, 0, 0]),
                 DataMode::Ignore,
             ),
             Op::CvBroad { cv } => self.unix(
                 X::PsynchCvbroad,
-                None,
                 SyscallArgs::regs([cv_addr(cv), 0, 0, 0, 0, 0, 0]),
                 DataMode::Ignore,
             ),
@@ -832,12 +804,8 @@ impl Driver {
                     Ok(base) => base,
                     Err(e) => return OpObs::Err(e.name()),
                 };
-                let obs = self.unix(
-                    X::Fork,
-                    Some(L::Fork),
-                    SyscallArgs::none(),
-                    DataMode::Ignore,
-                );
+                let obs =
+                    self.unix(X::Fork, SyscallArgs::none(), DataMode::Ignore);
                 let obs = self.track_child(obs);
                 if !matches!(obs, OpObs::Ok { .. }) {
                     return obs;
@@ -899,7 +867,7 @@ impl Driver {
                     path: pool_path(path).into(),
                     argv: vec!["conform".to_string()],
                 };
-                self.unix(X::Execve, Some(L::Execve), args, DataMode::Ignore)
+                self.unix(X::Execve, args, DataMode::Ignore)
             }
             Op::ExecCold { path } => {
                 // The cold control: warm start off, same execve.
@@ -909,7 +877,7 @@ impl Driver {
                     path: pool_path(path).into(),
                     argv: vec!["conform".to_string()],
                 };
-                self.unix(X::Execve, Some(L::Execve), args, DataMode::Ignore)
+                self.unix(X::Execve, args, DataMode::Ignore)
             }
             Op::MsgSendOol { slot, kb } => {
                 if !self.is_xnu() {
@@ -1046,15 +1014,15 @@ impl Driver {
             },
             Op::KqPoll => match self.kq.poll(&mut self.k, self.tid) {
                 Ok(evs) => {
-                    let mut bytes = Vec::with_capacity(evs.len() * 18);
+                    let mut w = ByteWriter::with_capacity(evs.len() * 18);
                     for e in &evs {
-                        bytes.extend(e.ident.to_le_bytes());
-                        bytes.push(matches!(e.filter, EvFilter::Timer) as u8);
-                        bytes.extend(e.udata.to_le_bytes());
+                        w.put_u64(e.ident);
+                        w.put_u8(matches!(e.filter, EvFilter::Timer) as u8);
+                        w.put_u64(e.udata);
                     }
                     OpObs::Events {
                         n: evs.len(),
-                        hash: fnv1a(&bytes),
+                        hash: fnv1a(w.as_bytes()),
                     }
                 }
                 Err(e) => OpObs::LibErr(e.name()),

@@ -479,10 +479,11 @@ impl CiderSystem {
         })
     }
 
-    /// Switches Mach IPC onto the v2 fast path: typed rights with
-    /// lock-free queues (no subsystem mutex on send/receive) and OOL
-    /// remap instead of copy. Off by default so v1 measurements stay
-    /// byte-identical.
+    /// Switches Mach IPC onto the v2 cost policy: no subsystem mutex on
+    /// send/receive (copyin charges instead) and OOL remap instead of
+    /// copy. Both policies share one FIFO queue per port, so delivery
+    /// order is send order either way. Off by default so v1
+    /// measurements stay byte-identical.
     pub fn enable_ipc_v2(&mut self) {
         with_state(&mut self.kernel, |_, st| st.machipc.set_v2(true));
     }

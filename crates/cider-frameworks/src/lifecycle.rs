@@ -15,6 +15,7 @@ use cider_abi::ids::{Pid, Tid};
 use cider_abi::memorystatus::{AppState, LifecycleEvent};
 use cider_core::system::CiderSystem;
 use cider_kernel::kernel::Kernel;
+use cider_kernel::process::ProcessState;
 
 /// Rejection of an illegal lifecycle transition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,7 +41,7 @@ impl AppLifecycle {
     /// [`AppState::Launching`], tracked in the matching jetsam band.
     pub fn attach(k: &mut Kernel, pid: Pid) -> AppLifecycle {
         let state = AppState::Launching;
-        k.memorystatus.track(pid, state.jetsam_band());
+        band(k, pid, state);
         AppLifecycle {
             pid,
             state,
@@ -96,11 +97,8 @@ impl AppLifecycle {
         };
         self.state = next;
         self.transitions += 1;
-        if next == AppState::Jetsammed {
-            // The process is gone; memorystatus already dropped it on
-            // exit. Nothing to re-band.
-        } else {
-            k.memorystatus.track(self.pid, next.jetsam_band());
+        if next != AppState::Jetsammed {
+            band(k, self.pid, next);
         }
         if k.trace.is_enabled() {
             k.trace.incr("app/lifecycle_transition");
@@ -110,6 +108,18 @@ impl AppLifecycle {
             );
         }
         Ok(next)
+    }
+}
+
+/// Tracks `pid` in the jetsam band of `state` if its process is
+/// running. An exited process was untracked by `sys_exit`; banding it
+/// again would let the next jetsam pass report a kill of a process
+/// that is already gone.
+fn band(k: &mut Kernel, pid: Pid, state: AppState) {
+    if k.process(pid)
+        .is_ok_and(|p| p.state == ProcessState::Running)
+    {
+        k.memorystatus.track(pid, state.jetsam_band());
     }
 }
 
@@ -188,6 +198,26 @@ mod tests {
             assert_eq!(k.memorystatus.band(pid), Some(want.jetsam_band()));
         }
         assert_eq!(app.transitions, 4);
+    }
+
+    #[test]
+    fn an_exited_pid_is_not_banded_so_jetsam_kills_nothing() {
+        let mut k = Kernel::boot(DeviceProfile::nexus7());
+        let (_, tid) = k.spawn_process();
+        let (pid, app_tid) = k.spawn_process();
+        k.sys_exit(app_tid, 0).unwrap();
+        let mut app = AppLifecycle::attach(&mut k, pid);
+        for ev in [
+            LifecycleEvent::DidFinishLaunching,
+            LifecycleEvent::EnterBackground,
+        ] {
+            assert!(app.apply(&mut k, ev).is_ok());
+        }
+        assert_eq!(app.state(), AppState::Background);
+        assert_eq!(k.memorystatus.band(pid), None);
+        k.memorystatus.set_watermarks(0, 0);
+        assert_eq!(k.sys_jetsam_tick(tid), Ok(Vec::new()));
+        assert_eq!(k.memorystatus.stats.pressure_kills, 0);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! Cider "simply reads events from the Android input system, translates
 //! them as necessary into a format understood by iOS apps".
 
+use cider_abi::codec::{ByteReader, ByteWriter};
 use cider_abi::errno::Errno;
 
 /// Android motion-event actions.
@@ -157,56 +158,85 @@ pub fn translate(e: &AndroidEvent) -> IosHidEvent {
 }
 
 // ----------------------------------------------------------------------
-// Wire format across the CiderPress → eventpump BSD socket.
+// Wire formats. Both carry one tagged record: 1 a touch collection
+// (phase byte, time, pointer count, then id/x/y per pointer), 2 an
+// accelerometer sample (time, then x/y/z), 3 a key or button (time,
+// code, down). They differ only in the accelerometer's axis width,
+// `i32` milli-g on Android and `i64` micro-g on iOS.
 // ----------------------------------------------------------------------
 
-/// Encodes an Android event for the bridge socket.
+/// An event body reader; both decoders fail a short or corrupt body
+/// with `EINVAL`.
+type Reader<'a> = ByteReader<'a, Errno>;
+
+fn put_touches(w: &mut ByteWriter, phase: u8, time: u64, ps: &[Pointer]) {
+    w.put_raw(&[1, phase]);
+    w.put_u64(time);
+    w.put_u8(ps.len() as u8);
+    for p in ps {
+        w.put_u8(p.id);
+        w.put_u32(p.x as u32);
+        w.put_u32(p.y as u32);
+    }
+}
+
+fn get_pointers(r: &mut Reader<'_>) -> Result<Vec<Pointer>, Errno> {
+    let n = r.get_u8()?;
+    let mut ps = Vec::with_capacity(n.into());
+    for _ in 0..n {
+        ps.push(Pointer {
+            id: r.get_u8()?,
+            x: r.get_u32()? as i32,
+            y: r.get_u32()? as i32,
+        });
+    }
+    Ok(ps)
+}
+
+fn put_key(w: &mut ByteWriter, time: u64, code: u32, down: bool) {
+    w.put_u8(3);
+    w.put_u64(time);
+    w.put_u32(code);
+    w.put_u8(u8::from(down));
+}
+
+/// Encodes an Android event for the CiderPress → eventpump BSD socket,
+/// framed by a `u16` body length.
 pub fn encode(e: &AndroidEvent) -> Vec<u8> {
-    let mut out = Vec::with_capacity(32);
+    let mut w = ByteWriter::with_capacity(32);
     match e {
         AndroidEvent::Motion {
             action,
             pointers,
             time_ns,
         } => {
-            out.push(1);
-            out.push(match action {
+            let action = match action {
                 MotionAction::Down => 0,
                 MotionAction::Move => 1,
                 MotionAction::Up => 2,
                 MotionAction::PointerDown => 3,
                 MotionAction::PointerUp => 4,
-            });
-            out.extend_from_slice(&time_ns.to_le_bytes());
-            out.push(pointers.len() as u8);
-            for p in pointers {
-                out.push(p.id);
-                out.extend_from_slice(&p.x.to_le_bytes());
-                out.extend_from_slice(&p.y.to_le_bytes());
-            }
+            };
+            put_touches(&mut w, action, *time_ns, pointers);
         }
         AndroidEvent::Accelerometer { x, y, z, time_ns } => {
-            out.push(2);
-            out.extend_from_slice(&time_ns.to_le_bytes());
-            out.extend_from_slice(&x.to_le_bytes());
-            out.extend_from_slice(&y.to_le_bytes());
-            out.extend_from_slice(&z.to_le_bytes());
+            w.put_u8(2);
+            w.put_u64(*time_ns);
+            for axis in [x, y, z] {
+                w.put_u32(*axis as u32);
+            }
         }
         AndroidEvent::Key {
             code,
             down,
             time_ns,
-        } => {
-            out.push(3);
-            out.extend_from_slice(&time_ns.to_le_bytes());
-            out.extend_from_slice(&code.to_le_bytes());
-            out.push(u8::from(*down));
-        }
+        } => put_key(&mut w, *time_ns, *code, *down),
     }
-    let mut framed = Vec::with_capacity(out.len() + 2);
-    framed.extend_from_slice(&(out.len() as u16).to_le_bytes());
-    framed.extend_from_slice(&out);
-    framed
+    let body = w.into_bytes();
+    let mut framed = ByteWriter::with_capacity(body.len() + 2);
+    framed.put_u16(body.len() as u16);
+    framed.put_raw(&body);
+    framed.into_bytes()
 }
 
 /// Decodes one framed event from the socket stream; returns the event
@@ -217,21 +247,15 @@ pub fn encode(e: &AndroidEvent) -> Vec<u8> {
 ///
 /// `EINVAL` for corrupt frames.
 pub fn decode(buf: &[u8]) -> Result<Option<(AndroidEvent, usize)>, Errno> {
-    if buf.len() < 2 {
+    let mut frame = ByteReader::new(buf, ());
+    let Ok(body) = frame.get_u16().and_then(|n| frame.get_raw(n.into()))
+    else {
         return Ok(None);
-    }
-    let len = u16::from_le_bytes([buf[0], buf[1]]) as usize;
-    if buf.len() < 2 + len {
-        return Ok(None);
-    }
-    let b = &buf[2..2 + len];
-    let consumed = 2 + len;
-    let ev = match b.first() {
-        Some(1) => {
-            if b.len() < 11 {
-                return Err(Errno::EINVAL);
-            }
-            let action = match b[1] {
+    };
+    let mut r = Reader::new(body, Errno::EINVAL);
+    let ev = match r.get_u8()? {
+        1 => {
+            let action = match r.get_u8()? {
                 0 => MotionAction::Down,
                 1 => MotionAction::Move,
                 2 => MotionAction::Up,
@@ -239,104 +263,59 @@ pub fn decode(buf: &[u8]) -> Result<Option<(AndroidEvent, usize)>, Errno> {
                 4 => MotionAction::PointerUp,
                 _ => return Err(Errno::EINVAL),
             };
-            let time_ns =
-                u64::from_le_bytes(b[2..10].try_into().expect("len"));
-            let n = b[10] as usize;
-            if b.len() < 11 + n * 9 {
-                return Err(Errno::EINVAL);
-            }
-            let mut pointers = Vec::with_capacity(n);
-            for i in 0..n {
-                let off = 11 + i * 9;
-                pointers.push(Pointer {
-                    id: b[off],
-                    x: i32::from_le_bytes(
-                        b[off + 1..off + 5].try_into().expect("len"),
-                    ),
-                    y: i32::from_le_bytes(
-                        b[off + 5..off + 9].try_into().expect("len"),
-                    ),
-                });
-            }
             AndroidEvent::Motion {
                 action,
-                pointers,
-                time_ns,
+                time_ns: r.get_u64()?,
+                pointers: get_pointers(&mut r)?,
             }
         }
-        Some(2) => {
-            if b.len() < 21 {
-                return Err(Errno::EINVAL);
-            }
-            AndroidEvent::Accelerometer {
-                time_ns: u64::from_le_bytes(b[1..9].try_into().expect("len")),
-                x: i32::from_le_bytes(b[9..13].try_into().expect("len")),
-                y: i32::from_le_bytes(b[13..17].try_into().expect("len")),
-                z: i32::from_le_bytes(b[17..21].try_into().expect("len")),
-            }
-        }
-        Some(3) => {
-            if b.len() < 14 {
-                return Err(Errno::EINVAL);
-            }
-            AndroidEvent::Key {
-                time_ns: u64::from_le_bytes(b[1..9].try_into().expect("len")),
-                code: u32::from_le_bytes(b[9..13].try_into().expect("len")),
-                down: b[13] != 0,
-            }
-        }
+        2 => AndroidEvent::Accelerometer {
+            time_ns: r.get_u64()?,
+            x: r.get_u32()? as i32,
+            y: r.get_u32()? as i32,
+            z: r.get_u32()? as i32,
+        },
+        3 => AndroidEvent::Key {
+            time_ns: r.get_u64()?,
+            code: r.get_u32()?,
+            down: r.get_u8()? != 0,
+        },
         _ => return Err(Errno::EINVAL),
     };
-    Ok(Some((ev, consumed)))
+    Ok(Some((ev, frame.pos())))
 }
 
-// ----------------------------------------------------------------------
-// Wire format of translated events inside Mach messages (eventpump →
-// app event port).
-// ----------------------------------------------------------------------
-
-/// Encodes an iOS HID event into a Mach message body.
+/// Encodes an iOS HID event into a Mach message body (eventpump → the
+/// app's event port).
 pub fn encode_ios(e: &IosHidEvent) -> Vec<u8> {
-    let mut out = Vec::with_capacity(32);
+    let mut w = ByteWriter::with_capacity(32);
     match e {
         IosHidEvent::Touch {
             phase,
             touches,
             timestamp,
         } => {
-            out.push(1);
-            out.push(match phase {
+            let phase = match phase {
                 TouchPhase::Began => 0,
                 TouchPhase::Moved => 1,
                 TouchPhase::Ended => 2,
-            });
-            out.extend_from_slice(&timestamp.to_le_bytes());
-            out.push(touches.len() as u8);
-            for p in touches {
-                out.push(p.id);
-                out.extend_from_slice(&p.x.to_le_bytes());
-                out.extend_from_slice(&p.y.to_le_bytes());
-            }
+            };
+            put_touches(&mut w, phase, *timestamp, touches);
         }
         IosHidEvent::Accelerometer { x, y, z, timestamp } => {
-            out.push(2);
-            out.extend_from_slice(&timestamp.to_le_bytes());
-            out.extend_from_slice(&x.to_le_bytes());
-            out.extend_from_slice(&y.to_le_bytes());
-            out.extend_from_slice(&z.to_le_bytes());
+            w.put_u8(2);
+            w.put_u64(*timestamp);
+            for axis in [x, y, z] {
+                w.put_u64(*axis as u64);
+            }
         }
         IosHidEvent::Button {
             usage,
             down,
             timestamp,
-        } => {
-            out.push(3);
-            out.extend_from_slice(&timestamp.to_le_bytes());
-            out.extend_from_slice(&usage.to_le_bytes());
-            out.push(u8::from(*down));
-        }
+        } => put_key(&mut w, *timestamp, *usage, *down),
     }
-    out
+    w.into_bytes()
 }
 
 /// Decodes an iOS HID event from a Mach message body.
@@ -345,69 +324,34 @@ pub fn encode_ios(e: &IosHidEvent) -> Vec<u8> {
 ///
 /// `EINVAL` for corrupt bodies.
 pub fn decode_ios(b: &[u8]) -> Result<IosHidEvent, Errno> {
-    match b.first() {
-        Some(1) => {
-            if b.len() < 11 {
-                return Err(Errno::EINVAL);
-            }
-            let phase = match b[1] {
+    let mut r = Reader::new(b, Errno::EINVAL);
+    Ok(match r.get_u8()? {
+        1 => {
+            let phase = match r.get_u8()? {
                 0 => TouchPhase::Began,
                 1 => TouchPhase::Moved,
                 2 => TouchPhase::Ended,
                 _ => return Err(Errno::EINVAL),
             };
-            let timestamp =
-                u64::from_le_bytes(b[2..10].try_into().expect("len"));
-            let n = b[10] as usize;
-            if b.len() < 11 + n * 9 {
-                return Err(Errno::EINVAL);
-            }
-            let mut touches = Vec::with_capacity(n);
-            for i in 0..n {
-                let off = 11 + i * 9;
-                touches.push(Pointer {
-                    id: b[off],
-                    x: i32::from_le_bytes(
-                        b[off + 1..off + 5].try_into().expect("len"),
-                    ),
-                    y: i32::from_le_bytes(
-                        b[off + 5..off + 9].try_into().expect("len"),
-                    ),
-                });
-            }
-            Ok(IosHidEvent::Touch {
+            IosHidEvent::Touch {
                 phase,
-                touches,
-                timestamp,
-            })
-        }
-        Some(2) => {
-            if b.len() < 33 {
-                return Err(Errno::EINVAL);
+                timestamp: r.get_u64()?,
+                touches: get_pointers(&mut r)?,
             }
-            Ok(IosHidEvent::Accelerometer {
-                timestamp: u64::from_le_bytes(
-                    b[1..9].try_into().expect("len"),
-                ),
-                x: i64::from_le_bytes(b[9..17].try_into().expect("len")),
-                y: i64::from_le_bytes(b[17..25].try_into().expect("len")),
-                z: i64::from_le_bytes(b[25..33].try_into().expect("len")),
-            })
         }
-        Some(3) => {
-            if b.len() < 14 {
-                return Err(Errno::EINVAL);
-            }
-            Ok(IosHidEvent::Button {
-                timestamp: u64::from_le_bytes(
-                    b[1..9].try_into().expect("len"),
-                ),
-                usage: u32::from_le_bytes(b[9..13].try_into().expect("len")),
-                down: b[13] != 0,
-            })
-        }
-        _ => Err(Errno::EINVAL),
-    }
+        2 => IosHidEvent::Accelerometer {
+            timestamp: r.get_u64()?,
+            x: r.get_u64()? as i64,
+            y: r.get_u64()? as i64,
+            z: r.get_u64()? as i64,
+        },
+        3 => IosHidEvent::Button {
+            timestamp: r.get_u64()?,
+            usage: r.get_u32()?,
+            down: r.get_u8()? != 0,
+        },
+        _ => return Err(Errno::EINVAL),
+    })
 }
 
 #[cfg(test)]

@@ -19,6 +19,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use cider_abi::codec::ByteWriter;
 use cider_abi::convention::CpuFlags;
 use cider_abi::errno::Errno;
 use cider_abi::ids::{Fd, Pid, Tid};
@@ -2314,15 +2315,15 @@ pub fn encode_linux_stat64(s: &Stat) -> Vec<u8> {
         FileType::Fifo => bsd_mode::S_IFIFO,
         FileType::Socket => bsd_mode::S_IFSOCK,
     };
-    let mut out = Vec::with_capacity(48);
-    out.extend_from_slice(&s.ino.to_le_bytes());
-    out.extend_from_slice(&(type_bits | (s.mode & 0o7777)).to_le_bytes());
-    out.extend_from_slice(&s.nlink.to_le_bytes());
-    out.extend_from_slice(&s.size.to_le_bytes());
-    out.extend_from_slice(&s.blocks.to_le_bytes());
-    out.extend_from_slice(&s.mtime_sec.to_le_bytes());
-    out.extend_from_slice(&(s.mtime_nsec as u64).to_le_bytes());
-    out
+    let mut w = ByteWriter::with_capacity(48);
+    w.put_u64(s.ino);
+    w.put_u32(type_bits | (s.mode & 0o7777));
+    w.put_u32(s.nlink);
+    w.put_u64(s.size);
+    w.put_u64(s.blocks);
+    w.put_u64(s.mtime_sec as u64);
+    w.put_u64(s.mtime_nsec as u64);
+    w.into_bytes()
 }
 
 impl LinuxPersonality {

@@ -43,6 +43,7 @@ pub mod profile;
 pub mod vfs;
 pub mod warm;
 
+pub use cider_abi::codec::{ByteReader, ByteWriter};
 pub use cider_fault::fnv1a;
 pub use clock::{Stopwatch, VirtualClock, VirtualDuration};
 pub use kernel::{Extensions, Kernel, KernelCounters, LinuxPersonality};

@@ -1,13 +1,18 @@
 //! The simulated ELF container format (domestic binaries).
 
+use cider_abi::codec::{ByteReader, ByteWriter};
 use cider_abi::errno::Errno;
 
-use crate::macho::Reader;
+use crate::macho::get_string;
 
 /// ELF magic bytes.
 pub const ELF_MAGIC: [u8; 4] = [0x7f, b'E', b'L', b'F'];
 /// `EM_ARM`.
 pub const EM_ARM: u16 = 40;
+/// The most program headers an image may declare.
+const MAX_SEGMENTS: u32 = 64;
+/// The most `DT_NEEDED` entries an image may declare.
+const MAX_NEEDED: u32 = 1024;
 
 /// ELF object kinds we model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -69,35 +74,33 @@ impl Elf {
 
     /// Serialises to the simulator's on-disk representation.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&ELF_MAGIC);
-        out.extend_from_slice(&self.machine.to_le_bytes());
-        out.extend_from_slice(&self.elf_type.as_raw().to_le_bytes());
-        out.extend_from_slice(&(self.segments.len() as u32).to_le_bytes());
+        let mut w = ByteWriter::new();
+        w.put_raw(&ELF_MAGIC);
+        w.put_u16(self.machine);
+        w.put_u16(self.elf_type.as_raw());
+        w.put_u32(self.segments.len() as u32);
         for s in &self.segments {
-            out.extend_from_slice(&s.memsz.to_le_bytes());
-            out.push(u8::from(s.writable));
-            out.push(u8::from(s.executable));
+            w.put_u64(s.memsz);
+            w.put_u8(u8::from(s.writable));
+            w.put_u8(u8::from(s.executable));
         }
-        out.extend_from_slice(&(self.needed.len() as u32).to_le_bytes());
+        w.put_u32(self.needed.len() as u32);
         for n in &self.needed {
-            out.extend_from_slice(&(n.len() as u32).to_le_bytes());
-            out.extend_from_slice(n.as_bytes());
+            w.put_str(n);
         }
         match &self.entry_symbol {
             Some(e) => {
-                out.push(1);
-                out.extend_from_slice(&(e.len() as u32).to_le_bytes());
-                out.extend_from_slice(e.as_bytes());
+                w.put_u8(1);
+                w.put_str(e);
             }
-            None => out.push(0),
+            None => w.put_u8(0),
         }
-        out
+        w.into_bytes()
     }
 
     /// Whether a byte slice starts with the ELF magic.
     pub fn sniff(bytes: &[u8]) -> bool {
-        bytes.len() >= 4 && bytes[..4] == ELF_MAGIC
+        bytes.starts_with(&ELF_MAGIC)
     }
 
     /// Parses the on-disk representation.
@@ -106,35 +109,35 @@ impl Elf {
     ///
     /// `ENOEXEC` for malformed input.
     pub fn parse(bytes: &[u8]) -> Result<Elf, Errno> {
-        if !Self::sniff(bytes) {
+        let mut r = ByteReader::new(bytes, Errno::ENOEXEC);
+        if r.get_raw(4)? != ELF_MAGIC {
             return Err(Errno::ENOEXEC);
         }
-        let mut r = Reader::new(&bytes[4..]);
-        let machine = r.u32_as_u16()?;
+        let machine = r.get_u16()?;
         let elf_type =
-            ElfType::from_raw(r.u32_as_u16()?).ok_or(Errno::ENOEXEC)?;
-        let nseg = r.u32()?;
-        if nseg > 64 {
+            ElfType::from_raw(r.get_u16()?).ok_or(Errno::ENOEXEC)?;
+        let nseg = r.get_u32()?;
+        if nseg > MAX_SEGMENTS {
             return Err(Errno::ENOEXEC);
         }
         let mut segments = Vec::with_capacity(nseg as usize);
         for _ in 0..nseg {
             segments.push(ProgramHeader {
-                memsz: r.u64()?,
-                writable: r.u8()? != 0,
-                executable: r.u8()? != 0,
+                memsz: r.get_u64()?,
+                writable: r.get_u8()? != 0,
+                executable: r.get_u8()? != 0,
             });
         }
-        let nneeded = r.u32()?;
-        if nneeded > 1024 {
+        let nneeded = r.get_u32()?;
+        if nneeded > MAX_NEEDED {
             return Err(Errno::ENOEXEC);
         }
         let mut needed = Vec::with_capacity(nneeded as usize);
         for _ in 0..nneeded {
-            needed.push(r.string()?);
+            needed.push(get_string(&mut r)?);
         }
-        let entry_symbol = if r.u8()? != 0 {
-            Some(r.string()?)
+        let entry_symbol = if r.get_u8()? != 0 {
+            Some(get_string(&mut r)?)
         } else {
             None
         };
@@ -145,14 +148,6 @@ impl Elf {
             needed,
             entry_symbol,
         })
-    }
-}
-
-impl Reader<'_> {
-    fn u32_as_u16(&mut self) -> Result<u16, Errno> {
-        let a = self.u8()? as u16;
-        let b = self.u8()? as u16;
-        Ok(a | (b << 8))
     }
 }
 

@@ -69,9 +69,6 @@ pub struct Port {
     pub srights: u32,
     /// Outstanding send-once rights, system-wide.
     pub sorights: u32,
-    /// Times a send right was made from the receive right
-    /// (`mscount` — consulted by no-senders notifications).
-    pub make_send_count: u32,
     /// Queued messages, delivered in send order.
     pub msgs: XnuQueue<Message>,
     /// Queue limit.
@@ -91,7 +88,6 @@ impl Port {
             receiver: Some(receiver),
             srights: 0,
             sorights: 0,
-            make_send_count: 0,
             msgs: XnuQueue::new(),
             qlimit: QLIMIT_DEFAULT,
             kobject: KernelObject::None,

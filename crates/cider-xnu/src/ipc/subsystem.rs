@@ -334,7 +334,6 @@ impl MachIpc {
         }
         let port = self.port_mut(entry.port)?;
         port.srights += 1;
-        port.make_send_count += 1;
         Ok(SendRight::from_name(
             self.space_mut(space)?.add_send_right(entry.port),
         ))
@@ -608,7 +607,6 @@ impl MachIpc {
                 }
                 let port = self.port_mut(entry.port)?;
                 port.srights += 1;
-                port.make_send_count += 1;
                 Ok(TransitRight {
                     port: entry.port,
                     kind: TransitKind::Send,

@@ -32,19 +32,9 @@ impl<T> XnuQueue<T> {
         self.items.push_back(item);
     }
 
-    /// `enqueue_head`.
-    pub fn enqueue_head(&mut self, item: T) {
-        self.items.push_front(item);
-    }
-
     /// `dequeue_head`.
     pub fn dequeue_head(&mut self) -> Option<T> {
         self.items.pop_front()
-    }
-
-    /// `queue_empty`.
-    pub fn queue_empty(&self) -> bool {
-        self.items.is_empty()
     }
 
     /// Number of queued items.
@@ -61,20 +51,6 @@ impl<T> XnuQueue<T> {
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.items.iter()
     }
-
-    /// Removes the first item matching the predicate (`remqueue`).
-    pub fn remqueue<F: FnMut(&T) -> bool>(&mut self, pred: F) -> Option<T> {
-        let pos = self.items.iter().position(pred)?;
-        self.items.remove(pos)
-    }
-}
-
-impl<T> FromIterator<T> for XnuQueue<T> {
-    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
-        XnuQueue {
-            items: iter.into_iter().collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -84,21 +60,18 @@ mod tests {
     #[test]
     fn flat_queue_fifo() {
         let mut q = XnuQueue::new();
-        q.enqueue_tail(1);
-        q.enqueue_tail(2);
-        q.enqueue_head(0);
+        assert!(q.is_empty());
+        for i in 0..3 {
+            q.enqueue_tail(i);
+        }
         assert_eq!(q.len(), 3);
+        assert!(q.iter().copied().eq(0..3));
         assert_eq!(q.dequeue_head(), Some(0));
+        q.enqueue_tail(3);
         assert_eq!(q.dequeue_head(), Some(1));
         assert_eq!(q.dequeue_head(), Some(2));
-        assert!(q.queue_empty());
-    }
-
-    #[test]
-    fn remqueue_removes_matching() {
-        let mut q: XnuQueue<i32> = [1, 2, 3, 4].into_iter().collect();
-        assert_eq!(q.remqueue(|&x| x == 3), Some(3));
-        assert_eq!(q.remqueue(|&x| x == 3), None);
-        assert_eq!(q.len(), 3);
+        assert_eq!(q.dequeue_head(), Some(3));
+        assert_eq!(q.dequeue_head(), None);
+        assert!(q.is_empty());
     }
 }

@@ -92,11 +92,11 @@ fn warm_storm_fleet_is_host_thread_invariant() {
     assert!(one.groups["all"].faults_total > 0, "matrix never fired");
 }
 
-/// The IPC storm drives the v2 fast path — typed rights, lock-free
-/// queues, OOL remap, batched ring flushes — on every device. Message
-/// delivery order inside the lock-free queues is (stamp, seq) virtual
-/// order, so the report must be byte-identical across 1 and 8 host
-/// threads; the fault matrix rides along so injected Mach errors
+/// The IPC storm drives the v2 fast path — no subsystem mutex, OOL
+/// remap, batched ring flushes — on every device. Each device runs one
+/// trap at a time and its port queues deliver in send order, so the
+/// report must be byte-identical across 1 and 8 host threads; the
+/// fault matrix rides along so injected Mach errors
 /// (port allocation, send, OOL remap refusal, ring overflow) are part
 /// of the replayed schedule too.
 #[test]
