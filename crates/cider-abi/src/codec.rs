@@ -8,7 +8,9 @@
 //! favour auditability over compactness. Format rules (size limits,
 //! tags, magics) stay with each format. A [`ByteReader`] carries the
 //! error its format reports for a read past the end, so every field
-//! read is a single `?`.
+//! read is a single `?`. A decoder reserves room for a count-prefixed
+//! list through [`ByteReader::capacity_for`], never beyond what its
+//! input could hold.
 
 /// Appends primitive values to a byte buffer.
 #[derive(Debug, Default)]
@@ -103,6 +105,14 @@ impl<'a, E: Copy> ByteReader<'a, E> {
         self.buf.len() - self.pos
     }
 
+    /// The capacity to reserve for `count` items of at least `min_len`
+    /// bytes each: no more than the remaining bytes could hold, so a
+    /// count prefix that lies cannot make a decoder allocate beyond
+    /// what its input could fill.
+    pub fn capacity_for(&self, count: usize, min_len: usize) -> usize {
+        count.min(self.remaining() / min_len)
+    }
+
     /// Reads `n` raw bytes.
     pub fn get_raw(&mut self, n: usize) -> Result<&'a [u8], E> {
         match self.pos.checked_add(n) {
@@ -180,6 +190,14 @@ mod tests {
         assert_eq!(r.get_str().as_deref(), Ok("héllo"));
         assert_eq!(r.get_bytes(), Ok(&[1u8, 2, 3][..]));
         assert_eq!(r.remaining(), 0);
+    }
+
+    #[test]
+    fn capacity_is_bounded_by_the_remaining_bytes() {
+        let r = ByteReader::new(&[0; 10], ());
+        assert_eq!(r.capacity_for(3, 2), 3);
+        assert_eq!(r.capacity_for(10_000_000, 2), 5);
+        assert_eq!(r.capacity_for(10_000_000, 13), 0);
     }
 
     #[test]

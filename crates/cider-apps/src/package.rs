@@ -76,7 +76,9 @@ impl Ipa {
         if nfiles > MAX_FILES {
             return Err(Errno::EINVAL);
         }
-        let mut data_files = Vec::with_capacity(nfiles);
+        // Each file is at least its path's and its data's length
+        // prefixes.
+        let mut data_files = Vec::with_capacity(r.capacity_for(nfiles, 8));
         for _ in 0..nfiles {
             let path = r.get_str()?;
             data_files.push((path, r.get_bytes()?.to_vec()));

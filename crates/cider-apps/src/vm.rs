@@ -401,7 +401,8 @@ pub fn disassemble(bytes: &[u8]) -> Result<Vec<Insn>, Errno> {
     if count > MAX_INSNS {
         return Err(Errno::ENOEXEC);
     }
-    let mut program = Vec::with_capacity(count);
+    // Every instruction is an opcode and at least one operand byte.
+    let mut program = Vec::with_capacity(r.capacity_for(count, 2));
     for _ in 0..count {
         let op = r.get_u8()?;
         let insn = match op {

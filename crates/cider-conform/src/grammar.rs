@@ -7,6 +7,10 @@
 //! meaningful across all three execution configurations (the same
 //! index resolves through the same pool everywhere) and makes shrinking
 //! and serialization trivial.
+//!
+//! The vocabulary is one table, the `op_table!` rows below. A row's
+//! position is the kind number the generator draws, so it is part of
+//! every seeded stream: rows are only ever appended.
 
 use cider_fault::SplitMix64;
 
@@ -58,709 +62,210 @@ pub const BUNDLE_POOL: [&str; 4] = [
     "/conform/a",
 ];
 
-/// One workload operation. Fields are pool indices, not kernel values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Op {
+/// Declares the grammar from one table. Each row is one op kind:
+///
+/// ```text
+/// Variant "corpus_name" { operand < bound, ... } => dispatch_site,
+/// ```
+///
+/// with the variant's doc comment above it. Each operand is a `u8`
+/// drawn below its exclusive bound, and the site is the
+/// `"<class>/<handler name>"` dispatch-table entry the op exercises on
+/// the translated XNU configuration. Niladic rows have no braces. The
+/// `Op` enum, [`KIND_COUNT`], [`Op::dispatch_site`], [`Op::to_line`],
+/// [`Op::parse`] and the generator's draws are all read from the rows.
+macro_rules! op_table {
+    ($(
+        $(#[$doc:meta])*
+        $variant:ident $name:literal
+            $({ $($field:ident < $bound:expr),+ })? => $site:expr,
+    )+) => {
+        /// One workload operation. Fields are pool indices, not kernel
+        /// values.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum Op {
+            $($(#[$doc])* $variant $({ $($field: u8),+ })?,)+
+        }
+
+        /// Every op kind, with zero operands, in generator order: a
+        /// kind's index here is the number [`generate`] draws.
+        const KINDS: &[Op] = &[$(Op::$variant { $($($field: 0),+)? }),+];
+
+        impl Op {
+            /// The dispatch-table entry this op exercises on the
+            /// translated XNU configuration, as `"<class>/<handler
+            /// name>"`, or `None` when the op never reaches a dispatch
+            /// table (kqueue library calls) or has no named handler
+            /// (machdep/diag entry paths, direct sleeps).
+            pub fn dispatch_site(self) -> Option<&'static str> {
+                match self {
+                    $(Op::$variant { .. } => $site,)+
+                }
+            }
+
+            /// Serializes to the corpus line form: `name [k=v ...]`,
+            /// fields in declaration order. The inverse of
+            /// [`Op::parse`].
+            pub fn to_line(self) -> String {
+                match self {
+                    $(Op::$variant { $($($field),+)? } => format!(
+                        concat!($name $($(, " ", stringify!($field), "={}")+)?)
+                        $($(, $field)+)?
+                    ),)+
+                }
+            }
+
+            /// Parses one corpus line back into an op. Returns `None` on
+            /// any malformed input (unknown name, missing/extra/misnamed
+            /// field).
+            pub fn parse(line: &str) -> Option<Op> {
+                let mut words = line.split_whitespace();
+                let name = words.next()?;
+                let mut operand = |field: &str| -> Option<u8> {
+                    let (k, v) = words.next()?.split_once('=')?;
+                    if k == field { v.parse().ok() } else { None }
+                };
+                let op = match name {
+                    $($name => Op::$variant {
+                        $($($field: operand(stringify!($field))?),+)?
+                    },)+
+                    _ => return None,
+                };
+                // Round-trip check doubles as arity and spelling
+                // validation: stray fields, misordered fields, leading
+                // zeros and `+` signs all fail here.
+                (op.to_line() == normalize(line)).then_some(op)
+            }
+        }
+
+        /// Materializes op kind `k` (0..[`KIND_COUNT`]) with operands
+        /// drawn from `rng`, one draw per operand in row order, so
+        /// generation is a pure function of the seed stream.
+        fn make_op(k: usize, rng: &mut SplitMix64) -> Op {
+            match KINDS[k] {
+                $(Op::$variant { .. } => Op::$variant {
+                    $($($field: rng.below($bound as u64) as u8),+)?
+                },)+
+            }
+        }
+    };
+}
+
+op_table! {
     // --- Unix class (both ABIs) ---
-    Getpid,
-    Open {
-        path: u8,
-        flags: u8,
-    },
-    Close {
-        fd: u8,
-    },
-    Read {
-        fd: u8,
-        len: u8,
-    },
-    Write {
-        fd: u8,
-        len: u8,
-    },
-    Dup {
-        fd: u8,
-    },
-    Pipe,
-    Socketpair,
-    Mkdir {
-        path: u8,
-    },
-    Unlink {
-        path: u8,
-    },
-    Stat {
-        path: u8,
-    },
-    Chdir {
-        path: u8,
-    },
-    Select {
-        n: u8,
-    },
-    Fork,
-    ExitChild {
-        code: u8,
-    },
-    Waitpid,
-    Kill {
-        sig: u8,
-    },
-    Sigaction {
-        sig: u8,
-        disp: u8,
-    },
-    Nanosleep {
-        ms: u8,
-    },
-    Execve {
-        path: u8,
-    },
-    Spawn {
-        path: u8,
-    },
-    // --- scheduler doors (POSIX yield / Mach thread_switch) ---
-    SchedYield,
-    ThreadSwitch {
-        opt: u8,
-    },
+    Getpid "getpid" => Some("unix/getpid"),
+    Open "open" { path < PATH_POOL.len(), flags < FLAG_COMBOS.len() }
+        => Some("unix/open"),
+    Close "close" { fd < 10 } => Some("unix/close"),
+    Read "read" { fd < 10, len < 64 } => Some("unix/read"),
+    Write "write" { fd < 10, len < 48 } => Some("unix/write"),
+    Dup "dup" { fd < 10 } => Some("unix/dup"),
+    Pipe "pipe" => Some("unix/pipe"),
+    Socketpair "socketpair" => Some("unix/socketpair"),
+    Mkdir "mkdir" { path < PATH_POOL.len() } => Some("unix/mkdir"),
+    Unlink "unlink" { path < PATH_POOL.len() } => Some("unix/unlink"),
+    Stat "stat" { path < PATH_POOL.len() } => Some("unix/stat64"),
+    Chdir "chdir" { path < PATH_POOL.len() } => Some("unix/chdir"),
+    Select "select" { n < 5 } => Some("unix/select"),
+    Fork "fork" => Some("unix/fork"),
+    ExitChild "exit_child" { code < 4 } => Some("unix/exit"),
+    Waitpid "waitpid" => Some("unix/waitpid"),
+    Kill "kill" { sig < SIGNAL_POOL.len() } => Some("unix/kill"),
+    Sigaction "sigaction" { sig < SIGNAL_POOL.len(), disp < 3 }
+        => Some("unix/sigaction"),
+    Nanosleep "nanosleep" { ms < 20 } => None,
     // --- psynch (XNU-only Unix-class traps) ---
-    MutexWait {
-        m: u8,
-    },
-    MutexDrop {
-        m: u8,
-    },
-    CvWait {
-        cv: u8,
-        m: u8,
-    },
-    CvSignal {
-        cv: u8,
-    },
-    CvBroad {
-        cv: u8,
-    },
+    MutexWait "mutex_wait" { m < 2 } => Some("unix/psynch_mutexwait"),
+    MutexDrop "mutex_drop" { m < 2 } => Some("unix/psynch_mutexdrop"),
+    CvWait "cv_wait" { cv < 2, m < 2 } => Some("unix/psynch_cvwait"),
+    CvSignal "cv_signal" { cv < 2 } => Some("unix/psynch_cvsignal"),
+    CvBroad "cv_broad" { cv < 2 } => Some("unix/psynch_cvbroad"),
     // --- Mach class (XNU-only) ---
-    TaskSelf,
-    ThreadSelf,
-    HostSelf,
-    ReplyPort,
-    PortAllocate,
-    PortDeallocate {
-        slot: u8,
-    },
-    InsertRight {
-        slot: u8,
-    },
-    MsgSend {
-        slot: u8,
-        len: u8,
-    },
-    MsgRecv {
-        slot: u8,
-    },
-    SemSignal {
-        sem: u8,
-    },
-    SemWait {
-        sem: u8,
-    },
-    VmAllocate {
-        pages: u8,
-    },
-    VmDeallocate,
+    TaskSelf "task_self" => Some("mach/task_self_trap"),
+    ThreadSelf "thread_self" => Some("mach/thread_self_trap"),
+    HostSelf "host_self" => Some("mach/host_self_trap"),
+    ReplyPort "reply_port" => Some("mach/mach_reply_port"),
+    PortAllocate "port_allocate" => Some("mach/mach_port_allocate"),
+    PortDeallocate "port_deallocate" { slot < 4 }
+        => Some("mach/mach_port_deallocate"),
+    InsertRight "insert_right" { slot < 4 }
+        => Some("mach/mach_port_insert_right"),
+    MsgSend "msg_send" { slot < 4, len < 32 } => Some("mach/mach_msg_trap"),
+    MsgRecv "msg_recv" { slot < 4 } => Some("mach/mach_msg_trap"),
+    SemSignal "sem_signal" { sem < 3 } => Some("mach/semaphore_signal_trap"),
+    SemWait "sem_wait" { sem < 3 } => Some("mach/semaphore_wait_trap"),
+    VmAllocate "vm_allocate" { pages < 8 } => Some("mach/mach_vm_allocate"),
+    VmDeallocate "vm_deallocate" => Some("mach/mach_vm_deallocate"),
     // --- MachDep / Diag entry paths (XNU-only) ---
-    MachDep {
-        n: u8,
-    },
-    Diag {
-        n: u8,
-    },
+    MachDep "machdep" { n < 4 } => None,
+    Diag "diag" { n < 2 } => None,
     // --- kqueue (library level, runs under every configuration) ---
-    KqAddRead {
-        fd: u8,
-    },
-    KqDelRead {
-        fd: u8,
-    },
-    KqAddTimer {
-        t: u8,
-        ms: u8,
-    },
-    KqDelTimer {
-        t: u8,
-    },
-    KqPoll,
+    KqAddRead "kq_add_read" { fd < 10 } => None,
+    KqDelRead "kq_del_read" { fd < 10 } => None,
+    KqAddTimer "kq_add_timer" { t < 3, ms < 30 } => None,
+    KqDelTimer "kq_del_timer" { t < 3 } => None,
+    KqPoll "kq_poll" => None,
+    // --- process images (Unix class, both ABIs) ---
+    Execve "execve" { path < PATH_POOL.len() } => Some("unix/execve"),
+    Spawn "posix_spawn" { path < PATH_POOL.len() }
+        => Some("unix/posix_spawn"),
+    // --- scheduler doors (POSIX yield / Mach thread_switch) ---
+    SchedYield "sched_yield" => None,
+    ThreadSwitch "thread_switch" { opt < 3 } => Some("mach/thread_switch"),
     // --- zygote warm start (CoW fork + prelinked shared cache) ---
     /// Fork, then write one page in the child so a copy-on-write fork
     /// materializes exactly that PTE (an eager fork already owns it).
-    ForkWrite {
-        page: u8,
-    },
+    ForkWrite "fork_write" { page < 8 } => None,
     /// Write `n` pages in the calling process; under CoW each first
     /// write pays the deferred PTE copy, later writes are free.
-    TouchPages {
-        n: u8,
-    },
+    TouchPages "touch_pages" { n < 6 } => None,
     /// Toggle the kernel's warm-start cache on, then execve. The
     /// conformance kernels register no binfmts, so the trap fails
     /// uniformly — the op pins the entry path, not a real launch.
-    ExecWarm {
-        path: u8,
-    },
+    ExecWarm "exec_warm" { path < PATH_POOL.len() } => Some("unix/execve"),
     /// Toggle warm start off, then execve (the cold control).
-    ExecCold {
-        path: u8,
-    },
+    ExecCold "exec_cold" { path < PATH_POOL.len() } => Some("unix/execve"),
     // --- IPC v2 (typed rights, OOL remap, batched traps) ---
     /// Enables IPC v2 (kernel policy, not ABI surface), then sends a
     /// message carrying `1+kb%4` pages of out-of-line data: regions at
     /// or above the inline threshold move by page remap, the rest copy.
-    MsgSendOol {
-        slot: u8,
-        kb: u8,
-    },
+    MsgSendOol "mach_msg_ool" { slot < 4, kb < 4 }
+        => Some("mach/mach_msg_trap"),
     /// Enqueues one send on the calling thread's trap ring — no kernel
     /// crossing for the message until the ring flushes.
-    RingSubmit {
-        slot: u8,
-        len: u8,
-    },
+    RingSubmit "ring_submit" { slot < 4, len < 32 }
+        => Some("mach/ring_submit"),
     /// Flushes the trap ring: one kernel crossing executes every
     /// queued operation and returns the completion block.
-    RingFlush,
+    RingFlush "ring_flush" => Some("mach/ring_flush"),
     /// Validates a name as a *typed* send right, then releases one
     /// reference through the typed deallocate path.
-    PortRightDealloc {
-        slot: u8,
-    },
+    PortRightDealloc "port_right_dealloc" { slot < 4 } => None,
     // --- app frameworks / memorystatus (direct kernel paths) ---
     /// Moves the calling process into jetsam band `band % 21` via the
     /// memorystatus syscall; the band sticks until the next app op.
-    MemorystatusSetPriority {
-        band: u8,
-    },
+    MemorystatusSetPriority "memorystatus_set_priority" { band < 21 }
+        => None,
     /// Opens a bundle directory from [`BUNDLE_POOL`] `NSBundle`-style:
     /// read and parse its `Info.plist` through the kernel VFS. The
     /// observation is the parsed entry count or the errno.
-    BundleOpen {
-        path: u8,
-    },
+    BundleOpen "bundle_open" { path < BUNDLE_POOL.len() } => None,
     /// Drives the app lifecycle toward the background: attaches the
     /// machine on first use (Launching), completes the launch when
     /// needed, then delivers `EnterBackground` — `EINVAL` when the
     /// transition is illegal in the current state.
-    AppBackground,
+    AppBackground "app_background" => None,
     /// Runs one memorystatus pass (watermarks are unset in the
     /// conformance kernels, so only an armed `jetsam_kill` fault can
     /// claim a victim). Observes the kill count.
-    JetsamTick,
+    JetsamTick "jetsam_tick" => None,
 }
 
 /// Number of op kinds in the grammar.
-pub const KIND_COUNT: usize = 60;
-
-impl Op {
-    /// The dispatch-table entry this op exercises on the translated XNU
-    /// configuration, as `"<class>/<handler name>"`, or `None` when the
-    /// op never reaches a dispatch table (kqueue library calls) or has
-    /// no named handler (machdep/diag entry paths, direct sleeps).
-    pub fn dispatch_site(self) -> Option<&'static str> {
-        Some(match self {
-            Op::Getpid => "unix/getpid",
-            Op::Open { .. } => "unix/open",
-            Op::Close { .. } => "unix/close",
-            Op::Read { .. } => "unix/read",
-            Op::Write { .. } => "unix/write",
-            Op::Dup { .. } => "unix/dup",
-            Op::Pipe => "unix/pipe",
-            Op::Socketpair => "unix/socketpair",
-            Op::Mkdir { .. } => "unix/mkdir",
-            Op::Unlink { .. } => "unix/unlink",
-            Op::Stat { .. } => "unix/stat64",
-            Op::Chdir { .. } => "unix/chdir",
-            Op::Select { .. } => "unix/select",
-            Op::Fork => "unix/fork",
-            Op::ExitChild { .. } => "unix/exit",
-            Op::Waitpid => "unix/waitpid",
-            Op::Kill { .. } => "unix/kill",
-            Op::Sigaction { .. } => "unix/sigaction",
-            Op::Execve { .. } => "unix/execve",
-            Op::ExecWarm { .. } | Op::ExecCold { .. } => "unix/execve",
-            Op::Spawn { .. } => "unix/posix_spawn",
-            Op::ThreadSwitch { .. } => "mach/thread_switch",
-            Op::MutexWait { .. } => "unix/psynch_mutexwait",
-            Op::MutexDrop { .. } => "unix/psynch_mutexdrop",
-            Op::CvWait { .. } => "unix/psynch_cvwait",
-            Op::CvSignal { .. } => "unix/psynch_cvsignal",
-            Op::CvBroad { .. } => "unix/psynch_cvbroad",
-            Op::TaskSelf => "mach/task_self_trap",
-            Op::ThreadSelf => "mach/thread_self_trap",
-            Op::HostSelf => "mach/host_self_trap",
-            Op::ReplyPort => "mach/mach_reply_port",
-            Op::PortAllocate => "mach/mach_port_allocate",
-            Op::PortDeallocate { .. } => "mach/mach_port_deallocate",
-            Op::InsertRight { .. } => "mach/mach_port_insert_right",
-            Op::MsgSend { .. } => "mach/mach_msg_trap",
-            Op::MsgRecv { .. } => "mach/mach_msg_trap",
-            Op::MsgSendOol { .. } => "mach/mach_msg_trap",
-            Op::RingSubmit { .. } => "mach/ring_submit",
-            Op::RingFlush => "mach/ring_flush",
-            Op::SemSignal { .. } => "mach/semaphore_signal_trap",
-            Op::SemWait { .. } => "mach/semaphore_wait_trap",
-            Op::VmAllocate { .. } => "mach/mach_vm_allocate",
-            Op::VmDeallocate => "mach/mach_vm_deallocate",
-            Op::Nanosleep { .. }
-            | Op::ForkWrite { .. }
-            | Op::TouchPages { .. }
-            | Op::PortRightDealloc { .. }
-            | Op::SchedYield
-            | Op::MachDep { .. }
-            | Op::Diag { .. }
-            | Op::KqAddRead { .. }
-            | Op::KqDelRead { .. }
-            | Op::KqAddTimer { .. }
-            | Op::KqDelTimer { .. }
-            | Op::KqPoll
-            | Op::MemorystatusSetPriority { .. }
-            | Op::BundleOpen { .. }
-            | Op::AppBackground
-            | Op::JetsamTick => return None,
-        })
-    }
-
-    /// Serializes to the corpus line form: `name [k=v ...]`, fields in
-    /// declaration order. The inverse of [`Op::parse`].
-    pub fn to_line(self) -> String {
-        match self {
-            Op::Getpid => "getpid".into(),
-            Op::Open { path, flags } => {
-                format!("open path={path} flags={flags}")
-            }
-            Op::Close { fd } => format!("close fd={fd}"),
-            Op::Read { fd, len } => format!("read fd={fd} len={len}"),
-            Op::Write { fd, len } => format!("write fd={fd} len={len}"),
-            Op::Dup { fd } => format!("dup fd={fd}"),
-            Op::Pipe => "pipe".into(),
-            Op::Socketpair => "socketpair".into(),
-            Op::Mkdir { path } => format!("mkdir path={path}"),
-            Op::Unlink { path } => format!("unlink path={path}"),
-            Op::Stat { path } => format!("stat path={path}"),
-            Op::Chdir { path } => format!("chdir path={path}"),
-            Op::Select { n } => format!("select n={n}"),
-            Op::Fork => "fork".into(),
-            Op::ExitChild { code } => format!("exit_child code={code}"),
-            Op::Waitpid => "waitpid".into(),
-            Op::Kill { sig } => format!("kill sig={sig}"),
-            Op::Sigaction { sig, disp } => {
-                format!("sigaction sig={sig} disp={disp}")
-            }
-            Op::Nanosleep { ms } => format!("nanosleep ms={ms}"),
-            Op::Execve { path } => format!("execve path={path}"),
-            Op::Spawn { path } => format!("posix_spawn path={path}"),
-            Op::SchedYield => "sched_yield".into(),
-            Op::ThreadSwitch { opt } => format!("thread_switch opt={opt}"),
-            Op::MutexWait { m } => format!("mutex_wait m={m}"),
-            Op::MutexDrop { m } => format!("mutex_drop m={m}"),
-            Op::CvWait { cv, m } => format!("cv_wait cv={cv} m={m}"),
-            Op::CvSignal { cv } => format!("cv_signal cv={cv}"),
-            Op::CvBroad { cv } => format!("cv_broad cv={cv}"),
-            Op::TaskSelf => "task_self".into(),
-            Op::ThreadSelf => "thread_self".into(),
-            Op::HostSelf => "host_self".into(),
-            Op::ReplyPort => "reply_port".into(),
-            Op::PortAllocate => "port_allocate".into(),
-            Op::PortDeallocate { slot } => {
-                format!("port_deallocate slot={slot}")
-            }
-            Op::InsertRight { slot } => format!("insert_right slot={slot}"),
-            Op::MsgSend { slot, len } => {
-                format!("msg_send slot={slot} len={len}")
-            }
-            Op::MsgRecv { slot } => format!("msg_recv slot={slot}"),
-            Op::SemSignal { sem } => format!("sem_signal sem={sem}"),
-            Op::SemWait { sem } => format!("sem_wait sem={sem}"),
-            Op::VmAllocate { pages } => format!("vm_allocate pages={pages}"),
-            Op::VmDeallocate => "vm_deallocate".into(),
-            Op::MachDep { n } => format!("machdep n={n}"),
-            Op::Diag { n } => format!("diag n={n}"),
-            Op::KqAddRead { fd } => format!("kq_add_read fd={fd}"),
-            Op::KqDelRead { fd } => format!("kq_del_read fd={fd}"),
-            Op::KqAddTimer { t, ms } => format!("kq_add_timer t={t} ms={ms}"),
-            Op::KqDelTimer { t } => format!("kq_del_timer t={t}"),
-            Op::KqPoll => "kq_poll".into(),
-            Op::ForkWrite { page } => format!("fork_write page={page}"),
-            Op::TouchPages { n } => format!("touch_pages n={n}"),
-            Op::ExecWarm { path } => format!("exec_warm path={path}"),
-            Op::ExecCold { path } => format!("exec_cold path={path}"),
-            Op::MsgSendOol { slot, kb } => {
-                format!("mach_msg_ool slot={slot} kb={kb}")
-            }
-            Op::RingSubmit { slot, len } => {
-                format!("ring_submit slot={slot} len={len}")
-            }
-            Op::RingFlush => "ring_flush".into(),
-            Op::PortRightDealloc { slot } => {
-                format!("port_right_dealloc slot={slot}")
-            }
-            Op::MemorystatusSetPriority { band } => {
-                format!("memorystatus_set_priority band={band}")
-            }
-            Op::BundleOpen { path } => format!("bundle_open path={path}"),
-            Op::AppBackground => "app_background".into(),
-            Op::JetsamTick => "jetsam_tick".into(),
-        }
-    }
-
-    /// Parses one corpus line back into an op. Returns `None` on any
-    /// malformed input (unknown name, missing/extra/misnamed field).
-    pub fn parse(line: &str) -> Option<Op> {
-        let mut parts = line.split_whitespace();
-        let name = parts.next()?;
-        let mut fields = Vec::new();
-        for p in parts {
-            let (k, v) = p.split_once('=')?;
-            fields.push((k, v.parse::<u8>().ok()?));
-        }
-        let f = |want: &[&str]| -> Option<Vec<u8>> {
-            if fields.len() != want.len() {
-                return None;
-            }
-            want.iter()
-                .zip(&fields)
-                .map(|(w, (k, v))| if w == k { Some(*v) } else { None })
-                .collect()
-        };
-        let op = match name {
-            "getpid" => Op::Getpid,
-            "open" => {
-                let v = f(&["path", "flags"])?;
-                Op::Open {
-                    path: v[0],
-                    flags: v[1],
-                }
-            }
-            "close" => Op::Close { fd: f(&["fd"])?[0] },
-            "read" => {
-                let v = f(&["fd", "len"])?;
-                Op::Read {
-                    fd: v[0],
-                    len: v[1],
-                }
-            }
-            "write" => {
-                let v = f(&["fd", "len"])?;
-                Op::Write {
-                    fd: v[0],
-                    len: v[1],
-                }
-            }
-            "dup" => Op::Dup { fd: f(&["fd"])?[0] },
-            "pipe" => Op::Pipe,
-            "socketpair" => Op::Socketpair,
-            "mkdir" => Op::Mkdir {
-                path: f(&["path"])?[0],
-            },
-            "unlink" => Op::Unlink {
-                path: f(&["path"])?[0],
-            },
-            "stat" => Op::Stat {
-                path: f(&["path"])?[0],
-            },
-            "chdir" => Op::Chdir {
-                path: f(&["path"])?[0],
-            },
-            "select" => Op::Select { n: f(&["n"])?[0] },
-            "fork" => Op::Fork,
-            "exit_child" => Op::ExitChild {
-                code: f(&["code"])?[0],
-            },
-            "waitpid" => Op::Waitpid,
-            "kill" => Op::Kill {
-                sig: f(&["sig"])?[0],
-            },
-            "sigaction" => {
-                let v = f(&["sig", "disp"])?;
-                Op::Sigaction {
-                    sig: v[0],
-                    disp: v[1],
-                }
-            }
-            "nanosleep" => Op::Nanosleep { ms: f(&["ms"])?[0] },
-            "execve" => Op::Execve {
-                path: f(&["path"])?[0],
-            },
-            "posix_spawn" => Op::Spawn {
-                path: f(&["path"])?[0],
-            },
-            "sched_yield" => Op::SchedYield,
-            "thread_switch" => Op::ThreadSwitch {
-                opt: f(&["opt"])?[0],
-            },
-            "mutex_wait" => Op::MutexWait { m: f(&["m"])?[0] },
-            "mutex_drop" => Op::MutexDrop { m: f(&["m"])?[0] },
-            "cv_wait" => {
-                let v = f(&["cv", "m"])?;
-                Op::CvWait { cv: v[0], m: v[1] }
-            }
-            "cv_signal" => Op::CvSignal { cv: f(&["cv"])?[0] },
-            "cv_broad" => Op::CvBroad { cv: f(&["cv"])?[0] },
-            "task_self" => Op::TaskSelf,
-            "thread_self" => Op::ThreadSelf,
-            "host_self" => Op::HostSelf,
-            "reply_port" => Op::ReplyPort,
-            "port_allocate" => Op::PortAllocate,
-            "port_deallocate" => Op::PortDeallocate {
-                slot: f(&["slot"])?[0],
-            },
-            "insert_right" => Op::InsertRight {
-                slot: f(&["slot"])?[0],
-            },
-            "msg_send" => {
-                let v = f(&["slot", "len"])?;
-                Op::MsgSend {
-                    slot: v[0],
-                    len: v[1],
-                }
-            }
-            "msg_recv" => Op::MsgRecv {
-                slot: f(&["slot"])?[0],
-            },
-            "sem_signal" => Op::SemSignal {
-                sem: f(&["sem"])?[0],
-            },
-            "sem_wait" => Op::SemWait {
-                sem: f(&["sem"])?[0],
-            },
-            "vm_allocate" => Op::VmAllocate {
-                pages: f(&["pages"])?[0],
-            },
-            "vm_deallocate" => Op::VmDeallocate,
-            "machdep" => Op::MachDep { n: f(&["n"])?[0] },
-            "diag" => Op::Diag { n: f(&["n"])?[0] },
-            "kq_add_read" => Op::KqAddRead { fd: f(&["fd"])?[0] },
-            "kq_del_read" => Op::KqDelRead { fd: f(&["fd"])?[0] },
-            "kq_add_timer" => {
-                let v = f(&["t", "ms"])?;
-                Op::KqAddTimer { t: v[0], ms: v[1] }
-            }
-            "kq_del_timer" => Op::KqDelTimer { t: f(&["t"])?[0] },
-            "kq_poll" => Op::KqPoll,
-            "fork_write" => Op::ForkWrite {
-                page: f(&["page"])?[0],
-            },
-            "touch_pages" => Op::TouchPages { n: f(&["n"])?[0] },
-            "exec_warm" => Op::ExecWarm {
-                path: f(&["path"])?[0],
-            },
-            "exec_cold" => Op::ExecCold {
-                path: f(&["path"])?[0],
-            },
-            "mach_msg_ool" => {
-                let v = f(&["slot", "kb"])?;
-                Op::MsgSendOol {
-                    slot: v[0],
-                    kb: v[1],
-                }
-            }
-            "ring_submit" => {
-                let v = f(&["slot", "len"])?;
-                Op::RingSubmit {
-                    slot: v[0],
-                    len: v[1],
-                }
-            }
-            "ring_flush" => Op::RingFlush,
-            "port_right_dealloc" => Op::PortRightDealloc {
-                slot: f(&["slot"])?[0],
-            },
-            "memorystatus_set_priority" => Op::MemorystatusSetPriority {
-                band: f(&["band"])?[0],
-            },
-            "bundle_open" => Op::BundleOpen {
-                path: f(&["path"])?[0],
-            },
-            "app_background" => Op::AppBackground,
-            "jetsam_tick" => Op::JetsamTick,
-            _ => return None,
-        };
-        // Round-trip check doubles as arity validation: stray fields on
-        // niladic ops and misordered fields both fail here.
-        if op.to_line() != normalize(line) {
-            return None;
-        }
-        Some(op)
-    }
-}
+pub const KIND_COUNT: usize = KINDS.len();
 
 fn normalize(line: &str) -> String {
     line.split_whitespace().collect::<Vec<_>>().join(" ")
-}
-
-/// Materializes op kind `k` (0..[`KIND_COUNT`]) with operands drawn
-/// from `rng`. The draw count per kind is fixed, so generation is a
-/// pure function of the seed stream.
-fn make_op(k: usize, rng: &mut SplitMix64) -> Op {
-    match k {
-        0 => Op::Getpid,
-        1 => Op::Open {
-            path: rng.below(PATH_POOL.len() as u64) as u8,
-            flags: rng.below(FLAG_COMBOS.len() as u64) as u8,
-        },
-        2 => Op::Close {
-            fd: rng.below(10) as u8,
-        },
-        3 => Op::Read {
-            fd: rng.below(10) as u8,
-            len: rng.below(64) as u8,
-        },
-        4 => Op::Write {
-            fd: rng.below(10) as u8,
-            len: rng.below(48) as u8,
-        },
-        5 => Op::Dup {
-            fd: rng.below(10) as u8,
-        },
-        6 => Op::Pipe,
-        7 => Op::Socketpair,
-        8 => Op::Mkdir {
-            path: rng.below(PATH_POOL.len() as u64) as u8,
-        },
-        9 => Op::Unlink {
-            path: rng.below(PATH_POOL.len() as u64) as u8,
-        },
-        10 => Op::Stat {
-            path: rng.below(PATH_POOL.len() as u64) as u8,
-        },
-        11 => Op::Chdir {
-            path: rng.below(PATH_POOL.len() as u64) as u8,
-        },
-        12 => Op::Select {
-            n: rng.below(5) as u8,
-        },
-        13 => Op::Fork,
-        14 => Op::ExitChild {
-            code: rng.below(4) as u8,
-        },
-        15 => Op::Waitpid,
-        16 => Op::Kill {
-            sig: rng.below(SIGNAL_POOL.len() as u64) as u8,
-        },
-        17 => Op::Sigaction {
-            sig: rng.below(SIGNAL_POOL.len() as u64) as u8,
-            disp: rng.below(3) as u8,
-        },
-        18 => Op::Nanosleep {
-            ms: rng.below(20) as u8,
-        },
-        19 => Op::MutexWait {
-            m: rng.below(2) as u8,
-        },
-        20 => Op::MutexDrop {
-            m: rng.below(2) as u8,
-        },
-        21 => Op::CvWait {
-            cv: rng.below(2) as u8,
-            m: rng.below(2) as u8,
-        },
-        22 => Op::CvSignal {
-            cv: rng.below(2) as u8,
-        },
-        23 => Op::CvBroad {
-            cv: rng.below(2) as u8,
-        },
-        24 => Op::TaskSelf,
-        25 => Op::ThreadSelf,
-        26 => Op::HostSelf,
-        27 => Op::ReplyPort,
-        28 => Op::PortAllocate,
-        29 => Op::PortDeallocate {
-            slot: rng.below(4) as u8,
-        },
-        30 => Op::InsertRight {
-            slot: rng.below(4) as u8,
-        },
-        31 => Op::MsgSend {
-            slot: rng.below(4) as u8,
-            len: rng.below(32) as u8,
-        },
-        32 => Op::MsgRecv {
-            slot: rng.below(4) as u8,
-        },
-        33 => Op::SemSignal {
-            sem: rng.below(3) as u8,
-        },
-        34 => Op::SemWait {
-            sem: rng.below(3) as u8,
-        },
-        35 => Op::VmAllocate {
-            pages: rng.below(8) as u8,
-        },
-        36 => Op::VmDeallocate,
-        37 => Op::MachDep {
-            n: rng.below(4) as u8,
-        },
-        38 => Op::Diag {
-            n: rng.below(2) as u8,
-        },
-        39 => Op::KqAddRead {
-            fd: rng.below(10) as u8,
-        },
-        40 => Op::KqDelRead {
-            fd: rng.below(10) as u8,
-        },
-        41 => Op::KqAddTimer {
-            t: rng.below(3) as u8,
-            ms: rng.below(30) as u8,
-        },
-        42 => Op::KqDelTimer {
-            t: rng.below(3) as u8,
-        },
-        43 => Op::KqPoll,
-        44 => Op::Execve {
-            path: rng.below(PATH_POOL.len() as u64) as u8,
-        },
-        45 => Op::Spawn {
-            path: rng.below(PATH_POOL.len() as u64) as u8,
-        },
-        46 => Op::SchedYield,
-        47 => Op::ThreadSwitch {
-            opt: rng.below(3) as u8,
-        },
-        48 => Op::ForkWrite {
-            page: rng.below(8) as u8,
-        },
-        49 => Op::TouchPages {
-            n: rng.below(6) as u8,
-        },
-        50 => Op::ExecWarm {
-            path: rng.below(PATH_POOL.len() as u64) as u8,
-        },
-        51 => Op::ExecCold {
-            path: rng.below(PATH_POOL.len() as u64) as u8,
-        },
-        52 => Op::MsgSendOol {
-            slot: rng.below(4) as u8,
-            kb: rng.below(4) as u8,
-        },
-        53 => Op::RingSubmit {
-            slot: rng.below(4) as u8,
-            len: rng.below(32) as u8,
-        },
-        54 => Op::RingFlush,
-        55 => Op::PortRightDealloc {
-            slot: rng.below(4) as u8,
-        },
-        56 => Op::MemorystatusSetPriority {
-            band: rng.below(21) as u8,
-        },
-        57 => Op::BundleOpen {
-            path: rng.below(BUNDLE_POOL.len() as u64) as u8,
-        },
-        58 => Op::AppBackground,
-        _ => Op::JetsamTick,
-    }
 }
 
 /// A workload program: a flat op list, replayed in order by the
@@ -868,10 +373,7 @@ pub fn generate(seed: u64, index: u64, coverage: &Coverage) -> Program {
     let len = 2 + rng.below(23) as usize;
     let uncovered_kinds: Vec<usize> = (0..KIND_COUNT)
         .filter(|&k| {
-            // Probe the kind's site with a throwaway rng so the real
-            // stream is not perturbed by the probe's operand draws.
-            let mut probe = SplitMix64::new(0);
-            make_op(k, &mut probe)
+            KINDS[k]
                 .dispatch_site()
                 .is_some_and(|s| !coverage.is_covered(s))
         })
@@ -899,16 +401,32 @@ mod tests {
             let op = make_op(k, &mut rng);
             let line = op.to_line();
             assert_eq!(Op::parse(&line), Some(op), "kind {k}: {line}");
+            // Whitespace between words is free.
+            let spaced = format!(" {}\t", line.replace(' ', " \t "));
+            assert_eq!(Op::parse(&spaced), Some(op), "kind {k}: {spaced:?}");
         }
     }
 
     #[test]
     fn parse_rejects_malformed_lines() {
-        assert_eq!(Op::parse("frobnicate"), None);
-        assert_eq!(Op::parse("open path=1"), None);
-        assert_eq!(Op::parse("open path=1 flags=2 extra=3"), None);
-        assert_eq!(Op::parse("close fd=notanumber"), None);
-        assert_eq!(Op::parse("getpid fd=1"), None);
+        for line in [
+            "frobnicate",
+            "frobnicate fd=1",
+            "open path=1",
+            "open path=1 flags=2 extra=3",
+            "open flags=2 path=1",
+            "close fd=notanumber",
+            "close fd=07",
+            "close fd=+7",
+            "close fd=256",
+            "close fd=1 fd=1",
+            "getpid fd=1",
+            "=",
+            "close =",
+            "close fd=",
+        ] {
+            assert_eq!(Op::parse(line), None, "{line}");
+        }
     }
 
     #[test]
@@ -928,10 +446,11 @@ mod tests {
     fn coverage_steering_prefers_uncovered_sites() {
         // With everything uncovered, steered programs hit dispatch
         // sites; with everything covered, generation still succeeds.
-        let mut cov = Coverage::new((0..KIND_COUNT).filter_map(|k| {
-            let mut probe = SplitMix64::new(0);
-            make_op(k, &mut probe).dispatch_site().map(String::from)
-        }));
+        let mut cov = Coverage::new(
+            KINDS
+                .iter()
+                .filter_map(|op| op.dispatch_site().map(String::from)),
+        );
         let p = generate(3, 0, &cov);
         assert!(p.ops.iter().any(|o| o.dispatch_site().is_some()));
         for s in p.ops.iter().filter_map(|o| o.dispatch_site()) {
@@ -947,5 +466,59 @@ mod tests {
         let p = generate(19, 4, &cov);
         let text = p.to_text();
         assert_eq!(Program::parse(&text).unwrap(), p);
+    }
+
+    /// Pins the grammar's seeded surface to
+    /// `tests/golden/conform_grammar.txt`: each kind's line, drawn in
+    /// generator order from one `SplitMix64::new(42)` stream, with its
+    /// dispatch site, and FNV-1a digests of programs 0..200 of seeds 7,
+    /// 19 and 31, steered (no site covered) and uniform (every site
+    /// covered). Regenerate with `UPDATE_GOLDEN=1`.
+    #[test]
+    fn grammar_matches_golden() {
+        use std::fmt::Write;
+        let mut got = String::from("# kind\tline\tdispatch site\n");
+        let mut rng = SplitMix64::new(42);
+        for k in 0..KIND_COUNT {
+            let op = make_op(k, &mut rng);
+            let site = op.dispatch_site().unwrap_or("-");
+            writeln!(got, "{k}\t{}\t{site}", op.to_line()).unwrap();
+        }
+        let sites: Vec<&str> = (0..KIND_COUNT)
+            .filter_map(|k| {
+                make_op(k, &mut SplitMix64::new(0)).dispatch_site()
+            })
+            .collect();
+        let mut everything =
+            Coverage::new(sites.iter().map(|s| s.to_string()));
+        for s in &sites {
+            everything.cover(s);
+        }
+        got.push_str("# seed\tcoverage\tFNV-1a of programs 0..200\n");
+        for seed in [7, 19, 31] {
+            for (label, cov) in
+                [("none", &Coverage::default()), ("all", &everything)]
+            {
+                let mut h = cider_fault::Fnv1a::new();
+                for i in 0..200 {
+                    h.write_str(&generate(seed, i, cov).to_text());
+                }
+                writeln!(got, "{seed}\t{label}\t{:016x}", h.0).unwrap();
+            }
+        }
+
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/golden/conform_grammar.txt");
+        if std::env::var_os("UPDATE_GOLDEN").is_some() {
+            std::fs::write(&path, &got).unwrap();
+            return;
+        }
+        let want = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(
+            got, want,
+            "the grammar drifted from its golden; a new kind is appended \
+             as the last row, then regenerate with UPDATE_GOLDEN=1 cargo \
+             test -p cider-conform grammar_matches_golden"
+        );
     }
 }

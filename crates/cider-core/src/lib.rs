@@ -50,7 +50,7 @@ pub mod xnu_native;
 pub use diplomat::{Diplomat, DiplomaticLibrary};
 pub use kqueue::KQueue;
 pub use library::{LibraryHost, NativeLibrary};
-pub use machoload::{MachOLoader, MachTaskForkHook};
+pub use machoload::{mach_task_post_fork, MachOLoader};
 pub use persona::{attach_persona_ext, persona_of, set_persona, PersonaExt};
 pub use ring::{RingCompletion, RingOp, TrapRing, RING_CAPACITY};
 pub use services::Services;

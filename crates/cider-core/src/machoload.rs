@@ -1,4 +1,4 @@
-//! The kernel-level Mach-O loader and the Mach-task fork hook.
+//! The kernel-level Mach-O loader and the Mach task set-up after fork.
 //!
 //! "Cider provides a Mach-O binary loader built into the Linux kernel to
 //! handle the binary format used by iOS apps. When a Mach-O binary is
@@ -11,7 +11,7 @@ use cider_abi::errno::Errno;
 use cider_abi::ids::{Pid, Tid};
 use cider_abi::persona::Persona;
 use cider_kernel::binfmt::{BinaryLoader, ExecImage, LoadedProgram};
-use cider_kernel::kernel::{ForkHook, Kernel};
+use cider_kernel::kernel::Kernel;
 use cider_kernel::mm::{MappingKind, Prot};
 use cider_kernel::process::PersonalityId;
 use cider_loader::dyld::run_dyld;
@@ -132,21 +132,16 @@ impl BinaryLoader for MachOLoader {
     }
 }
 
-/// The post-fork hook performing Mach task initialisation for every new
-/// process — the "extra work in Mach IPC initialization" the paper notes
-/// in the fork+exit discussion (§6.2).
-#[derive(Debug)]
-pub struct MachTaskForkHook;
-
-impl ForkHook for MachTaskForkHook {
-    fn post_fork(&self, k: &mut Kernel, _parent: Pid, child: Pid) {
-        // A fresh IPC space for the child; the port table itself is
-        // populated lazily.
-        k.charge_cpu(900);
-        with_state(k, |_, st| {
-            st.task_space(child);
-        });
-    }
+/// Mach task initialisation for every forked process, run as the
+/// kernel's [`Kernel::post_fork`] — the "extra work in Mach IPC
+/// initialization" the paper notes in the fork+exit discussion (§6.2).
+pub fn mach_task_post_fork(k: &mut Kernel, child: Pid) {
+    // A fresh IPC space for the child; the port table itself is
+    // populated lazily.
+    k.charge_cpu(900);
+    with_state(k, |_, st| {
+        st.task_space(child);
+    });
 }
 
 #[cfg(test)]
@@ -166,7 +161,7 @@ mod tests {
         let xnu = k.register_personality(Arc::new(XnuPersonality::new()));
         k.enable_cider();
         k.register_binfmt(Arc::new(MachOLoader::new(xnu)));
-        k.register_fork_hook(Arc::new(MachTaskForkHook));
+        k.post_fork = mach_task_post_fork;
         FrameworkSet::standard().install(&mut k.vfs);
         (k, xnu)
     }
@@ -230,7 +225,7 @@ mod tests {
     }
 
     #[test]
-    fn fork_hook_creates_child_task_space() {
+    fn fork_creates_child_task_space() {
         let (mut k, _) = cider_kernel();
         let (_, tid) = k.spawn_process();
         let (child_pid, _) = k.sys_fork(tid).unwrap();

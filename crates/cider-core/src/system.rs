@@ -26,7 +26,7 @@ use cider_xnu::kern_return::{KernResult, KernReturn};
 use crate::diplomat::DiplomaticLibrary;
 use crate::exec::sys_exec_fixup;
 use crate::library::{LibraryHost, NativeLibrary};
-use crate::machoload::{MachOLoader, MachTaskForkHook};
+use crate::machoload::{mach_task_post_fork, MachOLoader};
 use crate::ring::{RingCompletion, RingOp};
 use crate::services::Services;
 use crate::state::{with_state, CiderState};
@@ -199,7 +199,7 @@ impl CiderSystem {
         if kind != SystemKind::VanillaAndroid {
             kernel
                 .register_binfmt(Arc::new(MachOLoader::new(xnu_personality)));
-            kernel.register_fork_hook(Arc::new(MachTaskForkHook));
+            kernel.post_fork = mach_task_post_fork;
 
             // The overlaid iOS filesystem hierarchy (§3) — on a real iOS
             // device these are simply the native paths.

@@ -74,7 +74,8 @@ fn put_ool(w: &mut ByteWriter, ool: &[Bytes]) {
 
 fn get_ool(r: &mut Reader<'_>) -> Result<Vec<Bytes>, Errno> {
     let n = get_count(r)?;
-    let mut ool = Vec::with_capacity(n);
+    // Each region is at least its length prefix.
+    let mut ool = Vec::with_capacity(r.capacity_for(n, 4));
     for _ in 0..n {
         ool.push(Bytes::copy_from_slice(get_blob(r)?));
     }
@@ -114,7 +115,7 @@ pub fn decode_user_message(bytes: &[u8]) -> Result<UserMessage, Errno> {
     let msg_id = r.get_u32()? as i32;
     let body = Bytes::copy_from_slice(get_blob(&mut r)?);
     let nports = get_count(&mut r)?;
-    let mut ports = Vec::with_capacity(nports);
+    let mut ports = Vec::with_capacity(r.capacity_for(nports, 5));
     for _ in 0..nports {
         let name = PortName(r.get_u32()?);
         let disposition = get_disp(&mut r)?;
@@ -160,7 +161,7 @@ pub fn decode_received_message(
     let reply_port = PortName(r.get_u32()?);
     let body = Bytes::copy_from_slice(get_blob(&mut r)?);
     let nports = get_count(&mut r)?;
-    let mut ports = Vec::with_capacity(nports);
+    let mut ports = Vec::with_capacity(r.capacity_for(nports, 4));
     for _ in 0..nports {
         ports.push(PortName(r.get_u32()?));
     }
@@ -206,7 +207,8 @@ pub fn decode_ring_ops(bytes: &[u8]) -> Result<Vec<RingOp>, Errno> {
     if n > 4 * crate::ring::RING_CAPACITY {
         return Err(Errno::EMSGSIZE);
     }
-    let mut ops = Vec::with_capacity(n);
+    // Each op is a tag and at least a four-byte length or name.
+    let mut ops = Vec::with_capacity(r.capacity_for(n, 5));
     for _ in 0..n {
         ops.push(match r.get_u8()? {
             1 => RingOp::Send(decode_user_message(get_blob(&mut r)?)?),
@@ -250,7 +252,8 @@ pub fn decode_ring_completions(
     if n > 4096 {
         return Err(Errno::EMSGSIZE);
     }
-    let mut out = Vec::with_capacity(n as usize);
+    // Each completion is at least its sequence, code and flag.
+    let mut out = Vec::with_capacity(r.capacity_for(n as usize, 13));
     for _ in 0..n {
         let seq = r.get_u64()?;
         let kr = r.get_u32()? as i32 as i64;

@@ -182,7 +182,7 @@ fn put_touches(w: &mut ByteWriter, phase: u8, time: u64, ps: &[Pointer]) {
 
 fn get_pointers(r: &mut Reader<'_>) -> Result<Vec<Pointer>, Errno> {
     let n = r.get_u8()?;
-    let mut ps = Vec::with_capacity(n.into());
+    let mut ps = Vec::with_capacity(r.capacity_for(n.into(), 9));
     for _ in 0..n {
         ps.push(Pointer {
             id: r.get_u8()?,

@@ -142,13 +142,6 @@ impl Extensions {
     }
 }
 
-/// Hook invoked after every successful `fork` (Cider uses this for Mach
-/// IPC task initialisation).
-pub trait ForkHook: Send + Sync {
-    /// Observe a completed fork.
-    fn post_fork(&self, k: &mut Kernel, parent: Pid, child: Pid);
-}
-
 /// Event counters exposed for tests and experiment reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelCounters {
@@ -219,6 +212,10 @@ pub struct Kernel {
     /// woken) at the next scheduling point so virtual time cannot
     /// deadlock.
     deferred_wakeups: Vec<WaitChannel>,
+    /// Runs after every successful fork, with the child's pid, once
+    /// the atfork handlers have run: Cider's Mach task initialisation.
+    /// A no-op on a kernel without Mach tasks.
+    pub post_fork: fn(&mut Kernel, Pid),
     procs: BTreeMap<u32, Process>,
     threads: BTreeMap<u32, Thread>,
     next_pid: u32,
@@ -226,7 +223,6 @@ pub struct Kernel {
     next_wait_channel: u64,
     personalities: Vec<PersonalityRef>,
     binfmts: Vec<BinaryLoaderRef>,
-    fork_hooks: Vec<Arc<dyn ForkHook>>,
     programs: BTreeMap<String, ProgramBehavior>,
     current: Option<Tid>,
     cider_enabled: bool,
@@ -275,6 +271,7 @@ impl Kernel {
             warm: WarmStart::new(),
             memorystatus: MemoryStatus::new(),
             deferred_wakeups: Vec::new(),
+            post_fork: |_, _| {},
             procs: BTreeMap::new(),
             threads: BTreeMap::new(),
             next_pid: 1,
@@ -282,7 +279,6 @@ impl Kernel {
             next_wait_channel: 1,
             personalities: Vec::new(),
             binfmts: Vec::new(),
-            fork_hooks: Vec::new(),
             programs: BTreeMap::new(),
             current: None,
             cider_enabled: false,
@@ -303,11 +299,11 @@ impl Kernel {
     /// state, which then runs independently of the first.
     ///
     /// Only what is never mutated after boot is shared: the
-    /// personalities, binary-format loaders, fork hooks and program
-    /// behaviours. Everything else is copied — processes, threads (with
-    /// their extension state), the VFS, the clock, the scheduler, the
-    /// fault streams, the trace sink, and every extension through the
-    /// clone function it was inserted with.
+    /// personalities, binary-format loaders and program behaviours.
+    /// Everything else is copied — processes, threads (with their
+    /// extension state), the VFS, the clock, the scheduler, the fault
+    /// streams, the trace sink, and every extension through the clone
+    /// function it was inserted with.
     pub fn fork_device(&self) -> Kernel {
         Kernel {
             clock: self.clock.clone(),
@@ -323,6 +319,7 @@ impl Kernel {
             warm: self.warm.clone(),
             memorystatus: self.memorystatus.clone(),
             deferred_wakeups: self.deferred_wakeups.clone(),
+            post_fork: self.post_fork,
             procs: self.procs.clone(),
             threads: self.threads.clone(),
             next_pid: self.next_pid,
@@ -330,7 +327,6 @@ impl Kernel {
             next_wait_channel: self.next_wait_channel,
             personalities: self.personalities.clone(),
             binfmts: self.binfmts.clone(),
-            fork_hooks: self.fork_hooks.clone(),
             programs: self.programs.clone(),
             current: self.current,
             cider_enabled: self.cider_enabled,
@@ -381,11 +377,6 @@ impl Kernel {
     /// Registers a binary-format loader (consulted in order).
     pub fn register_binfmt(&mut self, l: BinaryLoaderRef) {
         self.binfmts.push(l);
-    }
-
-    /// Registers a post-fork hook.
-    pub fn register_fork_hook(&mut self, h: Arc<dyn ForkHook>) {
-        self.fork_hooks.push(h);
     }
 
     /// Registers a program behaviour under a symbol name; binaries whose
@@ -1424,7 +1415,8 @@ impl Kernel {
 
     /// `fork`: duplicates the calling thread's process. Runs atfork
     /// callbacks, duplicates every page-table entry and descriptor, and
-    /// fires post-fork hooks. Returns the child pid (and its main tid).
+    /// runs [`Kernel::post_fork`]. Returns the child pid (and its main
+    /// tid).
     ///
     /// # Errors
     ///
@@ -1515,9 +1507,7 @@ impl Kernel {
         let child_cbs = self.process(child_pid)?.callbacks.atfork_child.len();
         self.run_user_callbacks(parent_cbs + child_cbs, true);
 
-        for hook in self.fork_hooks.clone() {
-            hook.post_fork(self, parent_pid, child_pid);
-        }
+        (self.post_fork)(self, child_pid);
 
         self.counters.forks += 1;
         Ok((child_pid, child_tid))

@@ -13,8 +13,7 @@
 //! The kernel is extensible exactly where Cider extends Linux:
 //! [`Personality`](dispatch::Personality) objects add per-persona syscall
 //! dispatch tables, [`BinaryLoader`](binfmt::BinaryLoader)s add binary
-//! formats (Mach-O), [`ForkHook`](kernel::ForkHook)s add Mach task
-//! initialisation, and [`ThreadExt`](process::ThreadExt) slots carry
+//! formats (Mach-O), and [`ThreadExt`](process::ThreadExt) slots carry
 //! persona state.
 //!
 //! # Example

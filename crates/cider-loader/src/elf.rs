@@ -120,7 +120,8 @@ impl Elf {
         if nseg > MAX_SEGMENTS {
             return Err(Errno::ENOEXEC);
         }
-        let mut segments = Vec::with_capacity(nseg as usize);
+        let mut segments =
+            Vec::with_capacity(r.capacity_for(nseg as usize, 10));
         for _ in 0..nseg {
             segments.push(ProgramHeader {
                 memsz: r.get_u64()?,
@@ -132,7 +133,9 @@ impl Elf {
         if nneeded > MAX_NEEDED {
             return Err(Errno::ENOEXEC);
         }
-        let mut needed = Vec::with_capacity(nneeded as usize);
+        // Each name is at least its length prefix.
+        let mut needed =
+            Vec::with_capacity(r.capacity_for(nneeded as usize, 4));
         for _ in 0..nneeded {
             needed.push(get_string(&mut r)?);
         }

@@ -196,7 +196,9 @@ impl MachO {
         if ncmds > MAX_COMMANDS {
             return Err(Errno::ENOEXEC);
         }
-        let mut commands = Vec::with_capacity(ncmds as usize);
+        // Every command is a tag and at least four bytes of payload.
+        let mut commands =
+            Vec::with_capacity(r.capacity_for(ncmds as usize, 8));
         for _ in 0..ncmds {
             let cmd = match r.get_u32()? {
                 1 => LoadCommand::Segment {

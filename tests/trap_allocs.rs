@@ -19,12 +19,18 @@
 //! images. Another test pins the order of the walk's virtual charges,
 //! which no golden sees.
 //!
+//! A count-prefixed decoder reserves no more than its input could
+//! hold: a few bytes that claim millions of entries must fail as
+//! before without a large request reaching the allocator.
+//!
 //! The binary has its own global allocator, counting per thread, so
 //! tests running in parallel do not see each other's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use cider_abi::codec::ByteWriter;
+use cider_abi::errno::Errno;
 use cider_abi::ids::Tid;
 use cider_bench::config::{SystemConfig, TestBed};
 use cider_bench::fig5::run_micro;
@@ -36,12 +42,14 @@ struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
-fn count() {
+fn count(size: usize) {
     // `try_with`: the allocator can run while thread-locals are torn
     // down, when there is nothing left to count into.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = LARGEST.try_with(|m| m.set(m.get().max(size)));
 }
 
 // SAFETY: every method forwards to `System` with the caller's pointer
@@ -49,12 +57,12 @@ fn count() {
 // data.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
@@ -64,7 +72,7 @@ unsafe impl GlobalAlloc for Counting {
         layout: Layout,
         new_size: usize,
     ) -> *mut u8 {
-        count();
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -81,6 +89,13 @@ fn allocs_in(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.with(Cell::get);
     f();
     ALLOCS.with(Cell::get) - before
+}
+
+/// The largest single request, in bytes, this thread makes in `f`.
+fn largest_request_in(f: impl FnOnce()) -> usize {
+    LARGEST.with(|m| m.set(0));
+    f();
+    LARGEST.with(Cell::get)
 }
 
 fn ring_full(bed: &TestBed) -> bool {
@@ -262,4 +277,74 @@ fn cold_walk_charges_expire_the_watchdog_where_they_did() {
         })
         .collect();
     assert_eq!(expiries, LAUNCH_EXPIRIES_NS);
+}
+
+/// A header that claims `count` entries and holds none of them.
+fn claims(header: impl FnOnce(&mut ByteWriter), count: u32) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    header(&mut w);
+    w.put_u32(count);
+    w.into_bytes()
+}
+
+#[test]
+fn count_prefixed_decoders_reserve_only_what_their_input_can_hold() {
+    use cider_apps::{vm, Ipa};
+    use cider_core::wire;
+    use cider_loader::elf::{Elf, ELF_MAGIC, EM_ARM};
+    use cider_loader::macho::{MachO, CPU_TYPE_ARM, MH_MAGIC};
+
+    let dex = claims(|w| w.put_raw(b"dex\n"), 10_000_000);
+    let macho = claims(
+        |w| {
+            w.put_u32(MH_MAGIC);
+            w.put_u32(CPU_TYPE_ARM);
+            w.put_u32(2); // MH_EXECUTE
+        },
+        10_000,
+    );
+    let ipa = claims(
+        |w| {
+            w.put_raw(b"IPA1");
+            for _ in 0..4 {
+                w.put_bytes(b""); // bundle id, name, binary, icon
+            }
+        },
+        4096,
+    );
+    let elf = claims(
+        |w| {
+            w.put_raw(&ELF_MAGIC);
+            w.put_u16(EM_ARM);
+            w.put_u16(2); // ET_EXEC
+            w.put_u32(0); // no segments
+        },
+        1024,
+    );
+    let ring_ops = claims(|_| {}, 256);
+    let completions = claims(|_| {}, 4096);
+
+    let mut results = Vec::new();
+    let largest = largest_request_in(|| {
+        results = vec![
+            vm::disassemble(&dex).map(drop),
+            MachO::parse(&macho).map(drop),
+            Ipa::parse(&ipa).map(drop),
+            Elf::parse(&elf).map(drop),
+            wire::decode_ring_ops(&ring_ops).map(drop),
+            wire::decode_ring_completions(&completions).map(drop),
+        ];
+    });
+    assert_eq!(
+        results,
+        [
+            Err(Errno::ENOEXEC),
+            Err(Errno::ENOEXEC),
+            Err(Errno::EINVAL),
+            Err(Errno::ENOEXEC),
+            Err(Errno::EFAULT),
+            Err(Errno::EFAULT),
+        ]
+    );
+    assert!(largest < 4096, "largest request: {largest} bytes");
 }
