@@ -11,6 +11,13 @@
 //! read is a single `?`. A decoder reserves room for a count-prefixed
 //! list through [`ByteReader::capacity_for`], never beyond what its
 //! input could hold.
+//!
+//! [`SectionWriter`] writes the one layout built on top: named sections
+//! of `(key, value)` string records, as checkpoint images hold them.
+//! Each record is formatted straight into the bytes and each count is
+//! patched in place, so an exporter builds no intermediate strings.
+
+use std::fmt;
 
 /// Appends primitive values to a byte buffer.
 #[derive(Debug, Default)]
@@ -76,12 +83,129 @@ impl ByteWriter {
     pub fn put_str(&mut self, s: &str) {
         self.put_bytes(s.as_bytes());
     }
+
+    /// Appends the text `v` displays as a length-prefixed string,
+    /// formatted in place: the same bytes as `put_str(&v.to_string())`.
+    pub fn put_display(&mut self, v: impl fmt::Display) {
+        let at = self.buf.len();
+        self.put_u32(0);
+        // Formatting into a `Vec` fails only if `v`'s own `fmt` does.
+        fmt::write(&mut Text(&mut self.buf), format_args!("{v}"))
+            .expect("Display impls do not fail");
+        self.patch_u32(at, (self.buf.len() - at - 4) as u32);
+    }
+
+    /// Overwrites the `u32` written at byte `at`.
+    fn patch_u32(&mut self, at: usize, v: u32) {
+        self.buf[at..at + 4].copy_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// Formatted text appended to a byte buffer.
+struct Text<'a>(&'a mut Vec<u8>);
+
+impl fmt::Write for Text<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.extend_from_slice(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// Writes named sections of `(key, value)` string records: a `u32`
+/// section count, then per section its name, a `u32` record count and
+/// each record's key and value, every string length-prefixed.
+///
+/// # Example
+///
+/// ```
+/// use cider_abi::codec::SectionWriter;
+///
+/// let mut w = SectionWriter::new();
+/// w.section("clock").record("now_ns", 1500);
+/// let mut procs = w.section("procs");
+/// procs.record(format_args!("pid:{:06}", 1), "running");
+/// procs.record(format_args!("pid:{:06}", 2), format_args!("zombie({})", 0));
+/// drop(procs);
+/// assert_eq!(&w.into_bytes()[..4], &2u32.to_le_bytes());
+/// ```
+#[derive(Debug)]
+pub struct SectionWriter {
+    w: ByteWriter,
+}
+
+impl Default for SectionWriter {
+    fn default() -> Self {
+        SectionWriter::new()
+    }
+}
+
+impl SectionWriter {
+    /// A writer holding no section.
+    pub fn new() -> SectionWriter {
+        SectionWriter::resume(vec![0; 4])
+    }
+
+    /// A writer that appends sections to `bytes`, which must be what
+    /// [`SectionWriter::into_bytes`] returned.
+    pub fn resume(bytes: Vec<u8>) -> SectionWriter {
+        SectionWriter {
+            w: ByteWriter { buf: bytes },
+        }
+    }
+
+    /// Opens section `name` after the last one; it closes, with its
+    /// record count written, when the returned writer drops.
+    pub fn section(&mut self, name: &str) -> RecordWriter<'_> {
+        let count = self.w.buf[..4].try_into().map(u32::from_le_bytes);
+        self.w
+            .patch_u32(0, count.expect("a count leads the bytes") + 1);
+        self.w.put_str(name);
+        let count_at = self.w.buf.len();
+        self.w.put_u32(0);
+        RecordWriter {
+            w: &mut self.w,
+            count_at,
+            records: 0,
+        }
+    }
+
+    /// The encoded sections.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.w.into_bytes()
+    }
+}
+
+/// The open section of a [`SectionWriter`].
+#[derive(Debug)]
+pub struct RecordWriter<'a> {
+    w: &'a mut ByteWriter,
+    count_at: usize,
+    records: u32,
+}
+
+impl RecordWriter<'_> {
+    /// Appends one record; key and value are formatted in place.
+    pub fn record(
+        &mut self,
+        key: impl fmt::Display,
+        value: impl fmt::Display,
+    ) {
+        self.w.put_display(key);
+        self.w.put_display(value);
+        self.records += 1;
+    }
+}
+
+impl Drop for RecordWriter<'_> {
+    fn drop(&mut self) {
+        self.w.patch_u32(self.count_at, self.records);
+    }
 }
 
 /// Reads primitive values back out of a byte slice, tracking the
 /// cursor. A read past the end, or a string that is not UTF-8, returns
 /// the error `E` the reader was built with.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ByteReader<'a, E> {
     buf: &'a [u8],
     pos: usize,
@@ -160,8 +284,13 @@ impl<'a, E: Copy> ByteReader<'a, E> {
 
     /// Reads a length-prefixed UTF-8 string.
     pub fn get_str(&mut self) -> Result<String, E> {
+        self.get_str_ref().map(str::to_owned)
+    }
+
+    /// Reads a length-prefixed UTF-8 string in place.
+    pub fn get_str_ref(&mut self) -> Result<&'a str, E> {
         let raw = self.get_bytes()?;
-        String::from_utf8(raw.to_vec()).map_err(|_| self.err)
+        std::str::from_utf8(raw).map_err(|_| self.err)
     }
 }
 
@@ -214,6 +343,40 @@ mod tests {
         assert_eq!(r.get_array::<5>(), Err("short"));
         let mut r = ByteReader::new(&[1, 0, 0, 0, 0xFF], "utf8");
         assert_eq!(r.get_str(), Err("utf8"));
+    }
+
+    #[test]
+    fn sections_match_the_plain_encoding() {
+        let mut w = SectionWriter::new();
+        w.section("clock").record("now_ns", 1500u64);
+        w.section("empty");
+        let mut procs = w.section("procs");
+        procs.record(format_args!("pid:{:06}", 1), "running cwd=/");
+        procs.record("pid:000002", format_args!("zombie({})", 0));
+        drop(procs);
+
+        let mut want = ByteWriter::new();
+        want.put_u32(3);
+        for (name, records) in [
+            ("clock", &[("now_ns", "1500")][..]),
+            ("empty", &[]),
+            (
+                "procs",
+                &[
+                    ("pid:000001", "running cwd=/"),
+                    ("pid:000002", "zombie(0)"),
+                ],
+            ),
+        ] {
+            want.put_str(name);
+            want.put_u32(records.len() as u32);
+            for (k, v) in records {
+                want.put_str(k);
+                want.put_str(v);
+            }
+        }
+        assert_eq!(w.into_bytes(), want.into_bytes());
+        assert_eq!(SectionWriter::new().into_bytes(), [0; 4]);
     }
 
     #[test]

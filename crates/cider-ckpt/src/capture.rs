@@ -1,13 +1,14 @@
 //! Image capture over a live kernel.
 //!
-//! The kernel (and each subsystem it owns) exports its observable
-//! state as named record sections — see `Kernel::ckpt_sections` in
-//! `cider-kernel`. This module assembles them into a [`StateImage`];
-//! the fleet harness appends its own sections on top (workload cursor
-//! and metrics, gfx counters) before framing the image into a
-//! [`crate::Checkpoint`]. No harness appends Mach port state.
+//! The kernel (and each subsystem it owns) writes its observable state
+//! as named record sections straight into the image's bytes — see
+//! `Kernel::write_ckpt` in `cider-kernel`. This module wraps them as a
+//! [`StateImage`]; the fleet harness writes its own sections after the
+//! kernel's (workload cursor and metrics, gfx counters) before framing
+//! the image into a [`crate::Checkpoint`]. No harness writes Mach port
+//! state.
 
-use cider_kernel::Kernel;
+use cider_kernel::{Kernel, SectionWriter};
 
 use crate::image::StateImage;
 
@@ -15,11 +16,9 @@ use crate::image::StateImage;
 /// clock, event counters, process/thread tables, VFS tree, pipe and
 /// socket buffers, scheduler bands, and fault-injection streams.
 pub fn capture_kernel(k: &Kernel) -> StateImage {
-    let mut img = StateImage::new();
-    for (name, records) in k.ckpt_sections() {
-        img.push_section(name, records);
-    }
-    img
+    let mut w = SectionWriter::new();
+    k.write_ckpt(&mut w);
+    StateImage::from(w)
 }
 
 #[cfg(test)]

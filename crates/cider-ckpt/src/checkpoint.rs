@@ -32,6 +32,10 @@ pub const CKPT_MAGIC: &[u8; 4] = b"CKPT";
 /// unknown version is an error, never a guess.
 pub const CKPT_VERSION: u32 = 1;
 
+/// The shortest frame: magic, version, device_id, seed, two empty
+/// strings, cursor, virtual_ns, an empty image and the checksum.
+const FRAME_FLOOR: usize = 4 + 4 + 4 + 8 + 4 + 4 + 8 + 8 + 4 + 8;
+
 /// Identity and position of a checkpointed device.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CkptHeader {
@@ -118,7 +122,13 @@ impl Checkpoint {
 
     /// Encodes the full checksummed frame.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
+        // The floor counts an empty image; this image replaces it.
+        let h = &self.header;
+        let len = FRAME_FLOOR - 4
+            + h.config.len()
+            + h.workload.len()
+            + self.image.encoded_len();
+        let mut w = ByteWriter::with_capacity(len);
         w.put_raw(CKPT_MAGIC);
         w.put_u32(CKPT_VERSION);
         w.put_u32(self.header.device_id);
@@ -136,9 +146,7 @@ impl Checkpoint {
     /// Decodes and verifies a frame. Every failure mode is a typed
     /// error; this function cannot panic on any input.
     pub fn from_bytes(bytes: &[u8]) -> Result<Checkpoint, CkptError> {
-        // Frame floor: magic + version + device_id + seed + two empty
-        // strings + cursor + virtual_ns + empty image + checksum.
-        if bytes.len() < 4 + 4 + 4 + 8 + 4 + 4 + 8 + 8 + 4 + 8 {
+        if bytes.len() < FRAME_FLOOR {
             return Err(CkptError::Truncated);
         }
         let (body, sum_bytes) = bytes.split_at(bytes.len() - 8);

@@ -35,7 +35,7 @@
 //! [`FinalState`]: crate::exec::FinalState
 //! [`OpObs::Skip`]: crate::exec::OpObs::Skip
 
-use cider_ckpt::{SectionDelta, StateImage};
+use cider_ckpt::{SectionDelta, SectionWriter, StateImage};
 use cider_fault::FaultPlan;
 
 use crate::exec::{ConfigId, Driver};
@@ -148,30 +148,18 @@ fn pair_images(
     debug_assert_eq!(a.cursor, b.cursor);
     let drop_ports = a.cfg == ConfigId::Linux || b.cfg == ConfigId::Linux;
     let build = |me: &mut Replay<'_>, other: &Replay<'_>| {
-        let mut img = StateImage::new();
-        let obs = me
-            .tokens
-            .iter()
-            .zip(&other.tokens)
-            .enumerate()
-            .map(|(i, (mine, theirs))| {
-                let tok = if mine == "skip" || theirs == "skip" {
-                    "-"
-                } else {
-                    mine.as_str()
-                };
-                (format!("op:{i:06}"), tok.to_string())
-            })
-            .collect();
-        img.push_section("obs", obs);
-        let state = me
-            .driver
-            .state_records()
-            .into_iter()
-            .filter(|(k, _)| !(drop_ports && k == "ports"))
-            .collect();
-        img.push_section("state", state);
-        img
+        let mut w = SectionWriter::new();
+        let mut obs = w.section("obs");
+        for (i, (mine, theirs)) in
+            me.tokens.iter().zip(&other.tokens).enumerate()
+        {
+            let skipped = mine == "skip" || theirs == "skip";
+            let tok = if skipped { "-" } else { mine.as_str() };
+            obs.record(format_args!("op:{i:06}"), tok);
+        }
+        drop(obs);
+        me.driver.write_state(&mut w.section("state"), drop_ports);
+        StateImage::from(w)
     };
     let ia = build(a, b);
     let ib = build(b, a);

@@ -21,7 +21,7 @@
 //! ```
 //!
 //! Everything after `expect <config> ` is the exact
-//! [`Observation::to_line`] payload; replay re-executes and compares
+//! [`crate::Observation::to_line`] payload; replay re-executes and compares
 //! byte-for-byte.
 
 use cider_fault::{FaultPlan, FaultSite};

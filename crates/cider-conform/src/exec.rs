@@ -16,7 +16,7 @@
 //! domestic `open` failing with a negative errno both read `err:ENOENT`.
 //! Divergence then means semantic divergence, not encoding difference.
 
-use cider_abi::codec::ByteWriter;
+use cider_abi::codec::{ByteWriter, RecordWriter};
 use cider_abi::ids::{Pid, PortName, Tid};
 use cider_abi::syscall::{LinuxSyscall, MachTrap, XnuSyscall, XnuTrap};
 use cider_abi::{Persona, Signal, SyscallOutcome};
@@ -1095,27 +1095,29 @@ impl Driver {
         self.k.clock.now_ns()
     }
 
-    /// The normalized observable state as checkpoint records: the same
-    /// four dimensions [`FinalState`] pins (VFS digest, fd-table
-    /// shape, cwd, live Mach ports), keyed for [`cider_ckpt`] images.
-    /// Deliberately *normalized* rather than raw [`Kernel`] state —
-    /// raw images differ across configurations by construction (clock,
+    /// Writes the normalized observable state as checkpoint records:
+    /// the same four dimensions [`FinalState`] pins (VFS digest,
+    /// fd-table shape, cwd, live Mach ports), keyed for [`cider_ckpt`]
+    /// images; `ports` is left out with `drop_ports`. Deliberately
+    /// *normalized* rather than raw [`Kernel`] state — raw images
+    /// differ across configurations by construction (clock,
     /// personality ids), which would make every cross-configuration
     /// bisection diverge at op 0.
-    pub(crate) fn state_records(&mut self) -> Vec<(String, String)> {
+    pub(crate) fn write_state(
+        &mut self,
+        s: &mut RecordWriter<'_>,
+        drop_ports: bool,
+    ) {
         let fin = self.final_state();
-        vec![
-            ("vfs".to_string(), format!("{:016x}", fin.vfs)),
-            ("fds".to_string(), fin.fds),
-            ("cwd".to_string(), fin.cwd),
-            (
-                "ports".to_string(),
-                match fin.ports {
-                    Some(n) => n.to_string(),
-                    None => "-".to_string(),
-                },
-            ),
-        ]
+        s.record("vfs", format_args!("{:016x}", fin.vfs));
+        s.record("fds", fin.fds);
+        s.record("cwd", fin.cwd);
+        if !drop_ports {
+            match fin.ports {
+                Some(n) => s.record("ports", n),
+                None => s.record("ports", "-"),
+            }
+        }
     }
 
     fn final_state(&mut self) -> FinalState {

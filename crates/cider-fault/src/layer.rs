@@ -151,48 +151,15 @@ impl FaultLayer {
         self.states.get(&site).map(|s| s.injected).unwrap_or(0)
     }
 
-    /// Exports the layer's complete mutable state as stable
-    /// `(key, value)` records for whole-device checkpointing: the plan
-    /// seed, each armed site's stream position and budget consumption
-    /// (in site order), and both ledgers. A restored replay that
-    /// reproduces these records has re-drawn the exact same fault
-    /// schedule.
-    pub fn ckpt_records(&self) -> Vec<(String, String)> {
-        let mut out = vec![
-            ("plan_seed".to_string(), self.plan.seed.to_string()),
-            (
-                "injected_total".to_string(),
-                self.injected_total.to_string(),
-            ),
-        ];
-        for (site, st) in &self.states {
-            out.push((
-                format!("site:{}", site.name()),
-                format!(
-                    "rng_state={:016x} injected={}",
-                    st.rng.state(),
-                    st.injected
-                ),
-            ));
-        }
-        for (i, rec) in self.ledger.iter().enumerate() {
-            out.push((
-                format!("fault:{i:06}"),
-                format!(
-                    "site={} seq={} at_ns={}",
-                    rec.site.name(),
-                    rec.seq,
-                    rec.at_ns
-                ),
-            ));
-        }
-        for (i, rec) in self.recoveries.iter().enumerate() {
-            out.push((
-                format!("recovery:{i:06}"),
-                format!("action={} at_ns={}", rec.action, rec.at_ns),
-            ));
-        }
-        out
+    /// Each armed site's stream position and injection count, in
+    /// site order: with the plan seed, the ledgers and the total, the
+    /// layer's complete mutable state, which checkpoints record.
+    pub fn site_streams(
+        &self,
+    ) -> impl Iterator<Item = (FaultSite, u64, u32)> + '_ {
+        self.states
+            .iter()
+            .map(|(&site, st)| (site, st.rng.state(), st.injected))
     }
 }
 

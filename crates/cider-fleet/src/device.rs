@@ -22,6 +22,7 @@
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, Once, OnceLock};
 
+use cider_abi::codec::{RecordWriter, SectionWriter};
 use cider_abi::ids::{Pid, Tid};
 use cider_bench::apps;
 use cider_bench::config::TestBed;
@@ -139,6 +140,9 @@ impl Zygote {
     fn boot(config: SystemConfig) -> Zygote {
         let mut bed = TestBed::builder(config).traced().build();
         let (pid, tid) = bed.spawn_measured().expect("bench binary installed");
+        // Every fork copies the filled caches, so no device's capture
+        // rehashes a file it has not written.
+        bed.sys.kernel.vfs.fill_digests();
         Zygote { bed, pid, tid }
     }
 }
@@ -378,41 +382,36 @@ impl DeviceSim {
     /// [`StateImage`]: every kernel section (clock, counters, procs,
     /// threads, VFS, IPC buffers, scheduler, fault streams) plus the
     /// fleet-side workload sections (cursor, workload RNG, metrics,
-    /// gfx counters). Two sims that booted the same spec and stepped
-    /// the same units capture identical images.
+    /// gfx counters), each record written straight into the image's
+    /// bytes. Two sims that booted the same spec and stepped the same
+    /// units capture identical images.
     pub fn capture(&self) -> StateImage {
-        let mut img = cider_ckpt::capture_kernel(&self.bed.sys.kernel);
-        img.push_section(
-            "fleet/cursor",
-            vec![
-                ("cursor".to_string(), self.cursor.to_string()),
-                ("units".to_string(), self.units.to_string()),
-                ("storm_start".to_string(), self.storm_start.to_string()),
-                (
-                    "rng_state".to_string(),
-                    format!("{:016x}", self.rng.state()),
-                ),
-                ("extra".to_string(), format!("{:016x}", self.extra.0)),
-            ],
-        );
-        img.push_section("fleet/workload", self.workload_records());
-        img.push_section("fleet/gfx", self.gfx_records());
-        img
+        let mut w = SectionWriter::new();
+        self.bed.sys.kernel.write_ckpt(&mut w);
+        let mut cursor = w.section("fleet/cursor");
+        cursor.record("cursor", self.cursor);
+        cursor.record("units", self.units);
+        cursor.record("storm_start", self.storm_start);
+        cursor.record("rng_state", format_args!("{:016x}", self.rng.state()));
+        cursor.record("extra", format_args!("{:016x}", self.extra.0));
+        drop(cursor);
+        self.write_workload(&mut w.section("fleet/workload"));
+        self.write_gfx(&mut w.section("fleet/gfx"));
+        StateImage::from(w)
     }
 
-    fn workload_records(&self) -> Vec<(String, String)> {
-        let mut out = Vec::new();
+    fn write_workload(&self, s: &mut RecordWriter<'_>) {
         for (name, v) in &self.workload.counters {
-            out.push((format!("counter:{name}"), v.to_string()));
+            s.record(format_args!("counter:{name}"), v);
         }
         for (name, hist) in &self.workload.histograms {
             let mut digest = Fnv1a::new();
             for &b in hist.buckets() {
                 digest.write_u64(b);
             }
-            out.push((
-                format!("hist:{name}"),
-                format!(
+            s.record(
+                format_args!("hist:{name}"),
+                format_args!(
                     "count={} sum={} min={} max={} buckets={:016x}",
                     hist.count(),
                     hist.sum(),
@@ -420,23 +419,17 @@ impl DeviceSim {
                     hist.max().unwrap_or(0),
                     digest.0,
                 ),
-            ));
+            );
         }
-        out
     }
 
-    fn gfx_records(&self) -> Vec<(String, String)> {
-        let gfx = self.bed.gfx();
-        vec![
-            ("gpu_busy_ns".to_string(), gfx.gpu.gpu_busy_ns.to_string()),
-            ("retired".to_string(), gfx.gpu.retired.to_string()),
-            ("bug_stalls".to_string(), gfx.gpu.bug_stalls.to_string()),
-            (
-                "fence_timeouts".to_string(),
-                gfx.gpu.fence_timeouts.to_string(),
-            ),
-            ("pending".to_string(), gfx.gpu.pending().to_string()),
-        ]
+    fn write_gfx(&self, s: &mut RecordWriter<'_>) {
+        let gpu = &self.bed.gfx().gpu;
+        s.record("gpu_busy_ns", gpu.gpu_busy_ns);
+        s.record("retired", gpu.retired);
+        s.record("bug_stalls", gpu.bug_stalls);
+        s.record("fence_timeouts", gpu.fence_timeouts);
+        s.record("pending", gpu.pending());
     }
 
     /// Folds the launch-storm aggregates into the workload metrics and

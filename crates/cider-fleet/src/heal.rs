@@ -416,6 +416,94 @@ mod tests {
         );
     }
 
+    /// The frame `write_frame` stores for `sim`, before any injected
+    /// corruption.
+    fn frame(spec: &DeviceSpec, sim: &DeviceSim) -> Vec<u8> {
+        let mut store = CheckpointStore::with_capacity(2);
+        let mut stats = HealStats::default();
+        write_frame(
+            &mut store,
+            &mut FaultLayer::inactive(),
+            &mut stats,
+            sim,
+            spec,
+        );
+        let (_, bytes) = store.candidates().next().unwrap();
+        bytes.to_vec()
+    }
+
+    /// `frame`'s bytes with the trailer recomputed, so the frame
+    /// passes its checksum whatever `edit` did to the body.
+    fn resealed(mut bytes: Vec<u8>, edit: impl Fn(&mut [u8])) -> Vec<u8> {
+        let body = bytes.len() - 8;
+        edit(&mut bytes[..body]);
+        let sum = cider_ckpt::fnv1a(&bytes[..body]);
+        bytes[body..].copy_from_slice(&sum.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn a_diverging_image_is_rejected_and_restore_falls_back() {
+        let s = spec(7, None);
+        let baseline = frame(&s, &DeviceSim::boot(&s));
+        // A checksum-valid frame at cursor 2 whose image is another
+        // seed's device at that cursor.
+        let other = spec(8, None);
+        let mut sim = DeviceSim::boot(&other);
+        sim.step();
+        sim.step();
+        let image = sim.capture();
+        let mut frame = Checkpoint::from_bytes(&frame(&other, &sim)).unwrap();
+        frame.header.seed = s.seed;
+        let mut replay = DeviceSim::boot(&s);
+        replay.step();
+        replay.step();
+        let sections = replay.capture().diff(&image).len();
+        assert!(sections > 0);
+
+        let mut store = CheckpointStore::with_capacity(4);
+        store.push(0, baseline);
+        store.push(2, frame.to_bytes());
+        let mut stats = HealStats::default();
+        let (sim, from, replayed) = restore(&s, &store, &mut stats);
+        assert_eq!((from.as_str(), replayed), ("ckpt@0", 0));
+        assert_eq!(sim.cursor(), 0);
+        assert_eq!(stats.corrupt_detected, 1);
+        assert_eq!(stats.replayed_units, 2);
+        let err = CkptError::ReplayDiverged { sections };
+        assert_eq!(stats.ledger, [format!("ckpt@2 rejected: {err}")]);
+    }
+
+    #[test]
+    fn a_malformed_image_is_rejected_before_any_replay() {
+        let s = spec(7, None);
+        let baseline = frame(&s, &DeviceSim::boot(&s));
+        let mut sim = DeviceSim::boot(&s);
+        sim.step();
+        sim.step();
+        let good = frame(&s, &sim);
+        // The first section's name, then its record count.
+        let at = good.windows(5).position(|w| w == b"clock").unwrap();
+        let bad_utf8 = resealed(good.clone(), |b| b[at] = 0xFF);
+        let bad_count = resealed(good, |b| b[at + 5..at + 9].fill(0xFF));
+        for bad in [bad_utf8, bad_count] {
+            assert_eq!(
+                Checkpoint::from_bytes(&bad),
+                Err(CkptError::Malformed)
+            );
+            let mut store = CheckpointStore::with_capacity(4);
+            store.push(0, baseline.clone());
+            store.push(2, bad);
+            let mut stats = HealStats::default();
+            let (_, from, _) = restore(&s, &store, &mut stats);
+            assert_eq!(from, "ckpt@0");
+            assert_eq!(stats.corrupt_detected, 1);
+            assert_eq!(stats.replayed_units, 0);
+            let err = CkptError::Malformed;
+            assert_eq!(stats.ledger, [format!("ckpt@2 rejected: {err}")]);
+        }
+    }
+
     #[test]
     fn retries_are_capped() {
         // A crash on every unit can never finish; the device must give

@@ -181,7 +181,7 @@ impl FdTable {
     }
 
     /// Iterates over `(fd, object)` pairs in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = (Fd, &FileObject)> {
+    pub fn iter(&self) -> impl Iterator<Item = (Fd, &FileObject)> + Clone {
         self.entries.iter().map(|(&fd, obj)| (Fd(fd), obj))
     }
 

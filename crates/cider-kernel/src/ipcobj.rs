@@ -6,6 +6,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
+use cider_abi::codec::RecordWriter;
 use cider_abi::errno::Errno;
 use cider_fault::Fnv1a;
 
@@ -262,39 +263,38 @@ impl IpcObjects {
         self.pipes.len() + self.sockets.len()
     }
 
-    /// Exports the table — ids, end liveness, and the exact buffered
+    /// Writes the table — ids, end liveness, and the exact buffered
     /// bytes — as stable `(key, value)` records for whole-device
     /// checkpointing. Buffer contents matter: a restored device must
     /// read back precisely the bytes its crashed predecessor had in
     /// flight.
-    pub fn ckpt_records(&self) -> Vec<(String, String)> {
-        let mut out = vec![("next_id".to_string(), self.next_id.to_string())];
+    pub fn write_ckpt(&self, s: &mut RecordWriter<'_>) {
+        s.record("next_id", self.next_id);
         for (id, p) in &self.pipes {
-            out.push((
-                format!("pipe:{id:06}"),
-                format!(
+            s.record(
+                format_args!("pipe:{id:06}"),
+                format_args!(
                     "w={} r={} len={} digest={:016x}",
                     p.writers > 0,
                     p.readers > 0,
                     p.buf.len(),
                     digest(&p.buf),
                 ),
-            ));
+            );
         }
-        for (id, s) in &self.sockets {
+        for (id, sock) in &self.sockets {
             for side in 0..2 {
-                out.push((
-                    format!("sock:{id:06}/{side}"),
-                    format!(
+                s.record(
+                    format_args!("sock:{id:06}/{side}"),
+                    format_args!(
                         "open={} len={} digest={:016x}",
-                        s.refs[side] > 0,
-                        s.buf[side].len(),
-                        digest(&s.buf[side]),
+                        sock.refs[side] > 0,
+                        sock.buf[side].len(),
+                        digest(&sock.buf[side]),
                     ),
-                ));
+                );
             }
         }
-        out
     }
 }
 

@@ -17,9 +17,10 @@
 //! measured at 8.5 % of a null syscall.
 
 use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::Arc;
 
-use cider_abi::codec::ByteWriter;
+use cider_abi::codec::{ByteWriter, RecordWriter, SectionWriter};
 use cider_abi::convention::CpuFlags;
 use cider_abi::errno::Errno;
 use cider_abi::ids::{Fd, Pid, Tid};
@@ -45,7 +46,7 @@ use crate::process::{
     Thread, ThreadState, UserCallback, WaitChannel,
 };
 use crate::profile::DeviceProfile;
-use crate::vfs::Vfs;
+use crate::vfs::{Ino, Vfs};
 use crate::warm::WarmStart;
 
 /// A registered program behaviour: the "main" of a simulated binary.
@@ -2053,10 +2054,10 @@ impl Kernel {
         Ok(())
     }
 
-    /// Exports every kernel-owned piece of device state as named,
+    /// Writes every kernel-owned piece of device state as named,
     /// ordered record sections for whole-device checkpointing
-    /// (`cider-ckpt` assembles them into a `StateImage`). Two kernels
-    /// that produce identical sections are observably identical: the
+    /// (`cider-ckpt` keeps the bytes as a `StateImage`). Two kernels
+    /// that write identical sections are observably identical: the
     /// records cover the virtual clock, event counters, allocator
     /// cursors, process and thread tables (including fd shapes, memory
     /// summaries, signal state, and console digests), the full VFS
@@ -2067,51 +2068,35 @@ impl Kernel {
     /// personality dispatch tables are deliberately absent: they are
     /// code, not state, and are reconstructed by re-booting, which is
     /// why restore is replay-based.
-    pub fn ckpt_sections(&self) -> Vec<(String, Vec<(String, String)>)> {
-        vec![
-            ("clock".to_string(), self.ckpt_clock()),
-            ("kernel/counters".to_string(), self.ckpt_counters()),
-            ("kernel/ids".to_string(), self.ckpt_ids()),
-            ("kernel/procs".to_string(), self.ckpt_procs()),
-            ("kernel/threads".to_string(), self.ckpt_threads()),
-            ("kernel/vfs".to_string(), self.ckpt_vfs()),
-            ("kernel/ipc".to_string(), self.ipc.ckpt_records()),
-            ("kernel/warm".to_string(), self.ckpt_warm()),
-            (
-                "kernel/memorystatus".to_string(),
-                vec![(
-                    "memorystatus".to_string(),
-                    self.memorystatus.ckpt_record(),
-                )],
-            ),
-            ("sched".to_string(), self.sched.ckpt_records()),
-            ("faults".to_string(), self.faults.ckpt_records()),
-        ]
-    }
-
-    fn ckpt_warm(&self) -> Vec<(String, String)> {
-        vec![("warm".to_string(), self.warm.ckpt_record())]
+    pub fn write_ckpt(&self, w: &mut SectionWriter) {
+        self.ckpt_clock(&mut w.section("clock"));
+        self.ckpt_counters(&mut w.section("kernel/counters"));
+        self.ckpt_ids(&mut w.section("kernel/ids"));
+        self.ckpt_procs(&mut w.section("kernel/procs"));
+        self.ckpt_threads(&mut w.section("kernel/threads"));
+        self.ckpt_vfs(&mut w.section("kernel/vfs"));
+        self.ipc.write_ckpt(&mut w.section("kernel/ipc"));
+        w.section("kernel/warm")
+            .record("warm", self.warm.ckpt_record());
+        w.section("kernel/memorystatus")
+            .record("memorystatus", self.memorystatus.ckpt_record());
+        self.sched.write_ckpt(&mut w.section("sched"));
+        self.ckpt_faults(&mut w.section("faults"));
     }
 
     /// `advanced_ns` is the sum of every charge, which is `now_ns`:
     /// the clock starts at zero and only [`VirtualClock::advance`]
     /// moves it.
-    fn ckpt_clock(&self) -> Vec<(String, String)> {
-        let now_ns = self.clock.now_ns().to_string();
-        vec![
-            ("now_ns".to_string(), now_ns.clone()),
-            ("charges".to_string(), self.clock.charges().to_string()),
-            ("advanced_ns".to_string(), now_ns),
-            (
-                "watchdog_limit_ns".to_string(),
-                self.clock.watchdog_limit_ns().to_string(),
-            ),
-        ]
+    fn ckpt_clock(&self, s: &mut RecordWriter<'_>) {
+        s.record("now_ns", self.clock.now_ns());
+        s.record("charges", self.clock.charges());
+        s.record("advanced_ns", self.clock.now_ns());
+        s.record("watchdog_limit_ns", self.clock.watchdog_limit_ns());
     }
 
-    fn ckpt_counters(&self) -> Vec<(String, String)> {
+    fn ckpt_counters(&self, s: &mut RecordWriter<'_>) {
         let c = &self.counters;
-        [
+        for (k, v) in [
             ("traps", c.traps),
             ("syscalls", c.syscalls),
             ("forks", c.forks),
@@ -2122,113 +2107,86 @@ impl Kernel {
             ("atexit_callbacks", c.atexit_callbacks),
             ("context_switches", c.context_switches),
             ("persona_checks", c.persona_checks),
-        ]
-        .into_iter()
-        .map(|(k, v)| (k.to_string(), v.to_string()))
-        .collect()
+        ] {
+            s.record(k, v);
+        }
     }
 
-    fn ckpt_ids(&self) -> Vec<(String, String)> {
-        vec![
-            ("next_pid".to_string(), self.next_pid.to_string()),
-            ("next_tid".to_string(), self.next_tid.to_string()),
-            (
-                "next_wait_channel".to_string(),
-                self.next_wait_channel.to_string(),
-            ),
-            (
-                "current".to_string(),
-                match self.current {
-                    Some(t) => t.0.to_string(),
-                    None => "-".to_string(),
-                },
-            ),
-            ("cider_enabled".to_string(), self.cider_enabled.to_string()),
-            (
-                "linux_personality".to_string(),
-                format!("{:?}", self.linux_personality),
-            ),
-            (
-                "personalities".to_string(),
-                self.personalities.len().to_string(),
-            ),
-            ("binfmts".to_string(), self.binfmts.len().to_string()),
-            ("programs".to_string(), self.programs.len().to_string()),
-            (
-                "deferred_wakeups".to_string(),
-                self.deferred_wakeups
-                    .iter()
-                    .map(|w| w.0.to_string())
-                    .collect::<Vec<_>>()
-                    .join(","),
-            ),
-        ]
+    fn ckpt_ids(&self, s: &mut RecordWriter<'_>) {
+        s.record("next_pid", self.next_pid);
+        s.record("next_tid", self.next_tid);
+        s.record("next_wait_channel", self.next_wait_channel);
+        match self.current {
+            Some(t) => s.record("current", t.0),
+            None => s.record("current", "-"),
+        }
+        s.record("cider_enabled", self.cider_enabled);
+        s.record(
+            "linux_personality",
+            format_args!("{:?}", self.linux_personality),
+        );
+        s.record("personalities", self.personalities.len());
+        s.record("binfmts", self.binfmts.len());
+        s.record("programs", self.programs.len());
+        s.record(
+            "deferred_wakeups",
+            joined(self.deferred_wakeups.iter().map(|w| w.0), ","),
+        );
     }
 
-    fn ckpt_procs(&self) -> Vec<(String, String)> {
-        let mut out = Vec::new();
+    fn ckpt_procs(&self, s: &mut RecordWriter<'_>) {
         for (pid, p) in &self.procs {
-            let fds: Vec<String> = p
-                .fds
-                .iter()
-                .map(|(fd, obj)| {
-                    let ce = p.fds.cloexec(fd).unwrap_or(false);
-                    format!("{}={:?}{}", fd.0, obj, if ce { "*" } else { "" })
+            let fds = p.fds.iter().map(|(fd, obj)| {
+                let ce = p.fds.cloexec(fd).unwrap_or(false);
+                fmt::from_fn(move |f| {
+                    write!(f, "{}={obj:?}{}", fd.0, if ce { "*" } else { "" })
                 })
-                .collect();
-            let handlers: Vec<String> = p
-                .sig_handlers
-                .iter()
-                .map(|(sig, d)| format!("{sig}={d:?}"))
-                .collect();
+            });
+            let handlers = p.sig_handlers.iter().map(|(sig, d)| {
+                fmt::from_fn(move |f| write!(f, "{sig}={d:?}"))
+            });
             // CoW debt is appended only when present, so processes on
             // the cold machine keep their exact historical record
             // bytes.
-            let cow = if p.mm.cow_pending_ptes() + p.mm.cow_dirty_pages() > 0 {
-                format!(
-                    "+cow{}p/{}d",
-                    p.mm.cow_pending_ptes(),
-                    p.mm.cow_dirty_pages()
-                )
-            } else {
-                String::new()
-            };
-            out.push((
-                format!("pid:{pid:06}"),
-                format!(
-                    "state={:?} parent={} cwd={} threads={:?} \
-                     children={:?} fds=[{}] mm={}/{}p/{}B{} \
+            let (pending, dirty) =
+                (p.mm.cow_pending_ptes(), p.mm.cow_dirty_pages());
+            let cow = fmt::from_fn(|f| match pending + dirty {
+                0 => Ok(()),
+                _ => write!(f, "+cow{pending}p/{dirty}d"),
+            });
+            s.record(
+                format_args!("pid:{pid:06}"),
+                format_args!(
+                    "state={:?} parent={} cwd={} threads=[{}] \
+                     children=[{}] fds=[{}] mm={}/{}p/{}B{cow} \
                      prog={}({}) fmt={} dylibs={} sig=[{}] \
                      console={:016x}/{}",
                     p.state,
                     p.parent.map(|x| x.0 as i64).unwrap_or(-1),
                     p.cwd,
-                    p.threads.iter().map(|t| t.0).collect::<Vec<_>>(),
-                    p.children.iter().map(|c| c.0).collect::<Vec<_>>(),
-                    fds.join(" "),
+                    joined(p.threads.iter().map(|t| t.0), ", "),
+                    joined(p.children.iter().map(|c| c.0), ", "),
+                    joined(fds, " "),
                     p.mm.mapping_count(),
                     p.mm.total_ptes(),
                     p.mm.total_bytes(),
-                    cow,
                     p.program.path,
-                    p.program.argv.join(","),
+                    joined(p.program.argv.iter(), ","),
                     p.program.format,
                     p.program.dylib_count,
-                    handlers.join(" "),
+                    joined(handlers, " "),
                     fnv1a(&p.console),
                     p.console.len(),
                 ),
-            ));
+            );
         }
-        out
     }
 
-    fn ckpt_threads(&self) -> Vec<(String, String)> {
-        let mut out = Vec::new();
+    fn ckpt_threads(&self, s: &mut RecordWriter<'_>) {
         for (tid, t) in &self.threads {
-            out.push((
-                format!("tid:{tid:06}"),
-                format!(
+            s.record(
+                format_args!("tid:{tid:06}"),
+                format_args!(
                     "pid={} state={:?} persona={:?} sigmask={:#x} \
                      pending={:?} delivered={} ext={}",
                     t.pid.0,
@@ -2239,36 +2197,88 @@ impl Kernel {
                     t.delivered.len(),
                     t.ext.is_some(),
                 ),
-            ));
+            );
         }
-        out
     }
 
-    fn ckpt_vfs(&self) -> Vec<(String, String)> {
+    /// A regular file records its cached content digest, so a capture
+    /// hashes only the files written since their last capture.
+    fn ckpt_vfs(&self, s: &mut RecordWriter<'_>) {
         use cider_abi::types::FileType;
-        let mut out = vec![(
-            "node_count".to_string(),
-            self.vfs.node_count().to_string(),
-        )];
-        self.vfs.walk("/", |path, st, data| {
-            let detail = match st.file_type {
-                FileType::Regular => format!(
+        s.record("node_count", self.vfs.node_count());
+        self.vfs.walk("/", |path, st, _| match st.file_type {
+            FileType::Regular => s.record(
+                path,
+                format_args!(
                     "file mode={:o} size={} digest={:016x}",
                     st.mode,
                     st.size,
-                    fnv1a(data)
+                    self.vfs
+                        .file_digest(Ino(st.ino))
+                        .expect("the walk visits live files"),
                 ),
-                FileType::Directory => {
-                    format!("dir mode={:o} entries={}", st.mode, st.size)
-                }
-                other => {
-                    format!("{other:?} mode={:o} size={}", st.mode, st.size)
-                }
-            };
-            out.push((path.to_string(), detail));
+            ),
+            FileType::Directory => s.record(
+                path,
+                format_args!("dir mode={:o} entries={}", st.mode, st.size),
+            ),
+            other => s.record(
+                path,
+                format_args!("{other:?} mode={:o} size={}", st.mode, st.size),
+            ),
         });
-        out
     }
+
+    /// The fault layer's complete mutable state: the plan seed, each
+    /// armed site's stream position and budget consumption (in site
+    /// order), and both ledgers. A restored replay that reproduces
+    /// these records has re-drawn the exact same fault schedule.
+    fn ckpt_faults(&self, s: &mut RecordWriter<'_>) {
+        let faults = &self.faults;
+        s.record("plan_seed", faults.plan().seed);
+        s.record("injected_total", faults.injected_total());
+        for (site, rng_state, injected) in faults.site_streams() {
+            s.record(
+                format_args!("site:{}", site.name()),
+                format_args!("rng_state={rng_state:016x} injected={injected}"),
+            );
+        }
+        for (i, rec) in faults.ledger().iter().enumerate() {
+            s.record(
+                format_args!("fault:{i:06}"),
+                format_args!(
+                    "site={} seq={} at_ns={}",
+                    rec.site.name(),
+                    rec.seq,
+                    rec.at_ns
+                ),
+            );
+        }
+        for (i, rec) in faults.recoveries().iter().enumerate() {
+            s.record(
+                format_args!("recovery:{i:06}"),
+                format_args!("action={} at_ns={}", rec.action, rec.at_ns),
+            );
+        }
+    }
+}
+
+/// The items displayed one after another with `sep` between each two,
+/// written in place: what collecting them as strings and joining them
+/// with `sep` gives.
+fn joined<'a, I>(items: I, sep: &'a str) -> impl fmt::Display + 'a
+where
+    I: Iterator<Item: fmt::Display> + Clone + 'a,
+{
+    fmt::from_fn(move |f| {
+        for (i, item) in items.clone().enumerate() {
+            if i > 0 {
+                f.write_str(sep)?;
+            }
+            write!(f, "{item}")?;
+        }
+        Ok(())
+    })
 }
 
 // ----------------------------------------------------------------------

@@ -19,7 +19,7 @@
 //! SIGKILL would.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt;
 
 use cider_abi::ids::Pid;
 use cider_abi::memorystatus::{PressureLevel, JETSAM_PRIORITY_MAX};
@@ -165,29 +165,31 @@ impl MemoryStatus {
     }
 
     /// One-line deterministic record for the `kernel/memorystatus`
-    /// checkpoint section.
-    pub fn ckpt_record(&self) -> String {
-        let mut procs = String::new();
-        for (pid, e) in &self.entries {
-            let _ = write!(procs, "{pid}:b{}:{}B,", e.band, e.footprint);
-        }
-        if procs.is_empty() {
-            procs.push('-');
-        }
-        let wm = if self.warn_bytes == u64::MAX {
-            "unset".to_string()
-        } else {
-            format!("{}/{}", self.warn_bytes, self.critical_bytes)
-        };
-        format!(
-            "level={} wm={wm} procs={procs} ticks={} pkills={} fkills={} \
-             peak={}",
-            self.level().name(),
-            self.stats.ticks,
-            self.stats.pressure_kills,
-            self.stats.fault_kills,
-            self.stats.peak_footprint,
-        )
+    /// checkpoint section, formatted where it is written.
+    pub fn ckpt_record(&self) -> impl fmt::Display + '_ {
+        fmt::from_fn(move |f| {
+            write!(f, "level={} wm=", self.level().name())?;
+            if self.warn_bytes == u64::MAX {
+                f.write_str("unset")?;
+            } else {
+                write!(f, "{}/{}", self.warn_bytes, self.critical_bytes)?;
+            }
+            f.write_str(" procs=")?;
+            if self.entries.is_empty() {
+                f.write_str("-")?;
+            }
+            for (pid, e) in &self.entries {
+                write!(f, "{pid}:b{}:{}B,", e.band, e.footprint)?;
+            }
+            write!(
+                f,
+                " ticks={} pkills={} fkills={} peak={}",
+                self.stats.ticks,
+                self.stats.pressure_kills,
+                self.stats.fault_kills,
+                self.stats.peak_footprint,
+            )
+        })
     }
 }
 
@@ -201,7 +203,10 @@ mod tests {
         assert_eq!(m.level(), PressureLevel::Normal);
         assert_eq!(m.select_victim(JETSAM_PRIORITY_MAX), None);
         assert_eq!(m.total_footprint(), 0);
-        assert!(m.ckpt_record().contains("level=normal wm=unset procs=-"));
+        assert!(m
+            .ckpt_record()
+            .to_string()
+            .contains("level=normal wm=unset procs=-"));
     }
 
     #[test]
@@ -247,8 +252,8 @@ mod tests {
         m.set_watermarks(64, 128);
         m.track(Pid(7), 3);
         m.charge_footprint(Pid(7), 42);
-        let a = m.ckpt_record();
-        let b = m.clone().ckpt_record();
+        let a = m.ckpt_record().to_string();
+        let b = m.clone().ckpt_record().to_string();
         assert_eq!(a, b);
         assert!(a.contains("7:b3:42B"));
         assert!(a.contains("wm=64/128"));

@@ -79,7 +79,8 @@ pub struct DeliveredSignal {
 
 impl Clone for Thread {
     /// An exact copy, extension state included (through
-    /// [`ThreadExt::clone_ext`]); `fork` uses [`Thread::fork_clone`].
+    /// [`ThreadExt::clone_ext`]); `fork` copies a thread under a new
+    /// tid and pid instead.
     fn clone(&self) -> Thread {
         Thread {
             tid: self.tid,

@@ -25,11 +25,13 @@
 //! IPC or launch workloads has none, an app lifecycle cycle leaves
 //! about five.
 
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 use cider_abi::errno::Errno;
 use cider_abi::types::{FileType, Stat};
+use cider_fault::fnv1a;
 
 /// Inode number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -43,9 +45,39 @@ pub struct DeviceId(pub u32);
 #[derive(Debug, Clone)]
 enum NodeKind {
     Dir(BTreeMap<String, Ino>),
-    File(Vec<u8>),
+    File(FileData),
     Symlink(String),
     Device(DeviceId),
+}
+
+/// A regular file's contents and their FNV-1a digest, computed on first
+/// use and kept until the contents change. The cache is plain
+/// per-device data: a fork copies it, and the only way to change the
+/// contents, [`FileData::bytes_mut`], forgets it.
+#[derive(Debug, Clone, Default)]
+struct FileData {
+    bytes: Vec<u8>,
+    digest: Cell<Option<u64>>,
+}
+
+impl FileData {
+    fn new(bytes: Vec<u8>) -> FileData {
+        FileData {
+            bytes,
+            digest: Cell::new(None),
+        }
+    }
+
+    fn digest(&self) -> u64 {
+        let digest = self.digest.get().unwrap_or_else(|| fnv1a(&self.bytes));
+        self.digest.set(Some(digest));
+        digest
+    }
+
+    fn bytes_mut(&mut self) -> &mut Vec<u8> {
+        *self.digest.get_mut() = None;
+        &mut self.bytes
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -490,7 +522,7 @@ impl Vfs {
                 let node = self.node_mut(ino);
                 match &mut node.kind {
                     NodeKind::File(contents) => {
-                        *contents = data;
+                        *contents = FileData::new(data);
                         node.mtime_ns = now;
                         Ok(ino)
                     }
@@ -499,7 +531,7 @@ impl Vfs {
                 }
             }
             None => {
-                let f = self.alloc(NodeKind::File(data), 0o644);
+                let f = self.alloc(NodeKind::File(FileData::new(data)), 0o644);
                 self.link(parent, name, f)?;
                 Ok(f)
             }
@@ -515,7 +547,7 @@ impl Vfs {
         let (parent_comps, name) = Self::parent_and_name(path)?;
         let parent_path = format!("/{}", parent_comps.join("/"));
         let parent = self.mkdir_p_overlay(&parent_path)?;
-        let f = self.alloc(NodeKind::File(data), 0o644);
+        let f = self.alloc(NodeKind::File(FileData::new(data)), 0o644);
         match self.link(parent, name, f) {
             Ok(()) => Ok(f),
             Err(Errno::EEXIST) => {
@@ -564,9 +596,33 @@ impl Vfs {
     /// never handed out), `EISDIR`/`EINVAL` for wrong node kinds.
     pub fn file_bytes(&self, ino: Ino) -> Result<&[u8], Errno> {
         match &self.try_node(ino)?.kind {
-            NodeKind::File(data) => Ok(data),
+            NodeKind::File(data) => Ok(&data.bytes),
             NodeKind::Dir(_) => Err(Errno::EISDIR),
             _ => Err(Errno::EINVAL),
+        }
+    }
+
+    /// The FNV-1a digest of an already-resolved file's contents, from
+    /// the node's cache: hashed on the first call after each write.
+    ///
+    /// # Errors
+    ///
+    /// As [`Vfs::file_bytes`].
+    pub fn file_digest(&self, ino: Ino) -> Result<u64, Errno> {
+        match &self.try_node(ino)?.kind {
+            NodeKind::File(data) => Ok(data.digest()),
+            NodeKind::Dir(_) => Err(Errno::EISDIR),
+            _ => Err(Errno::EINVAL),
+        }
+    }
+
+    /// Fills every file's digest cache, so that copies of this
+    /// filesystem start with them filled.
+    pub fn fill_digests(&self) {
+        for node in self.nodes.iter().flatten() {
+            if let NodeKind::File(data) = &node.kind {
+                data.digest();
+            }
         }
     }
 
@@ -577,7 +633,7 @@ impl Vfs {
     /// `EIO` if the inode was unlinked since it was resolved.
     pub fn file_len(&self, ino: Ino) -> Result<u64, Errno> {
         match &self.try_node(ino)?.kind {
-            NodeKind::File(data) => Ok(data.len() as u64),
+            NodeKind::File(data) => Ok(data.bytes.len() as u64),
             _ => Err(Errno::EINVAL),
         }
     }
@@ -613,6 +669,7 @@ impl Vfs {
         let node = self.try_node_mut(ino)?;
         match &mut node.kind {
             NodeKind::File(data) => {
+                let data = data.bytes_mut();
                 let off = offset as usize;
                 if data.len() < off + buf.len() {
                     data.resize(off + buf.len(), 0);
@@ -636,7 +693,7 @@ impl Vfs {
         let node = self.try_node_mut(ino)?;
         match &mut node.kind {
             NodeKind::File(data) => {
-                data.resize(len as usize, 0);
+                data.bytes_mut().resize(len as usize, 0);
                 node.mtime_ns = now;
                 Ok(())
             }
@@ -722,7 +779,7 @@ impl Vfs {
         let n = self.node(ino);
         let (file_type, size) = match &n.kind {
             NodeKind::Dir(e) => (FileType::Directory, e.len() as u64),
-            NodeKind::File(d) => (FileType::Regular, d.len() as u64),
+            NodeKind::File(d) => (FileType::Regular, d.bytes.len() as u64),
             NodeKind::Symlink(t) => (FileType::Symlink, t.len() as u64),
             NodeKind::Device(_) => (FileType::CharDevice, 0),
         };
@@ -822,7 +879,7 @@ impl Vfs {
             return;
         };
         let data = match &self.node(ino).kind {
-            NodeKind::File(data) => data.as_slice(),
+            NodeKind::File(data) => data.bytes.as_slice(),
             _ => &[],
         };
         let st = self.stat(ino);
@@ -984,6 +1041,57 @@ mod tests {
         assert_eq!(st.file_type, FileType::Regular);
         assert_eq!(st.size, 1000);
         assert_eq!(st.blocks, 2);
+    }
+
+    /// Each way of changing a file's contents moves the digest
+    /// `kernel/vfs` records for it to that of the new bytes, although
+    /// the old digest was cached when the write came.
+    #[test]
+    fn every_content_write_moves_the_cached_digest() {
+        let mut fs = Vfs::new();
+        fs.mkdir_p("/d").unwrap();
+        let lower = fs.write_file("/d/f", b"one".to_vec()).unwrap();
+        let upper = fs.write_file_overlay("/o/f", b"one".to_vec()).unwrap();
+        type Write = fn(&mut Vfs, Ino);
+        let writes: [(&str, Ino, Write); 4] = [
+            ("write_file", lower, |fs, _| {
+                fs.write_file("/d/f", b"two".to_vec()).unwrap();
+            }),
+            ("write_file_overlay", upper, |fs, _| {
+                fs.write_file_overlay("/o/f", b"two".to_vec()).unwrap();
+            }),
+            ("write_at", lower, |fs, ino| {
+                fs.write_at(ino, 1, b"XY").unwrap();
+            }),
+            ("truncate", lower, |fs, ino| fs.truncate(ino, 1).unwrap()),
+        ];
+        for (what, ino, write) in writes {
+            let before = fs.file_digest(ino).unwrap();
+            write(&mut fs, ino);
+            let after = fs.file_digest(ino).unwrap();
+            assert_ne!(before, after, "{what} left the digest");
+            assert_eq!(after, fnv1a(fs.file_bytes(ino).unwrap()), "{what}");
+        }
+    }
+
+    /// A fork copies the filled caches, and a write in the fork leaves
+    /// the original's cached digest alone.
+    #[test]
+    fn a_write_in_a_clone_leaves_the_original_digest() {
+        let mut fs = Vfs::new();
+        fs.mkdir_p("/d").unwrap();
+        let ino = fs.write_file("/d/f", b"zygote".to_vec()).unwrap();
+        fs.fill_digests();
+        let mut fork = fs.clone();
+        let cached = |fs: &Vfs| match &fs.node(ino).kind {
+            NodeKind::File(data) => data.digest.get(),
+            _ => None,
+        };
+        assert_eq!(cached(&fork), Some(fnv1a(b"zygote")));
+        fork.write_at(ino, 0, b"Z").unwrap();
+        assert_eq!(cached(&fs), Some(fnv1a(b"zygote")));
+        assert_eq!(fs.file_digest(ino), Ok(fnv1a(b"zygote")));
+        assert_eq!(fork.file_digest(ino), Ok(fnv1a(b"Zygote")));
     }
 
     #[test]

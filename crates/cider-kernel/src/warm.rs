@@ -22,7 +22,7 @@
 //! - `FaultSite::SharedCacheCorrupt` fires or the digest check fails →
 //!   cache dropped, cold walk re-bakes.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 use cider_fault::fnv1a;
@@ -169,29 +169,33 @@ impl WarmStart {
     }
 
     /// One-line deterministic record for the `kernel/warm` checkpoint
-    /// section.
-    pub fn ckpt_record(&self) -> String {
-        let s = &self.stats;
-        let cache = match &self.cache {
-            Some(c) => format!(
-                "{}i/{}B/{:016x}",
-                c.images.len(),
-                c.total_bytes,
-                c.digest
-            ),
-            None => "none".to_string(),
-        };
-        format!(
-            "enabled={} cache={cache} bakes={} warm={} inval={} \
-             cow_forks={} cow_faults={} cow_deferred={}",
-            self.enabled,
-            s.cold_bakes,
-            s.warm_execs,
-            s.invalidations,
-            s.cow_forks,
-            s.cow_faults,
-            s.cow_deferred_ptes,
-        )
+    /// section, formatted where it is written.
+    pub fn ckpt_record(&self) -> impl fmt::Display + '_ {
+        fmt::from_fn(move |f| {
+            let s = &self.stats;
+            write!(f, "enabled={} cache=", self.enabled)?;
+            match &self.cache {
+                Some(c) => write!(
+                    f,
+                    "{}i/{}B/{:016x}",
+                    c.images.len(),
+                    c.total_bytes,
+                    c.digest
+                )?,
+                None => f.write_str("none")?,
+            }
+            write!(
+                f,
+                " bakes={} warm={} inval={} cow_forks={} cow_faults={} \
+                 cow_deferred={}",
+                s.cold_bakes,
+                s.warm_execs,
+                s.invalidations,
+                s.cow_forks,
+                s.cow_faults,
+                s.cow_deferred_ptes,
+            )
+        })
     }
 }
 
@@ -241,7 +245,10 @@ mod tests {
         let mut w = WarmStart::new();
         assert!(!w.is_enabled());
         assert!(w.cache().is_none());
-        assert!(w.ckpt_record().contains("enabled=false cache=none"));
+        assert!(w
+            .ckpt_record()
+            .to_string()
+            .contains("enabled=false cache=none"));
         w.set_enabled(true);
         w.install(cache());
         assert_eq!(w.stats.cold_bakes, 1);
@@ -256,8 +263,8 @@ mod tests {
         let mut w = WarmStart::new();
         w.set_enabled(true);
         w.install(cache());
-        let a = w.ckpt_record();
-        let b = w.clone().ckpt_record();
+        let a = w.ckpt_record().to_string();
+        let b = w.clone().ckpt_record().to_string();
         assert_eq!(a, b);
         assert!(a.contains("cache=2i/12288B/"));
     }

@@ -25,7 +25,9 @@
 //! next* and *when to ask*.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt;
 
+use cider_abi::codec::RecordWriter;
 use cider_abi::ids::Tid;
 use cider_abi::persona::Persona;
 use cider_abi::sched::{
@@ -441,55 +443,46 @@ impl Scheduler {
         self.queues.iter().any(|q| q.iter().any(|&t| t != tid.0))
     }
 
-    /// Exports the scheduler's complete observable state as stable
+    /// Writes the scheduler's complete observable state as stable
     /// `(key, value)` records for whole-device checkpointing: the
     /// tie-breaker stream position, boost bookkeeping, every
     /// per-thread entry (in tid order), and the occupied run queues
-    /// (band-major FIFO order). Two schedulers that produce these
+    /// (band-major FIFO order). Two schedulers that write these
     /// records identically are behaviourally indistinguishable.
-    pub fn ckpt_records(&self) -> Vec<(String, String)> {
-        let mut out = vec![
-            ("seed".to_string(), self.seed.to_string()),
-            (
-                "rng_state".to_string(),
-                format!("{:016x}", self.rng.state()),
-            ),
-            ("last_boost_ns".to_string(), self.last_boost_ns.to_string()),
-            ("need_resched".to_string(), self.need_resched.to_string()),
-            (
-                "yielded".to_string(),
-                self.yielded
-                    .map(|t| t.to_string())
-                    .unwrap_or_else(|| "-".to_string()),
-            ),
-        ];
+    pub fn write_ckpt(&self, s: &mut RecordWriter<'_>) {
+        s.record("seed", self.seed);
+        s.record("rng_state", format_args!("{:016x}", self.rng.state()));
+        s.record("last_boost_ns", self.last_boost_ns);
+        s.record("need_resched", self.need_resched);
+        s.record("yielded", or_dash(self.yielded));
         for (tid, e) in &self.entries {
-            let depressed = e
-                .depressed_from
-                .map(|p| p.to_string())
-                .unwrap_or_else(|| "-".to_string());
-            out.push((
-                format!("tid:{tid}"),
-                format!(
+            s.record(
+                format_args!("tid:{tid}"),
+                format_args!(
                     "base={} eff={} quantum_ns={} persona={:?} \
-                     policy={:?} depressed={depressed} state={:?}",
+                     policy={:?} depressed={} state={:?}",
                     e.base_pri,
                     e.eff_pri,
                     e.quantum_left_ns,
                     e.persona,
                     e.policy,
+                    or_dash(e.depressed_from),
                     e.state
                 ),
-            ));
+            );
         }
         for (pri, q) in self.queues.iter().enumerate() {
             if !q.is_empty() {
-                let ids: Vec<String> =
-                    q.iter().map(|t| t.to_string()).collect();
-                out.push((format!("queue:{pri:03}"), ids.join(",")));
+                let ids = fmt::from_fn(|f| {
+                    for (i, t) in q.iter().enumerate() {
+                        let sep = if i == 0 { "" } else { "," };
+                        write!(f, "{sep}{t}")?;
+                    }
+                    Ok(())
+                });
+                s.record(format_args!("queue:{pri:03}"), ids);
             }
         }
-        out
     }
 
     /// MLFQ anti-starvation boost: every [`BOOST_PERIOD_NS`] of virtual
@@ -522,6 +515,14 @@ impl Scheduler {
             }
         }
     }
+}
+
+/// The value, or `-` when there is none.
+fn or_dash(v: Option<impl fmt::Display>) -> impl fmt::Display {
+    fmt::from_fn(move |f| match &v {
+        Some(v) => write!(f, "{v}"),
+        None => f.write_str("-"),
+    })
 }
 
 #[cfg(test)]

@@ -18,11 +18,13 @@
 mod common;
 
 use cider_bench::config::SystemConfig;
-use cider_ckpt::{Checkpoint, CkptError, CkptHeader};
-use cider_fault::{FaultPlan, FaultSite};
+use cider_ckpt::{
+    fnv1a, Checkpoint, CheckpointStore, CkptError, CkptHeader, SpacingPolicy,
+};
+use cider_fault::{FaultLayer, FaultPlan, FaultSite};
 use cider_fleet::{
     run_device_healed, DeviceOutcome, DeviceSim, DeviceSpec, FleetReport,
-    FleetSpec, HealConfig, PersonaMix, Workload,
+    FleetSpec, HealConfig, HealStats, PersonaMix, Workload,
 };
 use common::{assert_same_trace, trace};
 use proptest::prelude::*;
@@ -376,4 +378,224 @@ fn corrupt_checkpoints_fall_back_to_older_good_frames() {
         "ledger missing checksum rejection: {:?}",
         stats.ledger
     );
+}
+
+/// The frames one self-healing device writes, in write order (after
+/// any injected corruption), with the healing statistics of the run
+/// that wrote them. The loop takes the decisions `run_device_healed`
+/// takes, through the public checkpoint API; the caller checks the
+/// statistics against the fleet's own, so the frames are the ones the
+/// fleet wrote.
+fn healed_frames(
+    spec: &DeviceSpec,
+    heal: &HealConfig,
+) -> (Vec<u64>, HealStats) {
+    let lifecycle_plan = spec
+        .fault_plan
+        .as_ref()
+        .map(|p| p.only(&FaultSite::DEVICE_LIFECYCLE))
+        .unwrap_or_else(FaultPlan::empty);
+    let mut lifecycle = FaultLayer::with_plan(lifecycle_plan);
+    let s = DeviceSpec {
+        fault_plan: spec
+            .fault_plan
+            .as_ref()
+            .map(|p| p.without(&FaultSite::DEVICE_LIFECYCLE)),
+        ..spec.clone()
+    };
+    let mut store = CheckpointStore::with_capacity(heal.store_frames);
+    let mut policy = SpacingPolicy::exponential(heal.ckpt_base, heal.ckpt_cap);
+    let mut stats = HealStats::default();
+    let mut written = Vec::new();
+    let mut frame = |sim: &DeviceSim,
+                     lifecycle: &mut FaultLayer,
+                     store: &mut CheckpointStore,
+                     stats: &mut HealStats| {
+        let mut bytes = checkpoint_at(sim, &s);
+        if let Some(seq) =
+            lifecycle.try_inject(FaultSite::CheckpointCorrupt, sim.now_ns())
+        {
+            let pos = (seq.wrapping_mul(0x9E37_79B9_7F4A_7C15) as usize)
+                % (bytes.len() * 8);
+            bytes[pos / 8] ^= 1 << (pos % 8);
+            stats.ledger.push(format!(
+                "ckpt@{} inject=checkpoint_corrupt seq={seq}",
+                sim.cursor()
+            ));
+        }
+        written.push(fnv1a(&bytes));
+        store.push(sim.cursor(), bytes);
+        stats.checkpoints_taken += 1;
+    };
+
+    let mut sim = DeviceSim::boot(&s);
+    frame(&sim, &mut lifecycle, &mut store, &mut stats);
+    while !sim.done() {
+        if stats.restores >= heal.max_restores {
+            stats.ledger.push(format!(
+                "unit={} gave_up restores={}",
+                sim.cursor(),
+                stats.restores
+            ));
+            break;
+        }
+        let at_unit = sim.cursor();
+        let now = sim.now_ns();
+        let crash =
+            lifecycle.try_inject(FaultSite::DeviceCrash, now).is_some();
+        let wedge =
+            lifecycle.try_inject(FaultSite::DeviceWedge, now).is_some();
+        let kind =
+            if wedge || sim.step_within(heal.watchdog_budget_ns).is_err() {
+                stats.wedges += 1;
+                "device_wedge"
+            } else if crash {
+                stats.crashes += 1;
+                "device_crash"
+            } else {
+                if policy.due(sim.cursor()) {
+                    frame(&sim, &mut lifecycle, &mut store, &mut stats);
+                    policy.taken(sim.cursor());
+                }
+                continue;
+            };
+        let mut from = ("boot".to_string(), 0);
+        let mut restored = None;
+        for (cursor, bytes) in store.candidates() {
+            let ckpt = match Checkpoint::from_bytes(bytes) {
+                Ok(ckpt) => ckpt,
+                Err(err) => {
+                    stats.corrupt_detected += 1;
+                    stats
+                        .ledger
+                        .push(format!("ckpt@{cursor} rejected: {err}"));
+                    continue;
+                }
+            };
+            let mut replay = DeviceSim::boot(&s);
+            for _ in 0..ckpt.header.cursor {
+                replay.step();
+            }
+            stats.replayed_units += ckpt.header.cursor;
+            if replay.capture() == ckpt.image {
+                from = (format!("ckpt@{cursor}"), ckpt.header.cursor);
+                restored = Some(replay);
+                break;
+            }
+            stats.corrupt_detected += 1;
+            let err = CkptError::ReplayDiverged {
+                sections: replay.capture().diff(&ckpt.image).len(),
+            };
+            stats.ledger.push(format!("ckpt@{cursor} rejected: {err}"));
+        }
+        sim = restored.unwrap_or_else(|| DeviceSim::boot(&s));
+        stats.restores += 1;
+        stats.ledger.push(format!(
+            "unit={at_unit} fault={kind} restored_from={} replayed={}",
+            from.0, from.1
+        ));
+    }
+    (written, stats)
+}
+
+/// The image bytes every capture site produces, pinned: for every
+/// configuration × {lmbench mix, IPC storm, launch storm, app
+/// lifecycle}, without and with `FaultPlan::matrix`, the FNV-1a of
+/// `capture().to_bytes()` at cursor 0, at cursor 1 and when done; then
+/// the FNV-1a of every frame each device of a healed lifecycle-fault
+/// fleet writes, corrupted ones included. A capture or encoding change
+/// that moves any byte fails here.
+///
+/// Regenerate (only as a labelled byte change that names the records
+/// that moved) with:
+///
+/// ```text
+/// UPDATE_GOLDEN=1 cargo test --test ckpt capture_bytes_match_golden
+/// ```
+#[test]
+fn capture_bytes_match_golden() {
+    use std::fmt::Write;
+    let mut got = String::from(
+        "# config\tworkload\tfaults\tFNV-1a of capture().to_bytes() at \
+         cursor 0, cursor 1, done\n",
+    );
+    let workloads = [
+        Workload::LmbenchMix { ops: 4 },
+        Workload::IpcStorm { msgs: 3 },
+        Workload::LaunchStorm { launches: 2 },
+        Workload::AppLifecycle { cycles: 2 },
+    ];
+    for config in SystemConfig::ALL {
+        for workload in workloads {
+            for faults in [false, true] {
+                let s = DeviceSpec {
+                    device_id: 0,
+                    seed: 19,
+                    config,
+                    workload,
+                    fault_plan: faults.then(|| FaultPlan::matrix(19)),
+                };
+                let mut sim = DeviceSim::boot(&s);
+                let mut digests = vec![fnv1a(&sim.capture().to_bytes())];
+                sim.step();
+                digests.push(fnv1a(&sim.capture().to_bytes()));
+                while !sim.done() {
+                    sim.step();
+                }
+                digests.push(fnv1a(&sim.capture().to_bytes()));
+                let [a, b, c] = digests[..] else {
+                    unreachable!()
+                };
+                writeln!(
+                    got,
+                    "{}\t{}\t{}\t{a:016x}\t{b:016x}\t{c:016x}",
+                    config.slug(),
+                    workload.slug(),
+                    if faults { "matrix" } else { "none" },
+                )
+                .unwrap();
+            }
+        }
+    }
+
+    got.push_str("# healed fleet device\tframes\tFNV-1a of each frame\n");
+    let lifecycle = FaultPlan::new(23)
+        .with(FaultSite::DeviceCrash, 60)
+        .with(FaultSite::DeviceWedge, 20)
+        .with(FaultSite::CheckpointCorrupt, 300);
+    let fleet = FleetSpec::new(8, 42, Workload::LmbenchMix { ops: 16 })
+        .fault_plan(lifecycle)
+        .heal(HealConfig::default());
+    let heal = fleet.heal.unwrap();
+    let (mut restores, mut rejected) = (0, 0);
+    for s in fleet.device_specs() {
+        let (digests, stats) = healed_frames(&s, &heal);
+        let fleet_stats = run_device_healed(&s, &heal).heal.unwrap();
+        assert_eq!(stats, fleet_stats, "device {}", s.device_id);
+        restores += stats.restores;
+        rejected += stats.corrupt_detected;
+        let frames: Vec<String> =
+            digests.iter().map(|d| format!("{d:016x}")).collect();
+        writeln!(
+            got,
+            "{}\t{}\t{}",
+            s.device_id,
+            frames.len(),
+            frames.join(" ")
+        )
+        .unwrap();
+    }
+    // Restores that fall back past rejected frames run both restore
+    // branches.
+    assert!(restores > 0 && rejected > 0, "the fleet must heal");
+
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden/ckpt_images.txt");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, &got).unwrap();
+        return;
+    }
+    let want = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    assert_eq!(got, want, "capture or frame bytes moved");
 }

@@ -867,6 +867,8 @@ fn context_switch_trace_replays_on_ci_seeds() {
 // record itself are the *intended* deltas and are excluded.
 // ----------------------------------------------------------------------
 
+use cider_ckpt::{capture_kernel, Section};
+
 /// Checkpoint sections that must be warm/cold invariant.
 const WARM_INVARIANT_SECTIONS: [&str; 5] = [
     "kernel/ids",
@@ -876,12 +878,11 @@ const WARM_INVARIANT_SECTIONS: [&str; 5] = [
     "kernel/ipc",
 ];
 
-#[allow(clippy::type_complexity)]
 fn launch_observation(
     seed: u64,
     warm: bool,
     launches: usize,
-) -> (Vec<String>, Vec<(String, Vec<(String, String)>)>) {
+) -> (Vec<String>, Vec<Option<Section>>) {
     let mut bed = TestBed::builder(SystemConfig::CiderIos).build();
     bed.sys.kernel.warm.set_enabled(warm);
     bed.sys.kernel.sched.reseed(seed);
@@ -895,12 +896,10 @@ fn launch_observation(
             },
         );
     }
-    let sections = bed
-        .sys
-        .kernel
-        .ckpt_sections()
-        .into_iter()
-        .filter(|(name, _)| WARM_INVARIANT_SECTIONS.contains(&name.as_str()))
+    let image = capture_kernel(&bed.sys.kernel);
+    let sections = WARM_INVARIANT_SECTIONS
+        .iter()
+        .map(|name| image.section(name))
         .collect();
     (results, sections)
 }

@@ -8,14 +8,17 @@
 //! `readdir` a directory. The two must visit the same `(path, stat,
 //! content digest)` sequence on random trees (overlay shadowing,
 //! chained, dangling and looping symlinks, `..` in link targets,
-//! devices, unlinks, and one symlink to an ancestor that only the depth
-//! cap stops) and on every fleet workload's device.
+//! devices, unlinks, writes at an offset, truncations, and one symlink
+//! to an ancestor that only the depth cap stops) and on every fleet
+//! workload's device. On the random trees, every regular file's cached
+//! digest (`Vfs::file_digest`, what `kernel/vfs` records) must also
+//! equal the FNV-1a of its bytes after every op.
 
 use cider_abi::types::{FileType, Stat};
 use cider_bench::config::SystemConfig;
 use cider_fleet::{DeviceSim, DeviceSpec, Workload};
 use cider_kernel::fnv1a;
-use cider_kernel::vfs::{DeviceId, Vfs, MAX_WALK_DEPTH};
+use cider_kernel::vfs::{DeviceId, Ino, Vfs, MAX_WALK_DEPTH};
 use proptest::prelude::*;
 
 type Visit = (String, Stat, u64);
@@ -81,6 +84,8 @@ enum Op {
     Symlink(String, String),
     MknodDevice(String),
     Unlink(String),
+    WriteAt(String, u8),
+    Truncate(String, u8),
 }
 
 impl Op {
@@ -99,6 +104,12 @@ impl Op {
             Op::Symlink(p, t) => fs.symlink(p, t),
             Op::MknodDevice(p) => fs.mknod_device(p, DeviceId(1)),
             Op::Unlink(p) => fs.unlink(p),
+            Op::WriteAt(p, n) => fs.resolve(p).and_then(|r| {
+                fs.write_at(r.ino, u64::from(*n), &[*n; 2]).map(drop)
+            }),
+            Op::Truncate(p, n) => fs
+                .resolve(p)
+                .and_then(|r| fs.truncate(r.ino, u64::from(*n))),
         };
     }
 }
@@ -162,7 +173,26 @@ fn op() -> impl Strategy<Value = Op> {
         leaf_path(&["f", "g"]).prop_map(Op::MknodDevice),
         dir_path(3).prop_map(Op::Unlink),
         leaf_path(&["f", "g", "l", "m", "up"]).prop_map(Op::Unlink),
+        (leaf_path(&["f", "g", "l"]), 0u8..4)
+            .prop_map(|(p, n)| Op::WriteAt(p, n)),
+        (leaf_path(&["f", "g", "l"]), 0u8..4)
+            .prop_map(|(p, n)| Op::Truncate(p, n)),
     ]
+}
+
+/// Every regular file's cached digest is the FNV-1a of its bytes.
+/// Reading a digest caches it, so a check after every op also catches
+/// a later write that leaves a stale cached digest behind.
+fn assert_cached_digests_match(fs: &Vfs, after: &Op) {
+    fs.walk("/", |path, st, data| {
+        if st.file_type == FileType::Regular {
+            assert_eq!(
+                fs.file_digest(Ino(st.ino)),
+                Ok(fnv1a(data)),
+                "{path}: stale digest after {after:?}"
+            );
+        }
+    });
 }
 
 /// The one symlink allowed to name a directory: `up`, pointing at an
@@ -182,7 +212,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// On random overlay trees, `Vfs::walk` visits exactly what the
-    /// path-by-path walk visits, from `/` and from a subdirectory.
+    /// path-by-path walk visits, from `/` and from a subdirectory, and
+    /// every file's cached digest stays that of its bytes.
     #[test]
     fn walk_matches_path_by_path_reference(
         ops in prop::collection::vec(op(), 1..40),
@@ -196,6 +227,7 @@ proptest! {
         let mut fs = Vfs::new();
         for op in &ops {
             op.apply(&mut fs);
+            assert_cached_digests_match(&fs, op);
         }
         assert_walk_matches_reference(&fs, "/");
         assert_walk_matches_reference(&fs, &root);

@@ -8,7 +8,9 @@
 //!   boot and a few units in: the forked device and a device on a bed
 //!   booted afresh (`TestBed::builder(config).traced().build()`
 //!   plus `spawn_measured`) capture the same image (kernel sections,
-//!   workload cursor and metrics, gfx records) and the same trace.
+//!   workload cursor and metrics, gfx records), hold the same thread
+//!   extensions (persona TLS areas and switch counts) and record the
+//!   same trace.
 //! * **Isolation.** A fork shares nothing mutable with its template.
 //!   Stepping units, tracing, GL calls through diplomats, frame swaps,
 //!   device registration and Cider state changes in the fork leave the
@@ -30,6 +32,7 @@ use cider_core::{with_state, CiderState};
 use cider_fault::FaultPlan;
 use cider_fleet::{DeviceSim, DeviceSpec, Workload};
 use cider_gfx::fbdriver::selectors;
+use cider_kernel::Kernel;
 use cider_trace::EventKind;
 use common::{assert_same_image, assert_same_trace, trace};
 
@@ -49,8 +52,30 @@ fn fresh_bed(config: SystemConfig) -> (TestBed, Pid, Tid) {
     (bed, pid, tid)
 }
 
+/// Every thread's extension through its `Debug` output, in tid order:
+/// the persona TLS areas and the persona-switch count, of which the
+/// image records only whether a thread has an extension.
+fn thread_exts(k: &Kernel, image: &StateImage) -> Vec<String> {
+    let threads = image.section("kernel/threads").expect("kernel/threads");
+    threads
+        .records
+        .iter()
+        .map(|(key, _)| {
+            let tid = key.strip_prefix("tid:").and_then(|n| n.parse().ok());
+            let thread = k.thread(Tid(tid.expect("tid:NNNNNN key")));
+            format!("{key} {:?}", thread.expect("a listed thread").ext)
+        })
+        .collect()
+}
+
 fn assert_same_device(want: &DeviceSim, got: &DeviceSim, what: &str) {
-    assert_same_image(&want.capture(), &got.capture(), what);
+    let (want_image, got_image) = (want.capture(), got.capture());
+    assert_same_image(&want_image, &got_image, what);
+    assert_eq!(
+        thread_exts(want.kernel(), &want_image),
+        thread_exts(got.kernel(), &got_image),
+        "{what}: thread extensions"
+    );
     assert_same_trace(&trace(want), &trace(got), what);
 }
 
@@ -86,12 +111,14 @@ fn forked_devices_equal_fresh_boots_on_every_workload() {
     }
 }
 
-/// Everything a template could leak into: the kernel image, the trace,
-/// the whole graphics stack, and the Cider state outside the kernel's
-/// own sections (Mach spaces, bootstrap names, the I/O Kit registry).
+/// Everything a template could leak into: the kernel image, every
+/// thread's extension, the trace, the whole graphics stack, and the
+/// Cider state outside the kernel's own sections (Mach spaces,
+/// bootstrap names, the I/O Kit registry).
 #[derive(Debug, PartialEq)]
 struct Observation {
     image: StateImage,
+    threads: Vec<String>,
     trace: String,
     gfx: String,
     cider: String,
@@ -100,8 +127,10 @@ struct Observation {
 fn observe(bed: &TestBed) -> Observation {
     let st = bed.sys.kernel.extensions.get::<CiderState>().unwrap();
     let cider = format!("{:?} {:?}", st.ckpt_records(), st.iokit);
+    let image = capture_kernel(&bed.sys.kernel);
     Observation {
-        image: capture_kernel(&bed.sys.kernel),
+        threads: thread_exts(&bed.sys.kernel, &image),
+        image,
         trace: format!("{:?}", bed.trace_snapshot()),
         gfx: format!("{:?}", bed.gfx()),
         cider,
@@ -110,6 +139,7 @@ fn observe(bed: &TestBed) -> Observation {
 
 fn assert_same_bed(want: &Observation, got: &Observation, what: &str) {
     assert_same_image(&want.image, &got.image, what);
+    assert_eq!(want.threads, got.threads, "{what}: thread extensions");
     assert_eq!(want.trace, got.trace, "{what}: trace");
     assert_eq!(want.gfx, got.gfx, "{what}: graphics stack");
     assert_eq!(want.cider, got.cider, "{what}: Cider state");
