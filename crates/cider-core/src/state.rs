@@ -5,9 +5,19 @@
 //! which only receive `&mut Kernel` — can reach Mach IPC, psynch, and
 //! I/O Kit, exactly as the duct-taped subsystems are reachable from any
 //! syscall in the paper's kernel.
+//!
+//! Foreign code enters the domestic kernel through one scope,
+//! [`CiderState::with_xnu`]: it split-borrows Mach IPC and psynch and
+//! binds the calling thread's [`DuctTape`] adapter. The Mach and psynch
+//! trap handlers, the per-task Mach helpers below, `CiderSystem`'s
+//! typed Mach calls and the boot-time IPC bootstrap all go through it,
+//! so every charge those subsystems make passes one adapter; every
+//! Mach trap handler and typed call finds its caller's task with
+//! [`caller_task`].
 
 use std::collections::BTreeMap;
 
+use cider_abi::codec::RecordWriter;
 use cider_abi::ids::{Pid, PortName, Tid};
 use cider_abi::rights::ReceiveRight;
 use cider_ducttape::adapter::{DuctTape, DuctTapeState};
@@ -19,7 +29,7 @@ use cider_xnu::ipc::{
     KernelObject, MachIpc, ReceivedMessage, SpaceId, UserMessage,
 };
 use cider_xnu::kern_return::{KernResult, KernReturn};
-use cider_xnu::psynch::{PsynchOutcome, PsynchState};
+use cider_xnu::psynch::PsynchState;
 
 use crate::ring::{RingCompletion, RingOp, TrapRing};
 use crate::services::BootstrapRegistry;
@@ -75,6 +85,24 @@ impl CiderState {
         }
     }
 
+    /// The duct-tape scope: runs `f` with the duct-taped Mach IPC and
+    /// psynch subsystems and the adapter bound to the calling thread
+    /// `tid`, through which their calls reach the domestic kernel.
+    pub fn with_xnu<R>(
+        &mut self,
+        k: &mut Kernel,
+        tid: Tid,
+        f: impl FnOnce(&mut MachIpc, &mut PsynchState, &mut DuctTape<'_>) -> R,
+    ) -> R {
+        let CiderState {
+            ducttape,
+            machipc,
+            psynch,
+            ..
+        } = self;
+        f(machipc, psynch, &mut DuctTape::new(k, ducttape, tid))
+    }
+
     /// The IPC space of a process, creating it on first use (Mach task
     /// initialisation).
     pub fn task_space(&mut self, pid: Pid) -> SpaceId {
@@ -114,25 +142,17 @@ impl CiderState {
             return Ok(p);
         }
         let space = self.task_space(pid);
-        let CiderState {
-            ducttape,
-            machipc,
-            task_self_ports,
-            ..
-        } = self;
-        let mut api = DuctTape::new(k, ducttape, tid);
-        let name = machipc.alloc_receive(&mut api, space)?.name();
-        machipc.set_kobject(
-            space,
-            name,
-            KernelObject::Task(pid.as_raw() as u64),
-        )?;
-        task_self_ports.insert(pid.as_raw(), name);
+        let name = self.with_xnu(k, tid, |ipc, _, api| {
+            let name = ipc.alloc_receive(api, space)?.name();
+            let task = KernelObject::Task(pid.as_raw() as u64);
+            ipc.set_kobject(space, name, task).map(|()| name)
+        })?;
+        self.task_self_ports.insert(pid.as_raw(), name);
         Ok(name)
     }
 
     // ------------------------------------------------------------------
-    // Per-task Mach IPC conveniences (handle the split borrows once).
+    // Per-task Mach IPC conveniences.
     // ------------------------------------------------------------------
 
     /// `mach_port_allocate` in a process's space.
@@ -151,11 +171,9 @@ impl CiderState {
             return Err(KernReturn::NoSpace);
         }
         let space = self.task_space(pid);
-        let CiderState {
-            ducttape, machipc, ..
-        } = self;
-        let mut api = DuctTape::new(k, ducttape, tid);
-        machipc.alloc_receive(&mut api, space).map(|r| r.name())
+        self.with_xnu(k, tid, |ipc, _, api| {
+            ipc.alloc_receive(api, space).map(|r| r.name())
+        })
     }
 
     /// `mach_port_deallocate` in a process's space.
@@ -171,11 +189,9 @@ impl CiderState {
         name: PortName,
     ) -> KernResult<()> {
         let space = self.task_space(pid);
-        let CiderState {
-            ducttape, machipc, ..
-        } = self;
-        let mut api = DuctTape::new(k, ducttape, tid);
-        machipc.port_deallocate(&mut api, space, name)
+        self.with_xnu(k, tid, |ipc, _, api| {
+            ipc.port_deallocate(api, space, name)
+        })
     }
 
     /// `mach_msg` send half for a process.
@@ -191,50 +207,14 @@ impl CiderState {
         msg: UserMessage,
     ) -> KernResult<()> {
         let space = self.task_space(pid);
-        self.msg_send_in_space(k, tid, space, msg)
-    }
-
-    /// `mach_msg` receive half for a process.
-    ///
-    /// # Errors
-    ///
-    /// Mach codes from the IPC subsystem (`RcvTimedOut` when empty).
-    pub fn msg_receive_for(
-        &mut self,
-        k: &mut Kernel,
-        tid: Tid,
-        pid: Pid,
-        name: PortName,
-    ) -> KernResult<ReceivedMessage> {
-        let space = self.task_space(pid);
-        self.msg_receive_in_space(k, tid, space, name)
-    }
-
-    /// `mach_msg` send from an explicit space.
-    ///
-    /// # Errors
-    ///
-    /// Mach codes from the IPC subsystem.
-    pub fn msg_send_in_space(
-        &mut self,
-        k: &mut Kernel,
-        tid: Tid,
-        space: SpaceId,
-        msg: UserMessage,
-    ) -> KernResult<()> {
         let (msg_id, bytes) = (msg.msg_id, msg.size() as u64);
         if k.fault_at(FaultSite::MachMsgSend) {
             // Queue overflow on the destination port.
             return Err(KernReturn::SendTooLarge);
         }
         let ool_before = self.machipc.stats.ool_bytes_remapped;
-        let result = {
-            let CiderState {
-                ducttape, machipc, ..
-            } = self;
-            let mut api = DuctTape::new(k, ducttape, tid);
-            machipc.send(&mut api, space, msg)
-        };
+        let result =
+            self.with_xnu(k, tid, |ipc, _, api| ipc.send(api, space, msg));
         if result.is_ok() && k.trace.is_enabled() {
             k.trace.record(
                 k.trace_ctx(tid),
@@ -256,28 +236,25 @@ impl CiderState {
         result
     }
 
-    /// `mach_msg` receive from an explicit space.
+    /// `mach_msg` receive half for a process.
     ///
     /// # Errors
     ///
-    /// Mach codes from the IPC subsystem.
-    pub fn msg_receive_in_space(
+    /// Mach codes from the IPC subsystem (`RcvTimedOut` when empty).
+    pub fn msg_receive_for(
         &mut self,
         k: &mut Kernel,
         tid: Tid,
-        space: SpaceId,
+        pid: Pid,
         name: PortName,
     ) -> KernResult<ReceivedMessage> {
-        let result = {
-            let CiderState {
-                ducttape, machipc, ..
-            } = self;
-            let mut api = DuctTape::new(k, ducttape, tid);
-            // The raw name comes straight from trap registers; the
-            // receive path re-validates it under the port lock, so the
-            // unchecked constructor keeps the error codes identical.
-            machipc.receive(&mut api, space, ReceiveRight::from_name(name))
-        };
+        let space = self.task_space(pid);
+        // The raw name comes straight from trap registers; the receive
+        // path re-validates it under the port lock, so the unchecked
+        // constructor keeps the error codes identical.
+        let result = self.with_xnu(k, tid, |ipc, _, api| {
+            ipc.receive(api, space, ReceiveRight::from_name(name))
+        });
         if let Ok(msg) = &result {
             if k.trace.is_enabled() {
                 k.trace.record(
@@ -302,6 +279,18 @@ impl CiderState {
     /// kernel, so submissions can land here without a trap.
     pub fn ring_mut(&mut self, tid: Tid) -> &mut TrapRing {
         self.rings.entry(tid.as_raw()).or_default()
+    }
+
+    /// Whether a submission to a thread's ring must flush the pending
+    /// batch first: the ring is full or, drawn only when it is not, the
+    /// submitter lost an overflow race. An early flush costs the batch
+    /// some of its amortisation, never an operation.
+    pub(crate) fn ring_must_flush(
+        &mut self,
+        k: &mut Kernel,
+        tid: Tid,
+    ) -> bool {
+        self.ring_mut(tid).is_full() || k.fault_at(FaultSite::TrapRingOverflow)
     }
 
     /// Executes every pending submission on a thread's ring, in order,
@@ -340,131 +329,19 @@ impl CiderState {
             return;
         }
         let space = self.task_space(pid);
-        {
-            let CiderState {
-                ducttape, machipc, ..
-            } = self;
-            let mut api = DuctTape::new(k, ducttape, tid);
-            let _ = machipc.destroy_space(&mut api, space);
-        }
+        let _ =
+            self.with_xnu(k, tid, |ipc, _, api| ipc.destroy_space(api, space));
         self.drop_task_space(pid);
     }
 
-    // ------------------------------------------------------------------
-    // psynch conveniences.
-    // ------------------------------------------------------------------
-
-    /// `psynch_mutexwait`.
-    pub fn psynch_mutexwait(
-        &mut self,
-        k: &mut Kernel,
-        tid: Tid,
-        addr: u64,
-    ) -> PsynchOutcome {
-        let CiderState {
-            ducttape, psynch, ..
-        } = self;
-        let mut api = DuctTape::new(k, ducttape, tid);
-        psynch.mutexwait(&mut api, addr)
-    }
-
-    /// `psynch_mutexdrop`.
-    ///
-    /// # Errors
-    ///
-    /// Mach codes from psynch.
-    pub fn psynch_mutexdrop(
-        &mut self,
-        k: &mut Kernel,
-        tid: Tid,
-        addr: u64,
-    ) -> KernResult<()> {
-        let CiderState {
-            ducttape, psynch, ..
-        } = self;
-        let mut api = DuctTape::new(k, ducttape, tid);
-        psynch.mutexdrop(&mut api, addr)
-    }
-
-    /// `psynch_cvwait`.
-    ///
-    /// # Errors
-    ///
-    /// Mach codes from psynch.
-    pub fn psynch_cvwait(
-        &mut self,
-        k: &mut Kernel,
-        tid: Tid,
-        cv: u64,
-        mutex: u64,
-    ) -> KernResult<PsynchOutcome> {
-        let CiderState {
-            ducttape, psynch, ..
-        } = self;
-        let mut api = DuctTape::new(k, ducttape, tid);
-        psynch.cvwait(&mut api, cv, mutex)
-    }
-
-    /// `psynch_cvsignal`; returns whether a waiter was woken.
-    pub fn psynch_cvsignal(
-        &mut self,
-        k: &mut Kernel,
-        tid: Tid,
-        cv: u64,
-    ) -> bool {
-        let CiderState {
-            ducttape, psynch, ..
-        } = self;
-        let mut api = DuctTape::new(k, ducttape, tid);
-        psynch.cvsignal(&mut api, cv).is_some()
-    }
-
-    /// `psynch_cvbroad`; returns how many waiters were woken.
-    pub fn psynch_cvbroadcast(
-        &mut self,
-        k: &mut Kernel,
-        tid: Tid,
-        cv: u64,
-    ) -> usize {
-        let CiderState {
-            ducttape, psynch, ..
-        } = self;
-        let mut api = DuctTape::new(k, ducttape, tid);
-        psynch.cvbroadcast(&mut api, cv)
-    }
-
-    /// `semaphore_signal_trap` (creating the semaphore lazily).
-    ///
-    /// # Errors
-    ///
-    /// Mach codes from psynch.
-    pub fn semaphore_signal(
-        &mut self,
-        k: &mut Kernel,
-        tid: Tid,
-        addr: u64,
-    ) -> KernResult<()> {
-        let CiderState {
-            ducttape, psynch, ..
-        } = self;
-        let mut api = DuctTape::new(k, ducttape, tid);
-        if psynch.semaphore_count(addr).is_none() {
-            psynch.semaphore_create(addr, 0);
-        }
-        psynch.semaphore_signal(&mut api, addr)
-    }
-
-    /// Exports the Cider-resident state — Mach port spaces, task-self
-    /// bindings, and launchd's registry — as stable `(key, value)`
-    /// records for whole-device checkpointing. Per-space records list
-    /// every port name with its right type and queue depth (in space
-    /// order), so a restored replay that reproduces them has rebuilt
-    /// the identical port space.
-    pub fn ckpt_records(&self) -> Vec<(String, String)> {
-        let mut out = vec![(
-            "live_ports".to_string(),
-            self.machipc.live_ports().to_string(),
-        )];
+    /// Writes the Cider-resident state — Mach port spaces, task-self
+    /// bindings, and launchd's registry — as stable records for
+    /// whole-device checkpointing. Per-space records list every port
+    /// name with its right type and queue depth (in space order), so a
+    /// restored replay that reproduces them has rebuilt the identical
+    /// port space.
+    pub fn write_ckpt(&self, s: &mut RecordWriter<'_>) {
+        s.record("live_ports", self.machipc.live_ports());
         for (pid, space) in &self.task_spaces {
             let mut ports: Vec<String> = self
                 .machipc
@@ -476,39 +353,17 @@ impl CiderState {
                 })
                 .collect();
             ports.sort();
-            out.push((
-                format!("space:{pid:06}"),
-                format!("id={:?} ports=[{}]", space, ports.join(" ")),
-            ));
+            s.record(
+                format_args!("space:{pid:06}"),
+                format_args!("id={space:?} ports=[{}]", ports.join(" ")),
+            );
         }
         for (pid, port) in &self.task_self_ports {
-            out.push((format!("task_self:{pid:06}"), port.0.to_string()));
+            s.record(format_args!("task_self:{pid:06}"), port.0);
         }
         let mut services: Vec<&str> = self.bootstrap.service_names();
         services.sort_unstable();
-        out.push(("services".to_string(), services.join(",")));
-        out
-    }
-
-    /// `semaphore_wait_trap` (creating the semaphore lazily).
-    ///
-    /// # Errors
-    ///
-    /// Mach codes from psynch.
-    pub fn semaphore_wait(
-        &mut self,
-        k: &mut Kernel,
-        tid: Tid,
-        addr: u64,
-    ) -> KernResult<PsynchOutcome> {
-        let CiderState {
-            ducttape, psynch, ..
-        } = self;
-        let mut api = DuctTape::new(k, ducttape, tid);
-        if psynch.semaphore_count(addr).is_none() {
-            psynch.semaphore_create(addr, 0);
-        }
-        psynch.semaphore_wait(&mut api, addr)
+        s.record("services", services.join(","));
     }
 }
 
@@ -516,6 +371,20 @@ impl Default for CiderState {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// The Mach task (process) a calling thread runs in:
+/// `KERN_INVALID_ARGUMENT` for an unknown thread. A trap never sees
+/// one, since `Kernel::trap` fails an unknown thread with `ESRCH`
+/// before any handler runs.
+///
+/// # Errors
+///
+/// `KernReturn::InvalidArgument` when `tid` names no thread.
+pub fn caller_task(k: &Kernel, tid: Tid) -> KernResult<Pid> {
+    k.thread(tid)
+        .map(|t| t.pid)
+        .map_err(|_| KernReturn::InvalidArgument)
 }
 
 /// Runs `f` with the Cider state taken out of the kernel's extension

@@ -29,7 +29,7 @@ use crate::library::{LibraryHost, NativeLibrary};
 use crate::machoload::{mach_task_post_fork, MachOLoader};
 use crate::ring::{RingCompletion, RingOp};
 use crate::services::Services;
-use crate::state::{with_state, CiderState};
+use crate::state::{caller_task, with_state, CiderState};
 use crate::wire;
 use crate::xnu_abi::XnuPersonality;
 
@@ -104,13 +104,7 @@ impl CiderSystem {
 
         // Duct-tape the three foreign subsystems (paper §4.2, §5.1).
         with_state(&mut kernel, |k, st| {
-            {
-                let CiderState {
-                    ducttape, machipc, ..
-                } = st;
-                let mut api = cider_ducttape::DuctTape::new(k, ducttape, ktid);
-                machipc.bootstrap(&mut api);
-            }
+            st.with_xnu(k, ktid, |ipc, _, api| ipc.bootstrap(api));
             let symbols = &mut st.ducttape.symbols;
             symbols.import_foreign_object(
                 "pthread_support",
@@ -411,11 +405,7 @@ impl CiderSystem {
     ///
     /// Mach codes.
     pub fn mach_port_allocate(&mut self, tid: Tid) -> KernResult<PortName> {
-        let pid = self
-            .kernel
-            .thread(tid)
-            .map_err(|_| cider_xnu::KernReturn::InvalidArgument)?
-            .pid;
+        let pid = caller_task(&self.kernel, tid)?;
         with_state(&mut self.kernel, |k, st| st.port_allocate_for(k, tid, pid))
     }
 
@@ -429,11 +419,7 @@ impl CiderSystem {
         tid: Tid,
         msg: UserMessage,
     ) -> KernResult<()> {
-        let pid = self
-            .kernel
-            .thread(tid)
-            .map_err(|_| cider_xnu::KernReturn::InvalidArgument)?
-            .pid;
+        let pid = caller_task(&self.kernel, tid)?;
         with_state(&mut self.kernel, |k, st| st.msg_send_for(k, tid, pid, msg))
     }
 
@@ -447,11 +433,7 @@ impl CiderSystem {
         tid: Tid,
         port: PortName,
     ) -> KernResult<ReceivedMessage> {
-        let pid = self
-            .kernel
-            .thread(tid)
-            .map_err(|_| cider_xnu::KernReturn::InvalidArgument)?
-            .pid;
+        let pid = caller_task(&self.kernel, tid)?;
         with_state(&mut self.kernel, |k, st| {
             st.msg_receive_for(k, tid, pid, port)
         })
@@ -467,11 +449,7 @@ impl CiderSystem {
         tid: Tid,
         recv: PortName,
     ) -> KernResult<PortName> {
-        let pid = self
-            .kernel
-            .thread(tid)
-            .map_err(|_| cider_xnu::KernReturn::InvalidArgument)?
-            .pid;
+        let pid = caller_task(&self.kernel, tid)?;
         with_state(&mut self.kernel, |_, st| {
             let space = st.task_space(pid);
             let recv = st.machipc.receive_right(space, recv)?;
@@ -507,14 +485,8 @@ impl CiderSystem {
         tid: Tid,
         op: RingOp,
     ) -> KernResult<Vec<RingCompletion>> {
-        let full =
-            with_state(&mut self.kernel, |_, st| st.ring_mut(tid).is_full());
         let mut early = Vec::new();
-        if full
-            || self
-                .kernel
-                .fault_at(cider_fault::FaultSite::TrapRingOverflow)
-        {
+        if with_state(&mut self.kernel, |k, st| st.ring_must_flush(k, tid)) {
             early = self.ring_flush(tid)?;
         }
         with_state(&mut self.kernel, |_, st| {
@@ -555,11 +527,7 @@ impl CiderSystem {
         tid: Tid,
         name: &str,
     ) -> KernResult<PortName> {
-        let pid = self
-            .kernel
-            .thread(tid)
-            .map_err(|_| cider_xnu::KernReturn::InvalidArgument)?
-            .pid;
+        let pid = caller_task(&self.kernel, tid)?;
         let bp = self.services.bootstrap_port_for(&mut self.kernel, pid)?;
         crate::services::bootstrap_look_up(
             &mut self.kernel,
@@ -781,6 +749,57 @@ mod tests {
         fork.sync_iokit();
         assert_eq!(published_nodes(&fork), want[..5]);
         assert_eq!(published_nodes(&sys), want);
+    }
+
+    /// `CiderState::write_ckpt` writes the live port count, one record
+    /// per task space (its ports sorted as text) and per task-self
+    /// port, then the sorted service names.
+    #[test]
+    fn cider_records_list_spaces_task_self_ports_and_services() {
+        use cider_abi::codec::{ByteReader, SectionWriter};
+        let mut sys = CiderSystem::new(DeviceProfile::nexus7());
+        let (pid, tid) = sys.spawn_process();
+        let port = sys.mach_port_allocate(tid).unwrap();
+        let send = sys.mach_make_send(tid, port).unwrap();
+        sys.mach_msg_send(tid, UserMessage::simple(send, 7, &b"x"[..]))
+            .unwrap();
+        with_state(&mut sys.kernel, |k, st| st.task_self_port(k, tid, pid))
+            .unwrap();
+        let st = sys.kernel.extensions.get::<CiderState>().unwrap();
+        let mut w = SectionWriter::new();
+        st.write_ckpt(&mut w.section("cider"));
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes, ());
+        assert_eq!(r.get_u32(), Ok(1));
+        assert_eq!(r.get_str().as_deref(), Ok("cider"));
+        let n = r.get_u32().unwrap();
+        let records: Vec<String> = (0..n)
+            .map(|_| {
+                format!(
+                    "{} {}",
+                    r.get_str_ref().unwrap(),
+                    r.get_str_ref().unwrap()
+                )
+            })
+            .collect();
+        assert_eq!(r.remaining(), 0);
+        assert_eq!(
+            records,
+            [
+                "live_ports 5",
+                "space:000002 id=SpaceId(1) ports=[259:Receive/q0 \
+                 263:Send/q0 267:Send/q0]",
+                "space:000003 id=SpaceId(2) ports=[259:Receive/q0 \
+                 263:Send/q0]",
+                "space:000004 id=SpaceId(3) ports=[259:Receive/q0 \
+                 263:Send/q0]",
+                "space:000005 id=SpaceId(4) ports=[259:Receive/q1 \
+                 263:Send/q0 267:Receive/q0]",
+                "task_self:000005 267",
+                "services com.apple.SystemConfiguration.configd,\
+                 com.apple.system.notification_center",
+            ]
+        );
     }
 
     #[test]

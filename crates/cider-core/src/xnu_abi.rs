@@ -44,11 +44,13 @@ use cider_kernel::dispatch::{
 use cider_kernel::kernel::{Kernel, LinuxPersonality};
 use cider_kernel::mm::{MappingKind, Prot};
 use cider_kernel::process::SigDisposition;
-use cider_xnu::kern_return::KernReturn;
-use cider_xnu::psynch::PsynchOutcome;
+use cider_xnu::api::ForeignKernelApi;
+use cider_xnu::ipc::KernelObject;
+use cider_xnu::kern_return::{KernResult, KernReturn};
+use cider_xnu::psynch::{PsynchOutcome, PsynchState};
 
 use crate::exec::sys_exec_fixup;
-use crate::state::with_state;
+use crate::state::{caller_task, with_state};
 use crate::wire;
 
 /// Fixed cost of the XNU→Linux entry-path translation per trap, ns.
@@ -391,14 +393,11 @@ fn build_unix_table(
     })?;
 
     t.install(X::Exit.number(), "exit", |k, tid, args| {
-        let code = args.regs[0] as i32;
-        let pid = match k.thread(tid) {
-            Ok(t) => t.pid,
-            Err(e) => return TrapResult::err(e),
-        };
         // Tear down the Mach task state before the BSD exit path.
-        with_state(k, |k2, st| st.destroy_task_space(k2, tid, pid));
-        match k.sys_exit(tid, code) {
+        if let Ok(pid) = caller_task(k, tid) {
+            with_state(k, |k, st| st.destroy_task_space(k, tid, pid));
+        }
+        match k.sys_exit(tid, args.regs[0] as i32) {
             Ok(()) => TrapResult::ok(0),
             Err(e) => TrapResult::err(e),
         }
@@ -508,9 +507,7 @@ fn build_unix_table(
         "psynch_mutexwait",
         |k, tid, args| {
             let addr = args.regs[0] as u64;
-            let out =
-                with_state(k, |k2, st| st.psynch_mutexwait(k2, tid, addr));
-            match out {
+            match psynch(k, tid, |ps, api| ps.mutexwait(api, addr)) {
                 PsynchOutcome::Acquired => TrapResult::ok(0),
                 PsynchOutcome::Blocked => TrapResult::err(Errno::EAGAIN),
             }
@@ -522,9 +519,7 @@ fn build_unix_table(
         "psynch_mutexdrop",
         |k, tid, args| {
             let addr = args.regs[0] as u64;
-            let out =
-                with_state(k, |k2, st| st.psynch_mutexdrop(k2, tid, addr));
-            match out {
+            match psynch(k, tid, |ps, api| ps.mutexdrop(api, addr)) {
                 Ok(()) => TrapResult::ok(0),
                 Err(_) => TrapResult::err(Errno::EINVAL),
             }
@@ -532,10 +527,8 @@ fn build_unix_table(
     )?;
 
     t.install(X::PsynchCvwait.number(), "psynch_cvwait", |k, tid, args| {
-        let cv = args.regs[0] as u64;
-        let mutex = args.regs[1] as u64;
-        let out = with_state(k, |k2, st| st.psynch_cvwait(k2, tid, cv, mutex));
-        match out {
+        let (cv, mutex) = (args.regs[0] as u64, args.regs[1] as u64);
+        match psynch(k, tid, |ps, api| ps.cvwait(api, cv, mutex)) {
             Ok(PsynchOutcome::Acquired) => TrapResult::ok(0),
             Ok(PsynchOutcome::Blocked) => TrapResult::err(Errno::EAGAIN),
             Err(_) => TrapResult::err(Errno::EINVAL),
@@ -547,9 +540,8 @@ fn build_unix_table(
         "psynch_cvsignal",
         |k, tid, args| {
             let cv = args.regs[0] as u64;
-            let woken =
-                with_state(k, |k2, st| st.psynch_cvsignal(k2, tid, cv));
-            TrapResult::ok(woken as i64)
+            let woken = psynch(k, tid, |ps, api| ps.cvsignal(api, cv));
+            TrapResult::ok(woken.is_some() as i64)
         },
     )?;
 
@@ -558,7 +550,7 @@ fn build_unix_table(
         "psynch_cvbroad",
         |k, tid, args| {
             let cv = args.regs[0] as u64;
-            let n = with_state(k, |k2, st| st.psynch_cvbroadcast(k2, tid, cv));
+            let n = psynch(k, tid, |ps, api| ps.cvbroadcast(api, cv));
             TrapResult::ok(n as i64)
         },
     )?;
@@ -575,90 +567,37 @@ fn build_mach_table() -> Result<SyscallTable, DispatchError> {
     let mut t = SyscallTableBuilder::new();
 
     t.install(M::TaskSelfTrap.number(), "task_self_trap", |k, tid, _| {
-        let pid = match k.thread(tid) {
-            Ok(t) => t.pid,
-            Err(_) => return TrapResult::ok(0),
-        };
-        let name = with_state(k, |k2, st| st.task_self_port(k2, tid, pid));
-        match name {
-            Ok(n) => TrapResult::ok(n.as_raw() as i64),
-            // MACH_PORT_NULL: port-returning traps have no error band.
-            Err(_) => TrapResult::ok(0),
-        }
+        port_or_null(caller_task(k, tid).and_then(|pid| {
+            with_state(k, |k, st| st.task_self_port(k, tid, pid))
+        }))
     })?;
 
     t.install(
         M::ThreadSelfTrap.number(),
         "thread_self_trap",
         |k, tid, _| {
-            let pid = match k.thread(tid) {
-                Ok(t) => t.pid,
-                Err(_) => return TrapResult::ok(0),
-            };
-            let name = with_state(k, |k2, st| {
-                let name = st.port_allocate_for(k2, tid, pid)?;
-                let space = st.task_space(pid);
-                let _ = st.machipc.set_kobject(
-                    space,
-                    name,
-                    cider_xnu::ipc::KernelObject::Thread(tid.as_raw() as u64),
-                );
-                Ok::<_, KernReturn>(name)
-            });
-            match name {
-                Ok(n) => TrapResult::ok(n.as_raw() as i64),
-                Err(_) => TrapResult::ok(0),
-            }
+            bound_port(k, tid, KernelObject::Thread(tid.as_raw() as u64))
         },
     )?;
 
     t.install(M::HostSelfTrap.number(), "host_self_trap", |k, tid, _| {
-        let pid = match k.thread(tid) {
-            Ok(t) => t.pid,
-            Err(_) => return TrapResult::ok(0),
-        };
-        let name = with_state(k, |k2, st| {
-            let name = st.port_allocate_for(k2, tid, pid)?;
-            let space = st.task_space(pid);
-            let _ = st.machipc.set_kobject(
-                space,
-                name,
-                cider_xnu::ipc::KernelObject::Host,
-            );
-            Ok::<_, KernReturn>(name)
-        });
-        match name {
-            Ok(n) => TrapResult::ok(n.as_raw() as i64),
-            Err(_) => TrapResult::ok(0),
-        }
+        bound_port(k, tid, KernelObject::Host)
     })?;
 
     t.install(M::MachReplyPort.number(), "mach_reply_port", |k, tid, _| {
-        let pid = match k.thread(tid) {
-            Ok(t) => t.pid,
-            Err(_) => return TrapResult::ok(0),
-        };
-        let name = with_state(k, |k2, st| st.port_allocate_for(k2, tid, pid));
-        match name {
-            Ok(n) => TrapResult::ok(n.as_raw() as i64),
-            Err(_) => TrapResult::ok(0),
-        }
+        port_or_null(caller_task(k, tid).and_then(|pid| {
+            with_state(k, |k, st| st.port_allocate_for(k, tid, pid))
+        }))
     })?;
 
     t.install(
         M::MachPortAllocate.number(),
         "mach_port_allocate",
         |k, tid, _| {
-            let pid = match k.thread(tid) {
-                Ok(t) => t.pid,
-                Err(_) => return TrapResult::ok(0),
-            };
-            let name =
-                with_state(k, |k2, st| st.port_allocate_for(k2, tid, pid));
-            match name {
-                Ok(n) => TrapResult::ok(n.as_raw() as i64),
-                Err(kr) => TrapResult::ok(kr.as_raw()),
-            }
+            kern_result(caller_task(k, tid).and_then(|pid| {
+                with_state(k, |k, st| st.port_allocate_for(k, tid, pid))
+                    .map(|n| n.as_raw() as i64)
+            }))
         },
     )?;
 
@@ -666,18 +605,13 @@ fn build_mach_table() -> Result<SyscallTable, DispatchError> {
         M::MachPortDeallocate.number(),
         "mach_port_deallocate",
         |k, tid, args| {
-            let pid = match k.thread(tid) {
-                Ok(t) => t.pid,
-                Err(_) => return TrapResult::ok(0),
-            };
             let name = PortName(args.regs[0] as u32);
-            let kr = with_state(k, |k2, st| {
-                st.port_deallocate_for(k2, tid, pid, name)
-            });
-            match kr {
-                Ok(()) => TrapResult::ok(KernReturn::Success.as_raw()),
-                Err(e) => TrapResult::ok(e.as_raw()),
-            }
+            kern_result(caller_task(k, tid).and_then(|pid| {
+                with_state(k, |k, st| {
+                    st.port_deallocate_for(k, tid, pid, name)
+                })
+                .map(|()| KernReturn::Success.as_raw())
+            }))
         },
     )?;
 
@@ -686,20 +620,15 @@ fn build_mach_table() -> Result<SyscallTable, DispatchError> {
         "mach_port_insert_right",
         |k, tid, args| {
             // Simplified MAKE_SEND from a receive right.
-            let pid = match k.thread(tid) {
-                Ok(t) => t.pid,
-                Err(_) => return TrapResult::ok(0),
-            };
             let name = PortName(args.regs[0] as u32);
-            let kr = with_state(k, |_k2, st| {
-                let space = st.task_space(pid);
-                let recv = st.machipc.receive_right(space, name)?;
-                st.machipc.insert_send(space, recv)
-            });
-            match kr {
-                Ok(s) => TrapResult::ok(s.name().as_raw() as i64),
-                Err(e) => TrapResult::ok(e.as_raw()),
-            }
+            kern_result(caller_task(k, tid).and_then(|pid| {
+                with_state(k, |_, st| {
+                    let space = st.task_space(pid);
+                    let recv = st.machipc.receive_right(space, name)?;
+                    st.machipc.insert_send(space, recv)
+                })
+                .map(|s| s.name().as_raw() as i64)
+            }))
         },
     )?;
 
@@ -707,9 +636,9 @@ fn build_mach_table() -> Result<SyscallTable, DispatchError> {
         const MACH_SEND_MSG: i64 = 1;
         const MACH_RCV_MSG: i64 = 2;
         let options = args.regs[0];
-        let pid = match k.thread(tid) {
-            Ok(t) => t.pid,
-            Err(_) => return TrapResult::ok(0),
+        let pid = match caller_task(k, tid) {
+            Ok(pid) => pid,
+            Err(kr) => return TrapResult::ok(kr.as_raw()),
         };
         if options & MACH_SEND_MSG != 0 {
             let SyscallData::Bytes(buf) = &args.data else {
@@ -723,8 +652,7 @@ fn build_mach_table() -> Result<SyscallTable, DispatchError> {
                     )
                 }
             };
-            let kr =
-                with_state(k, |k2, st| st.msg_send_for(k2, tid, pid, msg));
+            let kr = with_state(k, |k, st| st.msg_send_for(k, tid, pid, msg));
             if let Err(e) = kr {
                 return TrapResult::ok(e.as_raw());
             }
@@ -734,8 +662,8 @@ fn build_mach_table() -> Result<SyscallTable, DispatchError> {
         }
         if options & MACH_RCV_MSG != 0 {
             let rcv_name = PortName(args.regs[2] as u32);
-            let got = with_state(k, |k2, st| {
-                st.msg_receive_for(k2, tid, pid, rcv_name)
+            let got = with_state(k, |k, st| {
+                st.msg_receive_for(k, tid, pid, rcv_name)
             });
             return match got {
                 Ok(m) => {
@@ -753,11 +681,9 @@ fn build_mach_table() -> Result<SyscallTable, DispatchError> {
         // Batch submission over the trap ABI: one crossing moves many
         // entries into the thread's ring (callers with the shared
         // mapping skip even this and write the queue directly).
-        let pid = match k.thread(tid) {
-            Ok(t) => t.pid,
-            Err(_) => {
-                return TrapResult::ok(KernReturn::InvalidArgument.as_raw())
-            }
+        let pid = match caller_task(k, tid) {
+            Ok(pid) => pid,
+            Err(kr) => return TrapResult::ok(kr.as_raw()),
         };
         let SyscallData::Bytes(buf) = &args.data else {
             return TrapResult::ok(KernReturn::InvalidArgument.as_raw());
@@ -768,15 +694,11 @@ fn build_mach_table() -> Result<SyscallTable, DispatchError> {
                 return TrapResult::ok(KernReturn::InvalidArgument.as_raw())
             }
         };
-        with_state(k, |k2, st| {
+        with_state(k, |k, st| {
             for op in ops {
-                if st.ring_mut(tid).is_full()
-                    || k2.fault_at(cider_fault::FaultSite::TrapRingOverflow)
-                {
-                    // Overflow degrades to an immediate flush; we are
-                    // already inside the kernel, so the batch just loses
-                    // some of its amortisation, never the operations.
-                    st.ring_flush(k2, tid, pid);
+                if st.ring_must_flush(k, tid) {
+                    // We are already inside the kernel: flush inline.
+                    st.ring_flush(k, tid, pid);
                 }
                 st.ring_mut(tid).push(op).expect("ring was just flushed");
             }
@@ -787,14 +709,12 @@ fn build_mach_table() -> Result<SyscallTable, DispatchError> {
     t.install(M::RingFlush.number(), "ring_flush", |k, tid, _| {
         // The completion count travels in the buffer, not the return
         // register — the register keeps the kern_return error band.
-        let pid = match k.thread(tid) {
-            Ok(t) => t.pid,
-            Err(_) => {
-                return TrapResult::ok(KernReturn::InvalidArgument.as_raw())
-            }
+        let pid = match caller_task(k, tid) {
+            Ok(pid) => pid,
+            Err(kr) => return TrapResult::ok(kr.as_raw()),
         };
-        let cs = with_state(k, |k2, st| {
-            st.ring_flush(k2, tid, pid);
+        let cs = with_state(k, |k, st| {
+            st.ring_flush(k, tid, pid);
             st.ring_mut(tid).take_completions()
         });
         let mut r = TrapResult::ok(KernReturn::Success.as_raw());
@@ -807,12 +727,8 @@ fn build_mach_table() -> Result<SyscallTable, DispatchError> {
         "semaphore_signal_trap",
         |k, tid, args| {
             let addr = args.regs[0] as u64;
-            let kr =
-                with_state(k, |k2, st| st.semaphore_signal(k2, tid, addr));
-            match kr {
-                Ok(()) => TrapResult::ok(KernReturn::Success.as_raw()),
-                Err(e) => TrapResult::ok(e.as_raw()),
-            }
+            let kr = semaphore(k, tid, addr, PsynchState::semaphore_signal);
+            kern_result(kr.map(|()| KernReturn::Success.as_raw()))
         },
     )?;
 
@@ -821,8 +737,7 @@ fn build_mach_table() -> Result<SyscallTable, DispatchError> {
         "semaphore_wait_trap",
         |k, tid, args| {
             let addr = args.regs[0] as u64;
-            let out = with_state(k, |k2, st| st.semaphore_wait(k2, tid, addr));
-            match out {
+            match semaphore(k, tid, addr, PsynchState::semaphore_wait) {
                 Ok(PsynchOutcome::Acquired) => {
                     TrapResult::ok(KernReturn::Success.as_raw())
                 }
@@ -839,9 +754,9 @@ fn build_mach_table() -> Result<SyscallTable, DispatchError> {
         "mach_vm_allocate",
         |k, tid, args| {
             let size = args.regs[1] as u64;
-            let pid = match k.thread(tid) {
-                Ok(t) => t.pid,
-                Err(_) => return TrapResult::ok(0),
+            let pid = match caller_task(k, tid) {
+                Ok(pid) => pid,
+                Err(kr) => return TrapResult::ok(kr.as_raw()),
             };
             let addr = match k.process_mut(pid) {
                 Ok(p) => p.mm.map(
@@ -930,9 +845,9 @@ fn build_mach_table() -> Result<SyscallTable, DispatchError> {
         "mach_vm_deallocate",
         |k, tid, args| {
             let addr = args.regs[1] as u64;
-            let pid = match k.thread(tid) {
-                Ok(t) => t.pid,
-                Err(_) => return TrapResult::ok(0),
+            let pid = match caller_task(k, tid) {
+                Ok(pid) => pid,
+                Err(kr) => return TrapResult::ok(kr.as_raw()),
             };
             match k.process_mut(pid) {
                 Ok(p) => match p.mm.unmap(addr) {
@@ -947,6 +862,56 @@ fn build_mach_table() -> Result<SyscallTable, DispatchError> {
     )?;
 
     Ok(t.build())
+}
+
+/// A port-returning trap's result: the name, or `MACH_PORT_NULL`, since
+/// these traps have no error band.
+fn port_or_null(name: KernResult<PortName>) -> TrapResult {
+    TrapResult::ok(name.map_or(0, |n| n.as_raw() as i64))
+}
+
+/// A Mach trap's result in the register: the value, or the
+/// `kern_return` code.
+fn kern_result(r: KernResult<i64>) -> TrapResult {
+    TrapResult::ok(r.unwrap_or_else(KernReturn::as_raw))
+}
+
+/// `thread_self_trap` and `host_self_trap`: a fresh port in the
+/// caller's space, bound to `object` (a failed bind leaves it unbound).
+fn bound_port(k: &mut Kernel, tid: Tid, object: KernelObject) -> TrapResult {
+    port_or_null(caller_task(k, tid).and_then(|pid| {
+        with_state(k, |k, st| {
+            let name = st.port_allocate_for(k, tid, pid)?;
+            let space = st.task_space(pid);
+            let _ = st.machipc.set_kobject(space, name, object);
+            Ok(name)
+        })
+    }))
+}
+
+/// Runs `f` on psynch in the calling thread's duct-tape scope.
+fn psynch<R>(
+    k: &mut Kernel,
+    tid: Tid,
+    f: impl FnOnce(&mut PsynchState, &mut dyn ForeignKernelApi) -> R,
+) -> R {
+    with_state(k, |k, st| st.with_xnu(k, tid, |_, ps, api| f(ps, api)))
+}
+
+/// Runs a semaphore trap's `f` on the semaphore at `addr`, creating it
+/// with a count of 0 on first use.
+fn semaphore<R>(
+    k: &mut Kernel,
+    tid: Tid,
+    addr: u64,
+    f: impl FnOnce(&mut PsynchState, &mut dyn ForeignKernelApi, u64) -> R,
+) -> R {
+    psynch(k, tid, |ps, api| {
+        if ps.semaphore_count(addr).is_none() {
+            ps.semaphore_create(addr, 0);
+        }
+        f(ps, api, addr)
+    })
 }
 
 #[cfg(test)]
@@ -1474,12 +1439,8 @@ mod tests {
             k.vfs.mkdir_p("/tmp").unwrap();
             // Bootstrap the IPC subsystem so the ports zone exists —
             // without it zalloc is never consulted for ports.
-            with_state(&mut k, |k2, st| {
-                let CiderState {
-                    ducttape, machipc, ..
-                } = st;
-                let mut api = cider_ducttape::DuctTape::new(k2, ducttape, tid);
-                machipc.bootstrap(&mut api);
+            with_state(&mut k, |k, st| {
+                st.with_xnu(k, tid, |ipc, _, api| ipc.bootstrap(api));
             });
             fn arm(k: &mut Kernel, site: FaultSite) {
                 k.faults =

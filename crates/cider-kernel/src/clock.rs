@@ -85,10 +85,11 @@ impl VirtualClock {
         self.watchdog_limit_ns
     }
 
-    /// Advances the clock by `ns` nanoseconds.
+    /// Advances the clock by `ns` nanoseconds, saturating at
+    /// `u64::MAX` instead of wrapping.
     #[inline]
     pub fn advance(&mut self, ns: u64) {
-        self.now_ns += ns;
+        self.now_ns = self.now_ns.saturating_add(ns);
         self.charges += 1;
         if self.now_ns > self.watchdog_limit_ns {
             std::panic::panic_any(WatchdogExpired {
@@ -224,6 +225,15 @@ mod tests {
             .expect("payload downcasts to WatchdogExpired");
         assert_eq!(w.now_ns, 1_001);
         assert_eq!(w.limit_ns, 1_000);
+    }
+
+    #[test]
+    fn advance_saturates_instead_of_wrapping() {
+        let mut c = VirtualClock::new();
+        c.advance(u64::MAX);
+        c.advance(u64::MAX);
+        assert_eq!(c.now_ns(), u64::MAX);
+        assert_eq!(c.charges(), 2);
     }
 
     #[test]

@@ -2511,11 +2511,16 @@ impl LinuxPersonality {
             Ok(()) => TrapResult::ok(0),
             Err(e) => TrapResult::err(e),
         })?;
-        t.install(L::Nanosleep.number(), "nanosleep", |k, tid, args| match k
-            .sys_nanosleep(tid, args.regs[0] as u64)
-        {
-            Ok(()) => TrapResult::ok(0),
-            Err(e) => TrapResult::err(e),
+        t.install(L::Nanosleep.number(), "nanosleep", |k, tid, args| {
+            // A negative duration is EINVAL, as for a negative tv_sec,
+            // and neither sleeps nor yields.
+            let Ok(ns) = u64::try_from(args.regs[0]) else {
+                return TrapResult::err(Errno::EINVAL);
+            };
+            match k.sys_nanosleep(tid, ns) {
+                Ok(()) => TrapResult::ok(0),
+                Err(e) => TrapResult::err(e),
+            }
         })?;
         t.install(L::Stat64.number(), "stat64", |k, tid, args| {
             let crate::dispatch::SyscallData::Path(path) = &args.data else {

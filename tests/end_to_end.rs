@@ -314,14 +314,13 @@ fn lost_wakeups_are_flushed_without_deadlocking_virtual_time() {
 
     // t1 owns the mutex; t2 contends and parks on its wait channel.
     let k = &mut sys.kernel;
-    assert_eq!(
-        with_state(k, |k2, st| st.psynch_mutexwait(k2, t1, MUTEX)),
-        PsynchOutcome::Acquired
-    );
-    assert_eq!(
-        with_state(k, |k2, st| st.psynch_mutexwait(k2, t2, MUTEX)),
-        PsynchOutcome::Blocked
-    );
+    let mutexwait = |k: &mut Kernel, tid| {
+        with_state(k, |k, st| {
+            st.with_xnu(k, tid, |_, ps, api| ps.mutexwait(api, MUTEX))
+        })
+    };
+    assert_eq!(mutexwait(k, t1), PsynchOutcome::Acquired);
+    assert_eq!(mutexwait(k, t2), PsynchOutcome::Blocked);
     assert!(matches!(
         k.thread(t2).unwrap().state,
         ThreadState::Blocked(_)
@@ -332,7 +331,10 @@ fn lost_wakeups_are_flushed_without_deadlocking_virtual_time() {
     k.faults = FaultLayer::with_plan(
         FaultPlan::new(5).with(FaultSite::SchedWakeup, 1000),
     );
-    with_state(k, |k2, st| st.psynch_mutexdrop(k2, t1, MUTEX)).unwrap();
+    with_state(k, |k, st| {
+        st.with_xnu(k, t1, |_, ps, api| ps.mutexdrop(api, MUTEX))
+    })
+    .unwrap();
     assert!(
         matches!(k.thread(t2).unwrap().state, ThreadState::Blocked(_)),
         "the armed site must actually lose the wakeup"

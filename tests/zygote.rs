@@ -26,7 +26,7 @@ use cider_abi::ids::{Pid, Tid};
 use cider_abi::persona::Persona;
 use cider_bench::config::{SystemConfig, TestBed};
 use cider_bench::fig5::{run_micro, Micro};
-use cider_ckpt::{capture_kernel, StateImage};
+use cider_ckpt::{SectionWriter, StateImage};
 use cider_core::persona::{attach_persona_ext, persona_ext_mut};
 use cider_core::{with_state, CiderState};
 use cider_fault::FaultPlan;
@@ -111,29 +111,32 @@ fn forked_devices_equal_fresh_boots_on_every_workload() {
     }
 }
 
-/// Everything a template could leak into: the kernel image, every
-/// thread's extension, the trace, the whole graphics stack, and the
+/// Everything a template could leak into: the kernel image and the
 /// Cider state outside the kernel's own sections (Mach spaces,
-/// bootstrap names, the I/O Kit registry).
+/// task-self ports, bootstrap names) as its `cider` section, every
+/// thread's extension, the trace, the whole graphics stack and the
+/// I/O Kit registry.
 #[derive(Debug, PartialEq)]
 struct Observation {
     image: StateImage,
     threads: Vec<String>,
     trace: String,
     gfx: String,
-    cider: String,
+    iokit: String,
 }
 
 fn observe(bed: &TestBed) -> Observation {
     let st = bed.sys.kernel.extensions.get::<CiderState>().unwrap();
-    let cider = format!("{:?} {:?}", st.ckpt_records(), st.iokit);
-    let image = capture_kernel(&bed.sys.kernel);
+    let mut w = SectionWriter::new();
+    bed.sys.kernel.write_ckpt(&mut w);
+    st.write_ckpt(&mut w.section("cider"));
+    let image = StateImage::from(w);
     Observation {
         threads: thread_exts(&bed.sys.kernel, &image),
         image,
         trace: format!("{:?}", bed.trace_snapshot()),
         gfx: format!("{:?}", bed.gfx()),
-        cider,
+        iokit: format!("{:?}", st.iokit),
     }
 }
 
@@ -142,7 +145,7 @@ fn assert_same_bed(want: &Observation, got: &Observation, what: &str) {
     assert_eq!(want.threads, got.threads, "{what}: thread extensions");
     assert_eq!(want.trace, got.trace, "{what}: trace");
     assert_eq!(want.gfx, got.gfx, "{what}: graphics stack");
-    assert_eq!(want.cider, got.cider, "{what}: Cider state");
+    assert_eq!(want.iokit, got.iokit, "{what}: I/O Kit registry");
 }
 
 const GLES: &str = "OpenGLES.framework/OpenGLES";
