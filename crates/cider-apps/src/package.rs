@@ -12,7 +12,7 @@
 use cider_abi::codec::{ByteReader, ByteWriter};
 use cider_abi::errno::Errno;
 use cider_loader::framework_set::FrameworkSet;
-use cider_loader::macho::{LoadCommand, MachO, MachOBuilder};
+use cider_loader::macho::{LoadCommand, MachO, MachOBuilder, MachORef};
 
 /// The leading magic of a serialised package.
 const IPA_MAGIC: &[u8; 4] = b"IPA1";
@@ -37,9 +37,7 @@ pub struct Ipa {
 impl Ipa {
     /// Whether the contained binary is FairPlay-encrypted.
     pub fn is_encrypted(&self) -> bool {
-        MachO::parse(&self.binary)
-            .map(|m| m.is_encrypted())
-            .unwrap_or(false)
+        MachORef::parse(&self.binary).is_ok_and(|m| m.is_encrypted())
     }
 
     /// Serialises the package.

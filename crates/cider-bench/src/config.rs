@@ -386,7 +386,7 @@ mod tests {
         let (pid, _) = bed.spawn_measured().unwrap();
         let p = bed.sys.kernel.process(pid).unwrap();
         assert_eq!(p.program.dylib_count, 115);
-        assert_eq!(p.callbacks.atexit.len(), 115);
+        assert_eq!(p.callbacks.per_table(), 115);
     }
 
     #[test]

@@ -15,7 +15,9 @@ use cider_kernel::kernel::Kernel;
 use cider_kernel::mm::{MappingKind, Prot};
 use cider_kernel::process::PersonalityId;
 use cider_loader::dyld::run_dyld;
-use cider_loader::macho::{FileType, MachO, CPU_TYPE_ARM};
+use cider_loader::macho::{
+    FileType, LoadCommand, MachO, MachORef, CPU_TYPE_ARM,
+};
 
 use crate::persona::attach_persona_ext;
 use crate::state::with_state;
@@ -48,7 +50,7 @@ impl BinaryLoader for MachOLoader {
         tid: Tid,
         image: &ExecImage,
     ) -> Result<LoadedProgram, Errno> {
-        let macho = MachO::parse(&image.bytes)?;
+        let macho = MachORef::parse(&image.bytes)?;
         if macho.cpu_type != CPU_TYPE_ARM {
             return Err(Errno::ENOEXEC);
         }
@@ -63,8 +65,8 @@ impl BinaryLoader for MachOLoader {
 
         let pid = k.thread(tid)?.pid;
         let mut mapped = 0u64;
-        for cmd in &macho.commands {
-            if let cider_loader::macho::LoadCommand::Segment {
+        for cmd in macho.commands() {
+            if let LoadCommand::Segment {
                 name,
                 vmsize,
                 writable,
@@ -77,7 +79,7 @@ impl BinaryLoader for MachOLoader {
                     (false, false) => Prot::R,
                 };
                 k.process_mut(pid)?.mm.map(
-                    *vmsize,
+                    vmsize,
                     prot,
                     MappingKind::Binary,
                     format!("{} {}", image.path, name),
@@ -99,8 +101,7 @@ impl BinaryLoader for MachOLoader {
         .map_err(|_| Errno::ENOMEM)?;
 
         // dyld: map the dependency closure and register image callbacks.
-        let entry_symbol = macho.entry_symbol().map(str::to_string);
-        let deps: Vec<String> = macho.into_dylib_deps().collect();
+        let deps: Vec<&str> = macho.dylib_deps().collect();
         let stats = run_dyld(k, tid, &deps)?;
 
         if k.trace.is_enabled() {
@@ -111,8 +112,7 @@ impl BinaryLoader for MachOLoader {
                     libraries: stats.images as u64,
                 },
             );
-            let cb = &k.process(pid)?.callbacks;
-            let handlers = (cb.atfork_total() + cb.atexit.len()) as u64;
+            let handlers = k.process(pid)?.callbacks.total() as u64;
             k.trace.record(
                 ctx,
                 cider_trace::EventKind::DyldHandlers { handlers },
@@ -124,7 +124,7 @@ impl BinaryLoader for MachOLoader {
         }
 
         Ok(LoadedProgram {
-            entry_symbol,
+            entry_symbol: macho.entry_symbol().map(str::to_string),
             mapped_bytes: mapped + stats.mapped_bytes,
             dylib_count: stats.images,
             format: "macho",
@@ -189,7 +189,7 @@ mod tests {
         assert_eq!(p.program.format, "macho");
         assert_eq!(p.program.dylib_count, FRAMEWORK_COUNT as u32);
         assert!(p.mm.total_bytes() > 88 * 1024 * 1024);
-        assert_eq!(p.callbacks.atexit.len(), FRAMEWORK_COUNT);
+        assert_eq!(p.callbacks.per_table(), FRAMEWORK_COUNT);
         // Mach task state exists.
         with_state(&mut k, |_, st| {
             assert!(st.has_task_space(pid));

@@ -43,7 +43,7 @@ use crate::ipcobj::{IpcObjects, PIPE_CAPACITY};
 use crate::memorystatus::MemoryStatus;
 use crate::process::{
     DeliveredSignal, PersonalityId, Process, ProcessState, SigDisposition,
-    Thread, ThreadState, UserCallback, WaitChannel,
+    Thread, ThreadState, WaitChannel,
 };
 use crate::profile::DeviceProfile;
 use crate::vfs::{Ino, Vfs};
@@ -1428,8 +1428,8 @@ impl Kernel {
         self.charge_cpu(self.profile.fork_base_ns);
 
         // User space: atfork prepare handlers run in the parent first.
-        let prepare = self.process(parent_pid)?.callbacks.atfork_prepare.len();
-        self.run_user_callbacks(prepare, true);
+        let per_table = self.process(parent_pid)?.callbacks.per_table();
+        self.run_user_callbacks(per_table, true);
 
         // Kernel: duplicate the address space. Eagerly — visiting every
         // PTE now — on the cold machine; lazily when warm start is on:
@@ -1503,10 +1503,7 @@ impl Kernel {
         self.sched.register(child_tid, persona);
 
         // User space: parent + child atfork handlers run after the fork.
-        let parent_cbs =
-            self.process(parent_pid)?.callbacks.atfork_parent.len();
-        let child_cbs = self.process(child_pid)?.callbacks.atfork_child.len();
-        self.run_user_callbacks(parent_cbs + child_cbs, true);
+        self.run_user_callbacks(2 * per_table, true);
 
         (self.post_fork)(self, child_pid);
 
@@ -1665,7 +1662,7 @@ impl Kernel {
         let pid = self.thread(tid)?.pid;
 
         // User space: atexit handlers (one per dyld image on iOS).
-        let atexit = self.process(pid)?.callbacks.atexit.len();
+        let atexit = self.process(pid)?.callbacks.per_table();
         self.run_user_callbacks(atexit, false);
 
         // Close descriptors.
@@ -2030,10 +2027,10 @@ impl Kernel {
     }
 
     /// Registers user callbacks on a process, as dyld/libSystem do when
-    /// loading images. `images` entries each register one atfork triple
-    /// and one atexit handler. All four callbacks share the image's
-    /// name (dyld hands in the one its mapping holds), so registering
-    /// and every later `fork` copy reference counts, not strings.
+    /// loading images: each of `images` registers one atfork triple
+    /// and one atexit handler. The tables are one shared list of the
+    /// images' names (dyld hands in the ones their mappings hold), so
+    /// every later `fork` copies one reference count.
     ///
     /// # Errors
     ///
@@ -2043,14 +2040,7 @@ impl Kernel {
         pid: Pid,
         images: &[Arc<str>],
     ) -> Result<(), Errno> {
-        let proc = self.process_mut(pid)?;
-        for img in images {
-            let cb = UserCallback { name: img.clone() };
-            proc.callbacks.atfork_prepare.push(cb.clone());
-            proc.callbacks.atfork_parent.push(cb.clone());
-            proc.callbacks.atfork_child.push(cb.clone());
-            proc.callbacks.atexit.push(cb);
-        }
+        self.process_mut(pid)?.callbacks.register(images);
         Ok(())
     }
 
@@ -2789,7 +2779,7 @@ mod tests {
         k.vfs.write_file("/tmp/prog", b"RAWdata".to_vec()).unwrap();
         k.sys_exec(tid, "/tmp/prog", &[]).unwrap();
         assert_eq!(k.counters.atexit_callbacks, 0);
-        assert_eq!(k.process(pid).unwrap().callbacks.atexit.len(), 0);
+        assert_eq!(k.process(pid).unwrap().callbacks.per_table(), 0);
         assert_eq!(k.process(pid).unwrap().program.format, "raw");
     }
 

@@ -5,6 +5,10 @@
 //! one by one — the mechanism behind the paper's observation that an iOS
 //! process (90 MB of dyld-mapped libraries) pays "almost 1 ms of extra
 //! overhead" per fork compared to a Linux process.
+//!
+//! The mappings are one vector in address order. Kernel-chosen
+//! addresses only grow, so `map` appends; copying a space for `fork`
+//! is one allocation however many images it maps.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -106,7 +110,8 @@ impl Mapping {
 /// A process's virtual address space.
 #[derive(Debug, Clone, Default)]
 pub struct AddressSpace {
-    maps: BTreeMap<u64, Mapping>,
+    /// Mappings in address order.
+    maps: Vec<Mapping>,
     next_free: u64,
     /// Copy-on-write debt per mapping start: PTEs whose duplication was
     /// deferred at `fork` time and is still owed. Empty outside a CoW
@@ -124,7 +129,7 @@ impl AddressSpace {
     /// An empty address space.
     pub fn new() -> AddressSpace {
         AddressSpace {
-            maps: BTreeMap::new(),
+            maps: Vec::new(),
             next_free: MMAP_BASE,
             cow_pending: BTreeMap::new(),
             cow_dirty: BTreeSet::new(),
@@ -157,16 +162,14 @@ impl AddressSpace {
             .checked_add(len)
             .and_then(|end| end.checked_add(PAGE_SIZE)) // guard page
             .ok_or(Errno::ENOMEM)?;
-        self.maps.insert(
+        // Past every mapping: `next_free` only grows.
+        self.maps.push(Mapping {
             start,
-            Mapping {
-                start,
-                len,
-                prot,
-                kind,
-                name: name.into(),
-            },
-        );
+            len,
+            prot,
+            kind,
+            name: name.into(),
+        });
         Ok(start)
     }
 
@@ -189,17 +192,14 @@ impl AddressSpace {
         }
         let len = len.div_ceil(PAGE_SIZE) * PAGE_SIZE;
         let end = start + len;
-        let overlaps = self
-            .maps
-            .range(..end)
-            .next_back()
-            .map(|(_, m)| m.end() > start)
-            .unwrap_or(false);
-        if overlaps {
+        // The mappings that start below `end`; only the last can reach
+        // past `start`.
+        let at = self.maps.partition_point(|m| m.start < end);
+        if at > 0 && self.maps[at - 1].end() > start {
             return Err(Errno::EINVAL);
         }
         self.maps.insert(
-            start,
+            at,
             Mapping {
                 start,
                 len,
@@ -218,7 +218,11 @@ impl AddressSpace {
     ///
     /// Returns `EINVAL` if no mapping starts there.
     pub fn unmap(&mut self, start: u64) -> Result<Mapping, Errno> {
-        let m = self.maps.remove(&start).ok_or(Errno::EINVAL)?;
+        let at = self
+            .maps
+            .binary_search_by_key(&start, |m| m.start)
+            .map_err(|_| Errno::EINVAL)?;
+        let m = self.maps.remove(at);
         self.cow_pending.remove(&start);
         let gone: Vec<u64> =
             self.cow_dirty.range(start..m.end()).copied().collect();
@@ -230,16 +234,13 @@ impl AddressSpace {
 
     /// Iterates over all mappings in address order.
     pub fn iter(&self) -> impl Iterator<Item = &Mapping> {
-        self.maps.values()
+        self.maps.iter()
     }
 
     /// Looks up the mapping containing `addr`.
     pub fn find(&self, addr: u64) -> Option<&Mapping> {
-        self.maps
-            .range(..=addr)
-            .next_back()
-            .map(|(_, m)| m)
-            .filter(|m| addr < m.end())
+        let at = self.maps.partition_point(|m| m.start <= addr);
+        self.maps[..at].last().filter(|m| addr < m.end())
     }
 
     /// Number of mappings.
@@ -257,7 +258,7 @@ impl AddressSpace {
     /// cache, so its iOS processes pay for every dylib page.
     pub fn total_ptes(&self) -> u64 {
         self.maps
-            .values()
+            .iter()
             .filter(|m| m.kind != MappingKind::SharedCache)
             .map(Mapping::pte_count)
             .sum()
@@ -265,7 +266,7 @@ impl AddressSpace {
 
     /// Total mapped bytes.
     pub fn total_bytes(&self) -> u64 {
-        self.maps.values().map(|m| m.len).sum()
+        self.maps.iter().map(|m| m.len).sum()
     }
 
     /// Duplicates the address space for `fork`, visiting every PTE.
@@ -294,7 +295,7 @@ impl AddressSpace {
         child.cow_pending.clear();
         child.cow_dirty.clear();
         let mut deferred = 0;
-        for m in self.maps.values() {
+        for m in &self.maps {
             if m.kind == MappingKind::SharedCache {
                 continue;
             }

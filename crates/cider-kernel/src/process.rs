@@ -131,36 +131,52 @@ pub enum ProcessState {
     Zombie(i32),
 }
 
-/// A registered user-space callback (atfork / atexit handler). The paper
-/// measured 115 dylibs each registering fork and exit handlers; invoking
-/// them is the bulk of the iOS `fork+exit` overhead.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UserCallback {
-    /// Diagnostic name (usually the registering library), shared with
-    /// the library's other callbacks and its mapping, so cloning a
-    /// callback table at `fork` copies reference counts only.
-    pub name: Arc<str>,
-}
-
-/// The user-space callback tables dyld and libSystem maintain.
-#[derive(Debug, Clone, Default)]
+/// The user-space callback tables dyld and libSystem maintain: the
+/// `pthread_atfork` prepare, parent and child handlers and the `atexit`
+/// handlers. The paper measured 115 dylibs each registering fork and
+/// exit handlers; invoking them is the bulk of the iOS `fork+exit`
+/// overhead. Every image registers one handler in each of the four
+/// tables, so the tables are one list of image names, in load order.
+/// The list never changes once registered and is shared: `fork` copies
+/// a reference count rather than four entries per image, and reaping a
+/// process drops one.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct UserCallbacks {
-    /// `pthread_atfork` prepare handlers (run in parent before fork).
-    pub atfork_prepare: Vec<UserCallback>,
-    /// `pthread_atfork` parent handlers (run in parent after fork).
-    pub atfork_parent: Vec<UserCallback>,
-    /// `pthread_atfork` child handlers (run in child after fork).
-    pub atfork_child: Vec<UserCallback>,
-    /// `atexit` handlers (run at exit; dyld registers one per image).
-    pub atexit: Vec<UserCallback>,
+    /// `None` until the first registration, so a process without
+    /// handlers holds no allocation.
+    images: Option<Arc<[Arc<str>]>>,
 }
 
 impl UserCallbacks {
+    /// The registering images (each name shared with the image's
+    /// mapping), in load order.
+    pub(crate) fn images(&self) -> &[Arc<str>] {
+        self.images.as_deref().unwrap_or_default()
+    }
+
+    /// Handlers in each of the four tables: one per image.
+    pub fn per_table(&self) -> usize {
+        self.images().len()
+    }
+
     /// Total atfork handlers across the three phases.
     pub fn atfork_total(&self) -> usize {
-        self.atfork_prepare.len()
-            + self.atfork_parent.len()
-            + self.atfork_child.len()
+        3 * self.per_table()
+    }
+
+    /// Total handlers across all four tables.
+    pub fn total(&self) -> usize {
+        4 * self.per_table()
+    }
+
+    /// Registers one handler per image in every table, after those
+    /// already registered: a new shared list.
+    pub(crate) fn register(&mut self, images: &[Arc<str>]) {
+        if images.is_empty() {
+            return;
+        }
+        self.images =
+            Some(self.images().iter().chain(images).cloned().collect());
     }
 }
 
@@ -234,15 +250,19 @@ mod tests {
     #[test]
     fn callbacks_totals() {
         let mut cb = UserCallbacks::default();
-        for i in 0..115 {
-            let name: Arc<str> = format!("lib{i}").into();
-            cb.atfork_prepare.push(UserCallback { name: name.clone() });
-            cb.atfork_parent.push(UserCallback { name: name.clone() });
-            cb.atfork_child.push(UserCallback { name: name.clone() });
-            cb.atexit.push(UserCallback { name });
-        }
+        let names: Vec<Arc<str>> =
+            (0..115).map(|i| format!("lib{i}").into()).collect();
+        cb.register(&names[..100]);
+        cb.register(&[]);
+        cb.register(&names[100..]);
         assert_eq!(cb.atfork_total(), 345);
-        assert_eq!(cb.atexit.len(), 115);
+        assert_eq!(cb.per_table(), 115);
+        assert_eq!(cb.total(), 460);
+        assert_eq!(cb.images(), &names[..]);
+        // A copy shares the list, which shares the names.
+        let copy = cb.clone();
+        assert!(std::ptr::eq(copy.images(), cb.images()));
+        assert!(Arc::ptr_eq(&copy.images()[7], &names[7]));
     }
 
     #[test]

@@ -151,8 +151,9 @@ impl Track {
             live: self.live,
         };
         if self.live {
-            self.live =
-                fs.step(self.root, &mut self.stack, name, &mut 0, 0).is_ok();
+            self.live = fs
+                .step(self.root, &mut self.stack, 0, name, &mut 0, 0)
+                .is_ok();
         }
         mark
     }
@@ -313,53 +314,66 @@ impl Vfs {
     }
 
     /// Advances a resolution stack in the tree rooted at `root` by one
-    /// path component. `..` pops (never above the root); a name
-    /// descends into the current directory, and a symlink found there
-    /// is replaced by its target, resolved from the same root with
-    /// `depth + 1` expansions. On error the stack is unchanged.
+    /// path component. The walk in progress owns `stack[base..]`, and
+    /// the node it stands on is their top, or the tree root while they
+    /// are empty. `..` pops (never below `base`); a name descends into
+    /// the current directory, and a symlink found there is replaced by
+    /// its target, resolved from the same root with `depth + 1`
+    /// expansions on the stack above the walk's entries. On error the
+    /// stack is unchanged.
     fn step(
         &self,
         root: Ino,
         stack: &mut Vec<Ino>,
+        base: usize,
         comp: &str,
         walked: &mut usize,
         depth: usize,
     ) -> Result<(), Errno> {
         *walked += 1;
         if comp == ".." {
-            stack.pop();
+            if stack.len() > base {
+                stack.pop();
+            }
             return Ok(());
         }
-        let NodeKind::Dir(entries) = &self.node(Self::top(root, stack)).kind
+        let NodeKind::Dir(entries) =
+            &self.node(Self::top(root, &stack[base..])).kind
         else {
             return Err(Errno::ENOTDIR);
         };
         let mut next = *entries.get(comp).ok_or(Errno::ENOENT)?;
         if let NodeKind::Symlink(target) = &self.node(next).kind {
             let target = Self::components(target)?;
-            next = self.walk_tree(root, target, walked, depth + 1)?;
+            next = self.walk_tree(root, target, walked, depth + 1, stack)?;
         }
         stack.push(next);
         Ok(())
     }
 
     /// Resolves `comps` in one tree: a fold of [`Vfs::step`] from the
-    /// root. `depth` counts the symlink expansions that led here.
+    /// root. `depth` counts the symlink expansions that led here. The
+    /// walk runs on `stack` above the entries already on it and leaves
+    /// them as it found them, so a caller that resolves in a loop (or
+    /// a symlink expanded mid-walk) reuses one buffer.
     fn walk_tree<'p>(
         &self,
         root: Ino,
         comps: impl IntoIterator<Item = &'p str>,
         walked: &mut usize,
         depth: usize,
+        stack: &mut Vec<Ino>,
     ) -> Result<Ino, Errno> {
         if depth > MAX_SYMLINK_DEPTH {
             return Err(Errno::ELOOP);
         }
-        let mut stack = Vec::new();
-        for comp in comps {
-            self.step(root, &mut stack, comp, walked, depth)?;
-        }
-        Ok(Self::top(root, &stack))
+        let base = stack.len();
+        let walk = comps.into_iter().try_for_each(|comp| {
+            self.step(root, stack, base, comp, walked, depth)
+        });
+        let ino = Self::top(root, &stack[base..]);
+        stack.truncate(base);
+        walk.map(|()| ino)
     }
 
     /// Resolves an absolute path, preferring the overlay.
@@ -370,11 +384,27 @@ impl Vfs {
     /// non-directory appears mid-path, `ELOOP` on symlink cycles,
     /// `EINVAL` for relative paths.
     pub fn resolve(&self, path: &str) -> Result<Resolved, Errno> {
+        self.resolve_with(path, &mut Vec::new())
+    }
+
+    /// [`Vfs::resolve`] with `stack` lent as the walk's scratch space:
+    /// a caller that resolves in a loop passes the same buffer to every
+    /// call, and once it has grown no walk allocates. The walk leaves
+    /// the buffer's contents as it found them.
+    ///
+    /// # Errors
+    ///
+    /// As [`Vfs::resolve`].
+    pub fn resolve_with(
+        &self,
+        path: &str,
+        stack: &mut Vec<Ino>,
+    ) -> Result<Resolved, Errno> {
         let comps = Self::components(path)?;
         let mut walked = 0;
         if let Some(upper) = self.root_upper {
             if let Ok(ino) =
-                self.walk_tree(upper, comps.clone(), &mut walked, 0)
+                self.walk_tree(upper, comps.clone(), &mut walked, 0, stack)
             {
                 return Ok(Resolved {
                     ino,
@@ -383,7 +413,8 @@ impl Vfs {
                 });
             }
         }
-        let ino = self.walk_tree(self.root_lower, comps, &mut walked, 0)?;
+        let ino =
+            self.walk_tree(self.root_lower, comps, &mut walked, 0, stack)?;
         Ok(Resolved {
             ino,
             components_walked: walked,
@@ -395,15 +426,25 @@ impl Vfs {
     /// upper if the parent resolves there, else lower.
     fn tree_for_create(&self, comps: &[&str]) -> Result<(Ino, Tree), Errno> {
         let comps = comps.iter().copied();
-        let mut walked = 0;
+        let (mut walked, mut stack) = (0, Vec::new());
         if let Some(upper) = self.root_upper {
-            if let Ok(parent) =
-                self.walk_tree(upper, comps.clone(), &mut walked, 0)
-            {
+            if let Ok(parent) = self.walk_tree(
+                upper,
+                comps.clone(),
+                &mut walked,
+                0,
+                &mut stack,
+            ) {
                 return Ok((parent, Tree::Upper));
             }
         }
-        let parent = self.walk_tree(self.root_lower, comps, &mut walked, 0)?;
+        let parent = self.walk_tree(
+            self.root_lower,
+            comps,
+            &mut walked,
+            0,
+            &mut stack,
+        )?;
         Ok((parent, Tree::Lower))
     }
 
@@ -715,6 +756,7 @@ impl Vfs {
             .into_iter()
             .chain(Some(self.root_lower))
             .collect();
+        let mut stack = Vec::new();
         for root in trees {
             let mut walked = 0;
             let Ok(parent) = self.walk_tree(
@@ -722,6 +764,7 @@ impl Vfs {
                 parent_comps.iter().copied(),
                 &mut walked,
                 0,
+                &mut stack,
             ) else {
                 continue;
             };

@@ -11,9 +11,17 @@
 //!
 //! Either way dyld registers one atfork triple and one atexit handler per
 //! image — the user-space work behind the 14× `fork+exit` overhead.
+//!
+//! Both paths walk the closure in two passes. The first,
+//! `Closure::walk`, is host work only: over a shared borrow of the
+//! VFS it resolves, reads and validates each image once, in
+//! breadth-first order with each path once, holding paths as slices of
+//! the images' own bytes, and stops at the first failure, noting the
+//! stage it reached. The second replays that walk on the kernel: the
+//! fault draws, the virtual charges in their pinned order, the mappings
+//! and, where the first pass stopped, its error.
 
 use std::collections::BTreeSet;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use cider_abi::errno::Errno;
@@ -21,10 +29,11 @@ use cider_abi::ids::Tid;
 use cider_fault::FaultSite;
 use cider_kernel::kernel::Kernel;
 use cider_kernel::mm::{MappingKind, Prot};
+use cider_kernel::vfs::{Ino, Vfs};
 use cider_kernel::warm::{BakedImage, SharedCacheImage};
 
 use crate::framework_set::TOTAL_MAPPED_BYTES;
-use crate::macho::{FileType, MachO};
+use crate::macho::{FileType, MachORef};
 
 /// What dyld did, for assertions and experiment reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -39,6 +48,128 @@ pub struct DyldStats {
     pub fs_opens: u32,
 }
 
+/// The step of an image's load at which the host pass failed: the
+/// charging pass charges the steps before it, then returns its error.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stage {
+    /// Resolving the install path.
+    Resolve,
+    /// Reading the resolved file.
+    Read,
+    /// Validating the bytes as a Mach-O image of the required type.
+    Validate,
+}
+
+/// What an image's charges depend on, as far as its load got.
+#[derive(Debug, Clone, Copy, Default)]
+struct Load {
+    /// Path components its resolution walked.
+    walked: usize,
+    /// Its file's length.
+    len: usize,
+    /// Bytes its segments map.
+    vmsize: u64,
+}
+
+/// One image of a closure.
+#[derive(Debug)]
+struct ClosureImage<'a> {
+    /// Install path, borrowed from the roots or from a dependent
+    /// image's bytes.
+    path: &'a str,
+    load: Load,
+}
+
+impl<'a> ClosureImage<'a> {
+    /// Resolves, reads and validates the image, recording each step's
+    /// result as it gets there.
+    fn load(
+        &mut self,
+        vfs: &'a Vfs,
+        stack: &mut Vec<Ino>,
+        filetype: Option<FileType>,
+    ) -> Result<MachORef<'a>, (Stage, Errno)> {
+        let resolved = vfs
+            .resolve_with(self.path, stack)
+            .map_err(|e| (Stage::Resolve, e))?;
+        self.load.walked = resolved.components_walked;
+        let bytes =
+            vfs.file_bytes(resolved.ino).map_err(|e| (Stage::Read, e))?;
+        self.load.len = bytes.len();
+        let image =
+            MachORef::parse(bytes).map_err(|e| (Stage::Validate, e))?;
+        if filetype.is_some_and(|t| image.filetype != t) {
+            return Err((Stage::Validate, Errno::ENOEXEC));
+        }
+        self.load.vmsize = image.total_vmsize();
+        Ok(image)
+    }
+}
+
+/// A dependency closure as the host pass found it.
+#[derive(Debug)]
+struct Closure<'a> {
+    /// Every image in breadth-first order from the roots, each path
+    /// once. After a failure the last is the image that failed.
+    images: Vec<ClosureImage<'a>>,
+    /// Where the last image's load stopped, and why.
+    failure: Option<(Stage, Errno)>,
+}
+
+impl<'a> Closure<'a> {
+    /// Walks the closure of `roots` over `vfs`, touching nothing else.
+    /// With `filetype`, every image must be of that type.
+    fn walk(
+        vfs: &'a Vfs,
+        roots: impl IntoIterator<Item = &'a str>,
+        filetype: Option<FileType>,
+    ) -> Closure<'a> {
+        let mut images = Vec::new();
+        let mut seen = BTreeSet::new();
+        let mut discover = |images: &mut Vec<_>, path| {
+            if seen.insert(path) {
+                images.push(ClosureImage {
+                    path,
+                    load: Load::default(),
+                });
+            }
+        };
+        for root in roots {
+            discover(&mut images, root);
+        }
+        // One resolution stack lent to every resolve.
+        let mut stack = Vec::new();
+        let mut next = 0;
+        while let Some(image) = images.get_mut(next) {
+            next += 1;
+            match image.load(vfs, &mut stack, filetype) {
+                Ok(image) => {
+                    for dep in image.dylib_deps() {
+                        discover(&mut images, dep);
+                    }
+                }
+                Err(failure) => {
+                    images.truncate(next);
+                    return Closure {
+                        images,
+                        failure: Some(failure),
+                    };
+                }
+            }
+        }
+        Closure {
+            images,
+            failure: None,
+        }
+    }
+
+    /// The images whose loads succeeded.
+    fn loaded(&self) -> &[ClosureImage<'a>] {
+        let failed = usize::from(self.failure.is_some());
+        &self.images[..self.images.len() - failed]
+    }
+}
+
 /// Runs dyld for a freshly exec'd Mach-O with the given direct
 /// dependencies: loads the transitive closure, maps every image, and
 /// registers per-image user callbacks.
@@ -47,14 +178,16 @@ pub struct DyldStats {
 ///
 /// `ENOENT` if a dependency is missing from the filesystem, `ENOEXEC` if
 /// a dependency is not a valid Mach-O dylib.
-pub fn run_dyld(
+pub fn run_dyld<R: AsRef<str>>(
     k: &mut Kernel,
     tid: Tid,
-    root_deps: &[String],
+    root_deps: &[R],
 ) -> Result<DyldStats, Errno> {
     let mut stats = DyldStats::default();
     let pid = k.thread(tid)?.pid;
     let shared_cache = k.profile.shared_dyld_cache;
+    let roots = || root_deps.iter().map(AsRef::as_ref);
+    let is_root = |path: &str| roots().any(|r| r == path);
 
     // dyld itself is mapped first (by the kernel loader in reality).
     k.charge_cpu(k.profile.dylib_map_ns);
@@ -75,26 +208,28 @@ pub fn run_dyld(
         stats.used_shared_cache = true;
         stats.mapped_bytes += TOTAL_MAPPED_BYTES;
         // The closure is still walked to bind symbols, entirely in
-        // memory. Prelinking coalesces the cache residents'
+        // memory, and any image may bind (no file-type rule).
+        // Prelinking coalesces the cache residents'
         // initialiser/terminator handling ("iOS treats the shared cache
         // in a special way and optimizes how it is handled", §6.2):
         // only the directly linked images register their own atfork /
         // atexit callbacks.
-        let mut seen = BTreeSet::new();
-        let mut work: VecDeque<String> = root_deps.to_vec().into();
-        while let Some(path) = work.pop_front() {
-            if seen.contains(&path) {
-                continue;
-            }
-            let ino = k.vfs.resolve(&path)?.ino;
-            let m = MachO::parse(k.vfs.file_bytes(ino)?)?;
+        let walk = Closure::walk(&k.vfs, roots(), None);
+        images = walk
+            .loaded()
+            .iter()
+            .filter(|image| is_root(image.path))
+            .map(|image| image.path.into())
+            .collect();
+        // Every image bound before a failure is charged, then the
+        // failure returns.
+        let (bound, failure) = (walk.loaded().len(), walk.failure);
+        for _ in 0..bound {
             k.charge_cpu(600); // in-cache bind, no I/O
-            if root_deps.contains(&path) {
-                images.push(path.as_str().into());
-            }
-            work.extend(m.into_dylib_deps());
-            seen.insert(path);
             stats.images += 1;
+        }
+        if let Some((_, errno)) = failure {
+            return Err(errno);
         }
     } else if let Some(cache) = warm_cache_hit(k, root_deps) {
         // Zygote-style warm start: the device holds a prelinked cache
@@ -117,7 +252,7 @@ pub fn run_dyld(
                 img.path.clone(),
             )?;
             k.charge_cpu(600); // in-cache bind, no I/O
-            if root_deps.iter().any(|r| **r == *img.path) {
+            if is_root(&img.path) {
                 images.push(img.path.clone());
             }
             stats.images += 1;
@@ -131,70 +266,66 @@ pub fn run_dyld(
     } else {
         // The Cider prototype path: walk the filesystem per image. The
         // charges below are the virtual cost of that walk, and their
-        // amounts and order are pinned (`tests/trap_allocs.rs`): the
-        // watchdog can expire between any two. The host work is one
-        // resolve and an in-place header read per image.
-        let mut seen = BTreeSet::new();
-        let mut work: VecDeque<String> = root_deps.to_vec().into();
-        // The first successful cold walk on a warm device bakes the
-        // cache (nothing in the walk changes either condition). A later
-        // roots-mismatch walk keeps the first bake: per-app closures
-        // share one device cache keyed on the roots it was baked for.
-        let bake = k.warm.is_enabled() && k.warm.cache().is_none();
-        let mut closure: Vec<BakedImage> = Vec::new();
-        while let Some(path) = work.pop_front() {
-            if seen.contains(&path) {
-                continue;
-            }
+        // amounts and order are pinned (`tests/trap_allocs.rs`,
+        // `tests/dyld_walk.rs`): the watchdog can expire between any
+        // two. The host work, done first, is one resolve and an
+        // in-place read per image.
+        let walk = Closure::walk(&k.vfs, roots(), Some(FileType::Dylib));
+        // Naming every image ends the borrow of the VFS.
+        let (names, loads): (Vec<Arc<str>>, Vec<Load>) = walk
+            .images
+            .iter()
+            .map(|image| (image.path.into(), image.load))
+            .unzip();
+        let failure = walk.failure;
+        for (i, (name, load)) in names.iter().zip(&loads).enumerate() {
+            // Reaching a step fails where the walk's last image failed.
+            let reach = |stage| match failure {
+                Some((at, errno)) if at == stage && i + 1 == names.len() => {
+                    Err(errno)
+                }
+                _ => Ok(()),
+            };
             if k.fault_at(FaultSite::DyldResolve) {
                 // A dylib of the closure is missing from the overlay.
                 return Err(Errno::ENOENT);
             }
-            let resolved = k.vfs.resolve(&path)?;
-            k.charge_cpu(
-                k.profile.path_component_ns
-                    * resolved.components_walked as u64,
-            );
+            reach(Stage::Resolve)?;
+            k.charge_cpu(k.profile.path_component_ns * load.walked as u64);
             // open + header read + close.
             k.charge_cpu(k.profile.vfs_op_ns * 2);
             stats.fs_opens += 1;
-            // Parse from the file's bytes in place, then charge their
-            // copy: a malformed image fails only after that charge.
-            let (len, parsed) = {
-                let bytes = k.vfs.file_bytes(resolved.ino)?;
-                (bytes.len(), MachO::parse(bytes))
-            };
+            reach(Stage::Read)?;
+            // The header's copy is charged before it is validated.
             k.charge_cpu(
-                (len.min(4096) as f64 * k.profile.copy_byte_ns) as u64,
+                (load.len.min(4096) as f64 * k.profile.copy_byte_ns) as u64,
             );
-            let m = parsed?;
-            if m.filetype != FileType::Dylib {
-                return Err(Errno::ENOEXEC);
-            }
-            let vmsize = m.total_vmsize();
-            let name: Arc<str> = path.as_str().into();
+            reach(Stage::Validate)?;
             k.process_mut(pid)?.mm.map(
-                vmsize,
+                load.vmsize,
                 Prot::RX,
                 MappingKind::Dylib,
                 name.clone(),
             )?;
             k.charge_cpu(k.profile.dylib_map_ns);
-            stats.mapped_bytes += vmsize;
-            if bake {
-                closure.push(BakedImage {
-                    path: name.clone(),
-                    vmsize,
-                });
-            }
-            images.push(name);
-            work.extend(m.into_dylib_deps());
-            seen.insert(path);
+            stats.mapped_bytes += load.vmsize;
             stats.images += 1;
         }
-        if bake {
+        // The first successful cold walk on a warm device bakes the
+        // cache (nothing in the walk changes either condition). A later
+        // roots-mismatch walk keeps the first bake: per-app closures
+        // share one device cache keyed on the roots it was baked for.
+        if k.warm.is_enabled() && k.warm.cache().is_none() {
+            let closure = names
+                .iter()
+                .zip(&loads)
+                .map(|(name, load)| BakedImage {
+                    path: name.clone(),
+                    vmsize: load.vmsize,
+                })
+                .collect();
             k.warm.install(SharedCacheImage::bake(
-                root_deps.to_vec(),
+                roots().map(str::to_string).collect(),
                 closure,
                 stats.mapped_bytes,
             ));
@@ -202,6 +333,7 @@ pub fn run_dyld(
                 k.trace.incr("dyld/cache_bakes");
             }
         }
+        images = names;
     }
 
     // Every image registers atfork + atexit handlers with libSystem.
@@ -216,14 +348,14 @@ pub fn run_dyld(
 /// invalidates the cache, so the caller falls back to the cold walk —
 /// which launches anyway and re-bakes. The cache is shared, not
 /// copied: the replay reads it in place.
-fn warm_cache_hit(
+fn warm_cache_hit<R: AsRef<str>>(
     k: &mut Kernel,
-    root_deps: &[String],
+    root_deps: &[R],
 ) -> Option<Arc<SharedCacheImage>> {
     if !k.warm.is_enabled() {
         return None;
     }
-    let roots: Vec<&str> = root_deps.iter().map(String::as_str).collect();
+    let roots: Vec<&str> = root_deps.iter().map(AsRef::as_ref).collect();
     let cache = k
         .warm
         .cache()
@@ -266,7 +398,7 @@ mod tests {
         let pid = k.thread(tid).unwrap().pid;
         let p = k.process(pid).unwrap();
         assert_eq!(p.callbacks.atfork_total(), FRAMEWORK_COUNT * 3);
-        assert_eq!(p.callbacks.atexit.len(), FRAMEWORK_COUNT);
+        assert_eq!(p.callbacks.per_table(), FRAMEWORK_COUNT);
     }
 
     #[test]
@@ -308,8 +440,8 @@ mod tests {
     fn missing_dependency_is_enoent() {
         let mut k = Kernel::boot(DeviceProfile::nexus7());
         let (_, tid) = k.spawn_process();
-        let err = run_dyld(&mut k, tid, &["/usr/lib/libMissing.dylib".into()])
-            .unwrap_err();
+        let err =
+            run_dyld(&mut k, tid, &["/usr/lib/libMissing.dylib"]).unwrap_err();
         assert_eq!(err, Errno::ENOENT);
     }
 
@@ -375,7 +507,7 @@ mod tests {
         let pid = k2.thread(tid2).unwrap().pid;
         let p = k2.process(pid).unwrap();
         assert_eq!(p.callbacks.atfork_total(), deps.len() * 3);
-        assert_eq!(p.callbacks.atexit.len(), deps.len());
+        assert_eq!(p.callbacks.per_table(), deps.len());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use cider_abi::codec::{ByteReader, ByteWriter};
 use cider_abi::errno::Errno;
 
-use crate::macho::get_string;
+use crate::macho::get_name;
 
 /// ELF magic bytes.
 pub const ELF_MAGIC: [u8; 4] = [0x7f, b'E', b'L', b'F'];
@@ -137,10 +137,10 @@ impl Elf {
         let mut needed =
             Vec::with_capacity(r.capacity_for(nneeded as usize, 4));
         for _ in 0..nneeded {
-            needed.push(get_string(&mut r)?);
+            needed.push(get_name(&mut r)?.into());
         }
         let entry_symbol = if r.get_u8()? != 0 {
-            Some(get_string(&mut r)?)
+            Some(get_name(&mut r)?.into())
         } else {
             None
         };

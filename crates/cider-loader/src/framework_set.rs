@@ -286,9 +286,9 @@ mod tests {
         let bytes = vfs
             .read_file("/System/Library/Frameworks/UIKit.framework/UIKit")
             .unwrap();
-        let m = crate::macho::MachO::parse(&bytes).unwrap();
+        let m = crate::macho::MachORef::parse(&bytes).unwrap();
         assert_eq!(m.filetype, crate::macho::FileType::Dylib);
         assert!(m.total_vmsize() >= 11 * 1024 * 1024);
-        assert!(m.into_dylib_deps().next().is_some());
+        assert!(m.dylib_deps().next().is_some());
     }
 }

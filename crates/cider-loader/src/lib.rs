@@ -5,7 +5,8 @@
 //!
 //! * [`macho`] — a simulated Mach-O container (magic, CPU type, load
 //!   commands: segments, dylib dependencies, `LC_MAIN`, encryption info)
-//!   with builders, serialisation, and a validating parser;
+//!   with builders, serialisation, and one validating reader whose
+//!   load commands borrow the image's bytes;
 //! * [`elf`] — the ELF equivalent for domestic binaries;
 //! * [`elf_loader`] — the domestic binfmt loader plus the standard
 //!   Android `/system/lib` install;
@@ -41,4 +42,4 @@ pub use dyld::{run_dyld, DyldStats};
 pub use elf::{Elf, ElfBuilder};
 pub use elf_loader::{install_android_system, ElfLoader};
 pub use framework_set::{FrameworkSet, FRAMEWORK_COUNT, TOTAL_MAPPED_BYTES};
-pub use macho::{MachO, MachOBuilder};
+pub use macho::{MachO, MachOBuilder, MachORef};

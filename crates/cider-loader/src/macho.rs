@@ -47,13 +47,14 @@ impl FileType {
     }
 }
 
-/// A load command.
+/// A load command. Its strings are owned in a [`MachO`] and borrowed
+/// from the image's bytes (`LoadCommand<&str>`) in a [`MachORef`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LoadCommand {
+pub enum LoadCommand<S = String> {
     /// `LC_SEGMENT`: a mapped segment.
     Segment {
         /// Segment name (`__TEXT`, `__DATA`, ...).
-        name: String,
+        name: S,
         /// Virtual size in bytes (what the loader maps).
         vmsize: u64,
         /// Writable segment?
@@ -64,13 +65,13 @@ pub enum LoadCommand {
     /// `LC_LOAD_DYLIB`: a dependency.
     LoadDylib {
         /// Install path of the dependency.
-        path: String,
+        path: S,
     },
     /// `LC_MAIN`: the entry point, named symbolically for the simulator's
     /// program registry.
     Main {
         /// Behaviour key in the kernel program registry.
-        entry_symbol: String,
+        entry_symbol: S,
     },
     /// `LC_ENCRYPTION_INFO`: App Store FairPlay encryption state.
     EncryptionInfo {
@@ -84,7 +85,37 @@ pub enum LoadCommand {
     },
 }
 
-/// A parsed (or to-be-serialised) Mach-O image.
+impl LoadCommand<&str> {
+    /// The command with its strings copied out of the image.
+    pub fn into_owned(self) -> LoadCommand {
+        match self {
+            LoadCommand::Segment {
+                name,
+                vmsize,
+                writable,
+                executable,
+            } => LoadCommand::Segment {
+                name: name.into(),
+                vmsize,
+                writable,
+                executable,
+            },
+            LoadCommand::LoadDylib { path } => {
+                LoadCommand::LoadDylib { path: path.into() }
+            }
+            LoadCommand::Main { entry_symbol } => LoadCommand::Main {
+                entry_symbol: entry_symbol.into(),
+            },
+            LoadCommand::EncryptionInfo { cryptid } => {
+                LoadCommand::EncryptionInfo { cryptid }
+            }
+            LoadCommand::Uuid { uuid } => LoadCommand::Uuid { uuid },
+        }
+    }
+}
+
+/// A Mach-O image to build, edit or serialise, with owned load
+/// commands. [`MachORef`] reads one in place.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MachO {
     /// CPU type (must be ARM to load).
@@ -96,41 +127,6 @@ pub struct MachO {
 }
 
 impl MachO {
-    /// Total virtual size of all segments.
-    pub fn total_vmsize(&self) -> u64 {
-        self.commands
-            .iter()
-            .map(|c| match c {
-                LoadCommand::Segment { vmsize, .. } => *vmsize,
-                _ => 0,
-            })
-            .sum()
-    }
-
-    /// Dependency install paths in order, moved out of the image.
-    pub fn into_dylib_deps(self) -> impl Iterator<Item = String> {
-        self.commands.into_iter().filter_map(|c| match c {
-            LoadCommand::LoadDylib { path } => Some(path),
-            _ => None,
-        })
-    }
-
-    /// The entry symbol, if an `LC_MAIN` is present.
-    pub fn entry_symbol(&self) -> Option<&str> {
-        self.commands.iter().find_map(|c| match c {
-            LoadCommand::Main { entry_symbol } => Some(entry_symbol.as_str()),
-            _ => None,
-        })
-    }
-
-    /// Whether the image carries a non-zero `cryptid` (App Store
-    /// encrypted; must be decrypted on a jailbroken device first, §6.1).
-    pub fn is_encrypted(&self) -> bool {
-        self.commands.iter().any(|c| {
-            matches!(c, LoadCommand::EncryptionInfo { cryptid } if *cryptid != 0)
-        })
-    }
-
     /// Serialises to the simulator's on-disk representation.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
@@ -178,13 +174,46 @@ impl MachO {
         ByteReader::new(bytes, ()).get_u32() == Ok(MH_MAGIC)
     }
 
-    /// Parses the on-disk representation.
+    /// Parses the on-disk representation: [`MachORef::parse`], then a
+    /// copy of every command.
+    ///
+    /// # Errors
+    ///
+    /// As [`MachORef::parse`].
+    pub fn parse(bytes: &[u8]) -> Result<MachO, Errno> {
+        let image = MachORef::parse(bytes)?;
+        Ok(MachO {
+            cpu_type: image.cpu_type,
+            filetype: image.filetype,
+            commands: image.commands().map(LoadCommand::into_owned).collect(),
+        })
+    }
+}
+
+/// A validated Mach-O image read in place: its header's fields, and
+/// load commands whose strings borrow the image's bytes. This is the
+/// one validating reader; the kernel loader and dyld read images
+/// through it without copying them.
+#[derive(Debug, Clone, Copy)]
+pub struct MachORef<'a> {
+    /// CPU type (must be ARM to load).
+    pub cpu_type: u32,
+    /// File type.
+    pub filetype: FileType,
+    ncmds: u32,
+    /// The image from its first load command on.
+    body: &'a [u8],
+}
+
+impl<'a> MachORef<'a> {
+    /// Validates the on-disk representation and every load command in
+    /// it, copying nothing.
     ///
     /// # Errors
     ///
     /// `ENOEXEC` for anything malformed: wrong magic, unknown file type
-    /// or command, or truncation.
-    pub fn parse(bytes: &[u8]) -> Result<MachO, Errno> {
+    /// or command, a string over the loader's limit, or truncation.
+    pub fn parse(bytes: &'a [u8]) -> Result<MachORef<'a>, Errno> {
         let mut r = ByteReader::new(bytes, Errno::ENOEXEC);
         if r.get_u32()? != MH_MAGIC {
             return Err(Errno::ENOEXEC);
@@ -196,47 +225,91 @@ impl MachO {
         if ncmds > MAX_COMMANDS {
             return Err(Errno::ENOEXEC);
         }
-        // Every command is a tag and at least four bytes of payload.
-        let mut commands =
-            Vec::with_capacity(r.capacity_for(ncmds as usize, 8));
+        let body = &bytes[r.pos()..];
         for _ in 0..ncmds {
-            let cmd = match r.get_u32()? {
-                1 => LoadCommand::Segment {
-                    name: get_string(&mut r)?,
-                    vmsize: r.get_u64()?,
-                    writable: r.get_u8()? != 0,
-                    executable: r.get_u8()? != 0,
-                },
-                12 => LoadCommand::LoadDylib {
-                    path: get_string(&mut r)?,
-                },
-                0x28 => LoadCommand::Main {
-                    entry_symbol: get_string(&mut r)?,
-                },
-                0x21 => LoadCommand::EncryptionInfo {
-                    cryptid: r.get_u32()?,
-                },
-                0x1b => LoadCommand::Uuid {
-                    uuid: r.get_array()?,
-                },
-                _ => return Err(Errno::ENOEXEC),
-            };
-            commands.push(cmd);
+            read_command(&mut r)?;
         }
-        Ok(MachO {
+        Ok(MachORef {
             cpu_type,
             filetype,
-            commands,
+            ncmds,
+            body,
+        })
+    }
+
+    /// The load commands in order.
+    pub fn commands(&self) -> impl Iterator<Item = LoadCommand<&'a str>> {
+        let mut r = ByteReader::new(self.body, Errno::ENOEXEC);
+        // `parse` read every command once, so none fails here.
+        (0..self.ncmds).map_while(move |_| read_command(&mut r).ok())
+    }
+
+    /// Total virtual size of all segments.
+    pub fn total_vmsize(&self) -> u64 {
+        self.commands()
+            .map(|c| match c {
+                LoadCommand::Segment { vmsize, .. } => vmsize,
+                _ => 0,
+            })
+            .sum()
+    }
+
+    /// Dependency install paths in order.
+    pub fn dylib_deps(&self) -> impl Iterator<Item = &'a str> {
+        self.commands().filter_map(|c| match c {
+            LoadCommand::LoadDylib { path } => Some(path),
+            _ => None,
+        })
+    }
+
+    /// The entry symbol, if an `LC_MAIN` is present.
+    pub fn entry_symbol(&self) -> Option<&'a str> {
+        self.commands().find_map(|c| match c {
+            LoadCommand::Main { entry_symbol } => Some(entry_symbol),
+            _ => None,
+        })
+    }
+
+    /// Whether the image carries a non-zero `cryptid` (App Store
+    /// encrypted; must be decrypted on a jailbroken device first, §6.1).
+    pub fn is_encrypted(&self) -> bool {
+        self.commands().any(|c| {
+            matches!(c, LoadCommand::EncryptionInfo { cryptid } if cryptid != 0)
         })
     }
 }
 
-/// Reads a length-prefixed name of at most [`MAX_STRING`] bytes, the
-/// loader's limit for Mach-O and ELF images alike.
-pub(crate) fn get_string(
-    r: &mut ByteReader<'_, Errno>,
-) -> Result<String, Errno> {
-    let s = r.get_str()?;
+/// Reads one load command in place.
+fn read_command<'a>(
+    r: &mut ByteReader<'a, Errno>,
+) -> Result<LoadCommand<&'a str>, Errno> {
+    Ok(match r.get_u32()? {
+        1 => LoadCommand::Segment {
+            name: get_name(r)?,
+            vmsize: r.get_u64()?,
+            writable: r.get_u8()? != 0,
+            executable: r.get_u8()? != 0,
+        },
+        12 => LoadCommand::LoadDylib { path: get_name(r)? },
+        0x28 => LoadCommand::Main {
+            entry_symbol: get_name(r)?,
+        },
+        0x21 => LoadCommand::EncryptionInfo {
+            cryptid: r.get_u32()?,
+        },
+        0x1b => LoadCommand::Uuid {
+            uuid: r.get_array()?,
+        },
+        _ => return Err(Errno::ENOEXEC),
+    })
+}
+
+/// Reads a length-prefixed name of at most [`MAX_STRING`] bytes in
+/// place, the loader's limit for Mach-O and ELF images alike.
+pub(crate) fn get_name<'a>(
+    r: &mut ByteReader<'a, Errno>,
+) -> Result<&'a str, Errno> {
+    let s = r.get_str_ref()?;
     if s.len() > MAX_STRING {
         return Err(Errno::ENOEXEC);
     }
@@ -332,12 +405,10 @@ mod tests {
             .build();
         let bytes = m.to_bytes();
         assert!(MachO::sniff(&bytes));
-        let parsed = MachO::parse(&bytes).unwrap();
-        assert_eq!(parsed, m);
-        assert_eq!(parsed.entry_symbol(), Some("main"));
-        assert!(parsed
-            .into_dylib_deps()
-            .eq(["/usr/lib/libSystem.B.dylib".to_string()]));
+        assert_eq!(MachO::parse(&bytes).unwrap(), m);
+        let image = MachORef::parse(&bytes).unwrap();
+        assert_eq!(image.entry_symbol(), Some("main"));
+        assert!(image.dylib_deps().eq(["/usr/lib/libSystem.B.dylib"]));
     }
 
     #[test]
@@ -353,22 +424,34 @@ mod tests {
     }
 
     #[test]
+    fn the_reader_validates_every_command_up_front() {
+        let long = "/x".repeat(MAX_STRING / 2 + 1);
+        let bytes = MachOBuilder::dylib(4096)
+            .depends_on("/usr/lib/libSystem.B.dylib")
+            .depends_on(&long)
+            .build()
+            .to_bytes();
+        assert_eq!(MachORef::parse(&bytes).err(), Some(Errno::ENOEXEC));
+        assert_eq!(MachO::parse(&bytes), Err(Errno::ENOEXEC));
+    }
+
+    #[test]
     fn encryption_detected() {
-        let plain = MachOBuilder::executable("main").build();
-        assert!(!plain.is_encrypted());
+        let plain = MachOBuilder::executable("main").build().to_bytes();
+        assert!(!MachORef::parse(&plain).unwrap().is_encrypted());
         let enc = MachOBuilder::executable("main").encrypted().build();
-        assert!(enc.is_encrypted());
-        let parsed = MachO::parse(&enc.to_bytes()).unwrap();
-        assert!(parsed.is_encrypted());
+        assert!(MachORef::parse(&enc.to_bytes()).unwrap().is_encrypted());
     }
 
     #[test]
     fn vmsize_sums_segments() {
-        let m = MachOBuilder::executable("main").build();
-        assert_eq!(m.total_vmsize(), (256 + 64) * 1024);
-        let d = MachOBuilder::dylib(1024 * 1024).build();
-        assert_eq!(d.total_vmsize(), 1024 * 1024);
-        assert_eq!(d.filetype, FileType::Dylib);
+        let m = MachOBuilder::executable("main").build().to_bytes();
+        let image = MachORef::parse(&m).unwrap();
+        assert_eq!(image.total_vmsize(), (256 + 64) * 1024);
+        let d = MachOBuilder::dylib(1024 * 1024).build().to_bytes();
+        let image = MachORef::parse(&d).unwrap();
+        assert_eq!(image.total_vmsize(), 1024 * 1024);
+        assert_eq!(image.filetype, FileType::Dylib);
     }
 
     #[test]
